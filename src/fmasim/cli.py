@@ -6,7 +6,8 @@ torque/speed samples), fk and jacobian (query a chain fixture), and
 fixtures (list everything runnable by name).
 
 Exit codes: 0 on success, 2 for configuration or usage errors, 3 when
-the integrator blows up.
+the run cannot continue (the integrator blows up or the chain reaches a
+singular configuration).
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import config as config_mod
 from . import fixtures, svg
-from .errors import ConfigError, SimulationBlowUpError
+from .errors import ConfigError, DegenerateConfigurationError, SimulationBlowUpError
 from .kinematics import forward_kinematics, g_function
 from .simulation import (
     SimulationTrace,
@@ -52,6 +53,16 @@ def _load(args) -> config_mod.ScenarioConfig:
     return cfg
 
 
+def _out_dir(path: str) -> Path:
+    """The output directory, created if missing."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use --out {path!r} as a directory: {exc.strerror}") from None
+    return out
+
+
 def _trace_plot(trace: SimulationTrace):
     t = trace.t
     if trace.meta["kind"] == "force":
@@ -67,10 +78,9 @@ def _trace_plot(trace: SimulationTrace):
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
+    out = _out_dir(args.out)
     trace = _run_config(cfg)
     metrics = compute_metrics(trace)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     trace_path = out / "trace.csv"
     metrics_path = out / "metrics.txt"
     trace_path.write_text(trace_csv_text(trace), encoding="ascii")
@@ -120,6 +130,7 @@ def cmd_envelope(args) -> int:
         variant = config_mod.replace_values(cfg, "reference", omega_peak=base_peak * mult)
         variants.append(config_mod.replace_values(variant, "run", name=f"{base_name}@x{mult:g}"))
 
+    out = _out_dir(args.out)
     if args.parallel > 1:
         with ProcessPoolExecutor(max_workers=args.parallel) as pool:
             traces = list(pool.map(_run_config, variants))
@@ -127,8 +138,6 @@ def cmd_envelope(args) -> int:
         traces = [_run_config(v) for v in variants]
     points = envelope_points(traces)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "envelope.csv"
     lines = ["torque,speed,tag"]
     lines += [f"{p.torque:.17g},{p.speed:.17g},{p.tag}" for p in points]
@@ -270,7 +279,7 @@ def main(argv=None) -> int:
         # fixture registries raise KeyError with a message listing the known names
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SimulationBlowUpError as exc:
+    except (SimulationBlowUpError, DegenerateConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
 

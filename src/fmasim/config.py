@@ -394,6 +394,13 @@ def builtin_scenario_names() -> list[str]:
     return sorted(names)
 
 
+def _read_config(path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def load_scenario(ref: str) -> ScenarioConfig:
     """Load a scenario by file path or built-in name.
 
@@ -403,15 +410,15 @@ def load_scenario(ref: str) -> ScenarioConfig:
     """
     p = Path(ref)
     if p.is_file():
-        return parse_config(p.read_text())
+        return parse_config(_read_config(p))
     if p.suffix == ".ini" or os.sep in ref:
         raise ConfigError(f"no such scenario file: {ref}")
     override = os.environ.get("FMA_SIM_FIXTURES")
     if override:
         candidate = Path(override) / f"{ref}.ini"
         if candidate.is_file():
-            return parse_config(candidate.read_text())
+            return parse_config(_read_config(candidate))
     packaged = _scenario_dir() / f"{ref}.ini"
     if packaged.is_file():
-        return parse_config(packaged.read_text())
+        return parse_config(_read_config(packaged))
     raise ConfigError(f"unknown scenario {ref!r}; built-ins: {builtin_scenario_names()}")

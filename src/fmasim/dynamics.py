@@ -18,8 +18,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DegenerateConfigurationError
-from .kinematics import JointState, SerialChainModel, frame_transforms
-from .spatial import Wrench, skew
+from .kinematics import JointState, SerialChainModel, _g_of, _h_of, frame_transforms, g_function
+from .spatial import Wrench
 
 CONDITION_LIMIT = 1.0e12
 
@@ -47,117 +47,50 @@ class DynamicsQuantities:
     gravity: np.ndarray
 
 
-class _LinkCoefficients:
-    """Per-link translational/rotational coefficients and their derivatives."""
-
-    __slots__ = ("gc", "hc", "gw", "hw", "pi_world", "zs", "rots")
-
-    def __init__(self, model: SerialChainModel, theta: np.ndarray):
-        rots, origins = frame_transforms(model, theta)
-        n = model.dof
-        zs = rots[:, :, 2]
-        coms = origins + np.einsum("nij,nj->ni", rots, model.coms)
-        self.rots = rots
-        self.zs = zs
-        self.gc = np.zeros((n, 3, n))
-        self.hc = np.zeros((n, n, 3, n))
-        self.gw = np.zeros((n, 3, n))
-        self.hw = np.zeros((n, n, 3, n))
-        self.pi_world = np.einsum("nij,njk,nlk->nil", rots, model.inertias, rots)
-        for link in range(n):
-            point = coms[link]
-            for i in range(link + 1):
-                self.gc[link, :, i] = np.cross(zs[i], point - origins[i])
-                self.gw[link, :, i] = zs[i]
-            for j in range(link + 1):
-                for i in range(link + 1):
-                    if i <= j:
-                        self.hc[link, i, :, j] = np.cross(
-                            zs[i], np.cross(zs[j], point - origins[j])
-                        )
-                    else:
-                        self.hc[link, i, :, j] = np.cross(
-                            zs[j], np.cross(zs[i], point - origins[i])
-                        )
-                    if i < j:
-                        self.hw[link, i, :, j] = np.cross(zs[i], zs[j])
-
-
-def _inertia_from(model: SerialChainModel, coeff: _LinkCoefficients) -> np.ndarray:
-    n = model.dof
-    out = np.zeros((n, n))
-    for j in range(n):
-        gc = coeff.gc[j]
-        gw = coeff.gw[j]
-        out += model.masses[j] * gc.T @ gc + gw.T @ coeff.pi_world[j] @ gw
-    return out
-
-
-def _inertia_gradient(model: SerialChainModel, coeff: _LinkCoefficients) -> np.ndarray:
-    """d I* / d theta_i stacked as (n, n, n), first index the derivative."""
-    n = model.dof
-    grad = np.zeros((n, n, n))
-    for j in range(n):
-        m = model.masses[j]
-        gc, gw = coeff.gc[j], coeff.gw[j]
-        pi = coeff.pi_world[j]
-        pig = pi @ gw
-        for i in range(j + 1):
-            hc_i = coeff.hc[j, i]
-            hw_i = coeff.hw[j, i]
-            term = m * (hc_i.T @ gc) + hw_i.T @ pig
-            term = term + term.T
-            # Rotating the link rotates its world-frame inertia tensor.
-            zi_skew = skew(coeff.zs[i])
-            dpi = zi_skew @ pi - pi @ zi_skew
-            grad[i] += term + gw.T @ dpi @ gw
-    return grad
-
-
 def compute_dynamics(
     model: SerialChainModel, theta: np.ndarray, gravity: np.ndarray | None = None
 ) -> DynamicsQuantities:
-    """Inertia, power array, and gravity torque in one pass."""
-    theta = np.asarray(theta, dtype=float)
+    """Inertia, power array, and gravity torque from the G/H of every link COM."""
     g_vec = np.array([0.0, 0.0, -9.81]) if gravity is None else np.asarray(gravity, dtype=float)
-    coeff = _LinkCoefficients(model, theta)
-    inertia = _inertia_from(model, coeff)
-    grad = _inertia_gradient(model, coeff)
+    rots, origins = frame_transforms(model, theta)
+    coms = origins + np.einsum("lij,lj->li", rots, model.coms)
+    g = _g_of(rots, origins, coms, np.arange(model.dof))
+    h = _h_of(rots[:, :, 2], g)
+    gc, gw = g[:, :3], g[:, 3:]
+    hc, hw = h[:, :, :3], h[:, :, 3:]
+    m = model.masses
+    pi = np.einsum("lij,ljk,lmk->lim", rots, model.inertias, rots)
+    pig = pi @ gw
+    inertia = np.einsum("l,lki,lkj->ij", m, gc, gc) + np.einsum("lki,lkj->ij", gw, pig)
+    # dI*/dtheta_i = T_i + T_i^T. The rotation rows also carry the spin of
+    # link l's world inertia, dPi/dtheta_i = [z_i]Pi - Pi[z_i] for i <= l;
+    # as z_i x z_b = hw[i, :, b] - hw[b, :, i] on those links, that term
+    # turns hw[l, i, :, b] into hw[l, b, :, i].
+    term = np.einsum("l,likb,lkc->ibc", m, hc, gc) + np.einsum("lbki,lkc->ibc", hw, pig)
+    grad = term + term.transpose(0, 2, 1)
     power = grad - 0.5 * np.transpose(grad, (1, 0, 2))
-    grav = np.zeros(model.dof)
-    for j in range(model.dof):
-        grav -= coeff.gc[j].T @ (model.masses[j] * g_vec)
+    grav = -np.einsum("l,lki,k->i", m, gc, g_vec)
     return DynamicsQuantities(inertia=inertia, power=power, gravity=grav)
 
 
 def effective_inertia(model: SerialChainModel, theta: np.ndarray) -> np.ndarray:
     """Joint-space inertia matrix I*(q); kinetic energy is qd^T I* qd / 2."""
-    coeff = _LinkCoefficients(model, np.asarray(theta, dtype=float))
-    return _inertia_from(model, coeff)
+    return compute_dynamics(model, theta).inertia
 
 
 def inertia_power_matrix(model: SerialChainModel, theta: np.ndarray) -> np.ndarray:
     """Power array P* (n,n,n); Coriolis torque component l is qd . P*[:, l, :] . qd."""
-    coeff = _LinkCoefficients(model, np.asarray(theta, dtype=float))
-    grad = _inertia_gradient(model, coeff)
-    return grad - 0.5 * np.transpose(grad, (1, 0, 2))
+    return compute_dynamics(model, theta).power
 
 
 def gravity_torque(
     model: SerialChainModel, theta: np.ndarray, gravity: np.ndarray | None = None
 ) -> np.ndarray:
     """Joint torque that statically balances gravity."""
-    g_vec = np.array([0.0, 0.0, -9.81]) if gravity is None else np.asarray(gravity, dtype=float)
-    coeff = _LinkCoefficients(model, np.asarray(theta, dtype=float))
-    grav = np.zeros(model.dof)
-    for j in range(model.dof):
-        grav -= coeff.gc[j].T @ (model.masses[j] * g_vec)
-    return grav
+    return compute_dynamics(model, theta, gravity).gravity
 
 
 def _load_torques(model, theta, loads) -> np.ndarray:
-    from .kinematics import g_function
-
     tau = np.zeros(model.dof)
     for load in loads:
         g = g_function(model, theta, load.target())

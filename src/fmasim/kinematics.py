@@ -205,18 +205,7 @@ def g_function(model: SerialChainModel, theta: np.ndarray, target="ee") -> np.nd
     3..5 to the angular velocity of the link carrying it.
     """
     rots, origins = frame_transforms(model, theta)
-    return _g_of(model, rots, origins, target)
-
-
-def _g_of(model, rots, origins, target) -> np.ndarray:
-    n = model.dof
-    last, point = _resolve_target(model, rots, origins, target)
-    g = np.zeros((6, n))
-    for i in range(last + 1):
-        z = rots[i][:, 2]
-        g[:3, i] = np.cross(z, point - origins[i])
-        g[3:, i] = z
-    return g
+    return _target_g(model, rots, origins, target)[0]
 
 
 def h_function(model: SerialChainModel, theta: np.ndarray, target="ee") -> np.ndarray:
@@ -229,31 +218,52 @@ def h_function(model: SerialChainModel, theta: np.ndarray, target="ee") -> np.nd
     are parallel.
     """
     rots, origins = frame_transforms(model, theta)
-    return _h_of(model, rots, origins, target)
-
-
-def _h_of(model, rots, origins, target) -> np.ndarray:
-    n = model.dof
-    last, point = _resolve_target(model, rots, origins, target)
-    h = np.zeros((n, 6, n))
-    zs = rots[: last + 1, :, 2]
-    for j in range(last + 1):
-        zj = zs[j]
-        for i in range(last + 1):
-            zi = zs[i]
-            if i <= j:
-                h[i, :3, j] = np.cross(zi, np.cross(zj, point - origins[j]))
-            else:
-                h[i, :3, j] = np.cross(zj, np.cross(zi, point - origins[i]))
-            if i < j:
-                h[i, 3:, j] = np.cross(zi, zj)
-    return h
+    return _h_of(rots[:, :, 2], _target_g(model, rots, origins, target))[0]
 
 
 def compute_gkic(model: SerialChainModel, theta: np.ndarray, target="ee") -> GKICSet:
     """Both coefficient orders for one target in a single sweep."""
     rots, origins = frame_transforms(model, theta)
-    return GKICSet(_g_of(model, rots, origins, target), _h_of(model, rots, origins, target))
+    g = _target_g(model, rots, origins, target)
+    return GKICSet(g[0], _h_of(rots[:, :, 2], g)[0])
+
+
+def _target_g(model, rots, origins, target) -> np.ndarray:
+    last, point = _resolve_target(model, rots, origins, target)
+    return _g_of(rots, origins, point[None], np.array([last]))
+
+
+def _g_of(rots, origins, points, lasts) -> np.ndarray:
+    """G (m, 6, n) of m target points; ``lasts[t]`` is the last joint moving point t.
+
+    Column i is ``[z_i x (p - o_i); z_i]`` and is zero for joints beyond
+    the target's link.
+    """
+    zs = rots[:, :, 2]
+    moves = np.arange(len(zs)) <= lasts[:, None]
+    lin = np.cross(zs, points[:, None, :] - origins)
+    g = np.zeros((len(points), 6, len(zs)))
+    g[:, :3] = np.where(moves[:, :, None], lin, 0.0).transpose(0, 2, 1)
+    g[:, 3:] = np.where(moves[:, :, None], zs, 0.0).transpose(0, 2, 1)
+    return g
+
+
+def _h_of(zs, g) -> np.ndarray:
+    """H (m, n, 6, n) from the joint axes and G (m, 6, n).
+
+    ``H[t, i, :3, j] = z_min(i,j) x G[t, :3, max(i,j)]`` and
+    ``H[t, i, 3:, j] = z_i x G[t, 3:, j]`` for i < j, else zero. Columns
+    of G zeroed beyond a target's link zero the matching entries of H.
+    """
+    idx = np.arange(len(zs))
+    lo, hi = np.minimum.outer(idx, idx), np.maximum.outer(idx, idx)
+    g_lin = g[:, :3].transpose(0, 2, 1)
+    g_ang = g[:, 3:].transpose(0, 2, 1)
+    h = np.zeros((len(g), len(zs), 6, len(zs)))
+    h[:, :, :3] = np.cross(zs[lo], g_lin[:, hi]).transpose(0, 1, 3, 2)
+    ang = np.cross(zs[:, None, :], g_ang[:, None, :, :])
+    h[:, :, 3:] = np.where((idx[:, None] < idx)[:, :, None], ang, 0.0).transpose(0, 1, 3, 2)
+    return h
 
 
 def ee_velocity(g: np.ndarray, theta_dot: np.ndarray) -> Twist:

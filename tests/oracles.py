@@ -8,29 +8,40 @@ import numpy as np
 from fmasim.kinematics import forward_kinematics, frame_transforms, g_function
 
 
-def fd_jacobian(model, theta, h=1.0e-6):
+def _target_frame(model, theta, target):
+    """World rotation of the link carrying a target, and the target point."""
+    rots, origins = frame_transforms(model, theta)
+    if target == "ee":
+        return rots[-1], origins[-1]
+    kind, j = target
+    if kind == "com":
+        return rots[j - 1], origins[j - 1] + rots[j - 1] @ model.coms[j - 1]
+    return rots[j - 1], origins[j - 1]
+
+
+def fd_jacobian(model, theta, h=1.0e-6, target="ee"):
     """6 x n influence coefficients by central differences.
 
-    Translation rows differentiate the end-frame origin; rotation rows
-    extract the angular velocity from dR/dtheta_i R^T.
+    Translation rows differentiate the target point (by default the
+    end-frame origin); rotation rows extract the angular velocity of the
+    link carrying it from dR/dtheta_i R^T.
     """
     theta = np.asarray(theta, dtype=float)
     n = theta.shape[0]
     out = np.zeros((6, n))
+    rot0, _ = _target_frame(model, theta, target)
     for i in range(n):
         dp = np.zeros(n)
         dp[i] = h
-        rots_p, orig_p = frame_transforms(model, theta + dp)
-        rots_m, orig_m = frame_transforms(model, theta - dp)
-        out[:3, i] = (orig_p[-1] - orig_m[-1]) / (2.0 * h)
-        dr = (rots_p[-1] - rots_m[-1]) / (2.0 * h)
-        rots0, _ = frame_transforms(model, theta)
-        omega_hat = dr @ rots0[-1].T
+        rot_p, point_p = _target_frame(model, theta + dp, target)
+        rot_m, point_m = _target_frame(model, theta - dp, target)
+        out[:3, i] = (point_p - point_m) / (2.0 * h)
+        omega_hat = (rot_p - rot_m) / (2.0 * h) @ rot0.T
         out[3:, i] = [omega_hat[2, 1], omega_hat[0, 2], omega_hat[1, 0]]
     return out
 
 
-def fd_hessian(model, theta, h=1.0e-6):
+def fd_hessian(model, theta, h=1.0e-6, target="ee"):
     """(n, 6, n) derivative of the coefficient matrix by central differences."""
     theta = np.asarray(theta, dtype=float)
     n = theta.shape[0]
@@ -38,8 +49,78 @@ def fd_hessian(model, theta, h=1.0e-6):
     for i in range(n):
         dp = np.zeros(n)
         dp[i] = h
-        out[i] = (g_function(model, theta + dp) - g_function(model, theta - dp)) / (2.0 * h)
+        out[i] = (
+            g_function(model, theta + dp, target) - g_function(model, theta - dp, target)
+        ) / (2.0 * h)
     return out
+
+
+def loop_influence_coefficients(model, theta, target="ee"):
+    """G (6, n) and H (n, 6, n) of one target, one joint pair at a time.
+
+    The plain-loop form of the cross-product recurrence that kinematics
+    evaluates as one broadcast kernel; the arithmetic is the same, so the
+    results must be equal, not merely close.
+    """
+    rots, origins = frame_transforms(model, theta)
+    _, point = _target_frame(model, theta, target)
+    n = len(theta)
+    last = n - 1 if target == "ee" else target[1] - 1
+    zs = rots[:, :, 2]
+    g = np.zeros((6, n))
+    h = np.zeros((n, 6, n))
+    for j in range(last + 1):
+        g[:3, j] = np.cross(zs[j], point - origins[j])
+        g[3:, j] = zs[j]
+        for i in range(last + 1):
+            if i <= j:
+                h[i, :3, j] = np.cross(zs[i], np.cross(zs[j], point - origins[j]))
+            else:
+                h[i, :3, j] = np.cross(zs[j], np.cross(zs[i], point - origins[i]))
+            if i < j:
+                h[i, 3:, j] = np.cross(zs[i], zs[j])
+    return g, h
+
+
+def rnea_torques(model, theta, theta_dot, theta_ddot, gravity):
+    """Inverse dynamics by the recursive Newton-Euler algorithm.
+
+    Luh, Walker & Paul (1980) in Craig's link-frame form for proximal D-H
+    rows: an outward sweep of link rates and accelerations, then an inward
+    sweep of link forces and moments. Gravity enters as an upward base
+    acceleration. Uses neither influence coefficients nor frame_transforms.
+    """
+    z = np.array([0.0, 0.0, 1.0])
+    rots, offsets = [], []
+    for row, q in zip(model.dh, theta):
+        ca, sa = np.cos(row.alpha_prev), np.sin(row.alpha_prev)
+        ct, st = np.cos(q + row.theta_offset), np.sin(q + row.theta_offset)
+        rx = np.array([[1.0, 0.0, 0.0], [0.0, ca, -sa], [0.0, sa, ca]])
+        rz = np.array([[ct, -st, 0.0], [st, ct, 0.0], [0.0, 0.0, 1.0]])
+        rots.append(rx @ rz)  # frame i in frame i-1
+        offsets.append(rx @ np.array([row.a_prev, 0.0, row.d]))  # origin i in frame i-1
+    omega, alpha, accel = np.zeros(3), np.zeros(3), -np.asarray(gravity, dtype=float)
+    forces, moments = [], []
+    for i, (r, p) in enumerate(zip(rots, offsets)):
+        accel = r.T @ (np.cross(alpha, p) + np.cross(omega, np.cross(omega, p)) + accel)
+        alpha = r.T @ alpha + np.cross(r.T @ omega, theta_dot[i] * z) + theta_ddot[i] * z
+        omega = r.T @ omega + theta_dot[i] * z
+        c, inertia = model.coms[i], model.inertias[i]
+        accel_com = accel + np.cross(alpha, c) + np.cross(omega, np.cross(omega, c))
+        forces.append(model.masses[i] * accel_com)
+        moments.append(inertia @ alpha + np.cross(omega, inertia @ omega))
+    tau = np.zeros(len(rots))
+    f, n = np.zeros(3), np.zeros(3)
+    for i in reversed(range(len(rots))):
+        if i + 1 < len(rots):
+            f_out, n_out = rots[i + 1] @ f, rots[i + 1] @ n
+            p_out = offsets[i + 1]
+        else:
+            f_out, n_out, p_out = np.zeros(3), np.zeros(3), np.zeros(3)
+        f = f_out + forces[i]
+        n = moments[i] + n_out + np.cross(model.coms[i], forces[i]) + np.cross(p_out, f_out)
+        tau[i] = n @ z
+    return tau
 
 
 def fd_fk_position(model, theta):

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -187,3 +188,42 @@ def test_fixture_dir_override(tmp_path, monkeypatch, capsys):
     assert main(["simulate", "--config", "mini", "--out", str(out)]) == 0
     capsys.readouterr()
     assert (out / "trace.csv").exists()
+
+
+def test_simulate_out_names_a_file(rest_config, tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main(["simulate", "--config", rest_config, "--out", str(afile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "afile" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_envelope_out_names_a_file(rest_config, tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    args = ["envelope", "--config", rest_config, "--out", str(afile), "--sweep", "1"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "afile" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(b"# caf\xe9 scenario\n" + REST_INI.encode("ascii"))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "UTF-8" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_wrist_singularity_exits_3(tmp_path, capsys):
+    text = resources.files("fmasim").joinpath("scenarios", "force-regulation.ini").read_text()
+    text = text.replace("[plant]\n", "[plant]\nhome = 0 0 0 0 0 0 rad\n", 1)
+    path = tmp_path / "wrist.ini"
+    path.write_text(text)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "singular" in err
+    assert len(err.splitlines()) == 1

@@ -16,7 +16,7 @@ from fmasim.kinematics import DHRow, JointState, SerialChainModel, com_positions
 from fmasim.simulation import rk4_step
 from fmasim.spatial import Wrench
 
-from oracles import two_link_lagrangian_torques
+from oracles import rnea_torques, two_link_lagrangian_torques
 
 L1, L2 = 0.4, 0.3
 C1, C2 = 0.18, 0.12
@@ -60,6 +60,43 @@ def test_forward_inverse_round_trip():
         tau = inverse_dynamics(model, JointState(q, qd, qdd))
         back = forward_dynamics(model, q, qd, tau)
         assert np.allclose(back, qdd, atol=1e-9)
+
+
+def random_spatial_chain(rng, dof=6):
+    """Random D-H rows, COM offsets and full (non-diagonal) SPD inertias."""
+    dh = tuple(
+        DHRow(
+            alpha_prev=rng.uniform(-np.pi, np.pi),
+            a_prev=rng.uniform(-0.4, 0.4),
+            d=rng.uniform(-0.4, 0.4),
+            theta_offset=rng.uniform(-np.pi, np.pi),
+        )
+        for _ in range(dof)
+    )
+    masses = rng.uniform(0.5, 8.0, dof)
+    coms = rng.uniform(-0.2, 0.2, (dof, 3))
+    inertias = []
+    for _ in range(dof):
+        a = rng.uniform(-0.3, 0.3, (3, 3))
+        spd = a @ a.T + 0.01 * np.eye(3)
+        inertias.append(0.5 * (spd + spd.T))
+    return SerialChainModel(dh, masses, coms, np.array(inertias), name="random")
+
+
+def test_inverse_dynamics_matches_newton_euler_oracle():
+    # checks the spatial terms (full inertias, dPi/dtheta) the planar oracle cannot
+    rng = np.random.default_rng(21)
+    gravity = np.array([1.3, -4.2, -8.6])
+    worst = 0.0
+    for _ in range(10):
+        model = random_spatial_chain(rng)
+        q = rng.uniform(-np.pi, np.pi, 6)
+        qd = rng.uniform(-3.0, 3.0, 6)
+        qdd = rng.uniform(-5.0, 5.0, 6)
+        tau = inverse_dynamics(model, JointState(q, qd, qdd), gravity=gravity)
+        oracle = rnea_torques(model, q, qd, qdd, gravity)
+        worst = max(worst, np.max(np.abs(tau - oracle)) / np.max(np.abs(oracle)))
+    assert worst < 1.0e-9
 
 
 def pendulum():

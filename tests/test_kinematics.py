@@ -17,7 +17,7 @@ from fmasim.kinematics import (
 )
 from fmasim.spatial import Wrench
 
-from oracles import fd_hessian, fd_jacobian
+from oracles import fd_hessian, fd_jacobian, loop_influence_coefficients
 
 
 def planar_two_link(length1=0.4, length2=0.3):
@@ -96,6 +96,21 @@ def test_hessian_matches_finite_differences():
         theta = rng.uniform(-np.pi, np.pi, 6)
         worst = max(worst, np.max(np.abs(h_function(model, theta) - fd_hessian(model, theta))))
     assert worst < 1.0e-5
+
+
+def test_broadcast_kernel_equals_loop_reference():
+    model = powercube6()
+    targets = ["ee"] + [(kind, j) for kind in ("frame", "com") for j in range(1, 7)]
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        theta = rng.uniform(-np.pi, np.pi, 6)
+        for target in targets:
+            g_ref, h_ref = loop_influence_coefficients(model, theta, target)
+            both = compute_gkic(model, theta, target)
+            assert np.array_equal(g_function(model, theta, target), g_ref)
+            assert np.array_equal(h_function(model, theta, target), h_ref)
+            assert np.array_equal(both.G, g_ref)
+            assert np.array_equal(both.H, h_ref)
 
 
 def test_translation_hessian_is_symmetric():
