@@ -67,6 +67,7 @@ from .force_control import (
     effective_stiffness,
     fixture_projector,
     natural_frequency,
+    normal_force,
     pure_force_control_step,
 )
 from .simulation import (

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -120,8 +121,8 @@ def cmd_envelope(args) -> int:
         multipliers = [float(tok) for tok in args.sweep.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"bad sweep spec {args.sweep!r}; expected comma-separated numbers") from None
-    if not multipliers or any(m <= 0 for m in multipliers):
-        raise ConfigError("sweep multipliers must be positive numbers")
+    if not multipliers or not all(math.isfinite(m) and m > 0 for m in multipliers):
+        raise ConfigError("sweep multipliers must be finite positive numbers")
 
     base_name = cfg.run["name"]
     base_peak = cfg.reference["omega_peak"]
@@ -179,6 +180,8 @@ def _chain_and_angles(args):
     theta = np.asarray(args.theta, dtype=float)
     if theta.shape[0] != chain.dof:
         raise ConfigError(f"{args.chain!r} has {chain.dof} joints, got {theta.shape[0]} angles")
+    if not np.all(np.isfinite(theta)):
+        raise ConfigError(f"joint angles must be finite, got {' '.join(map(str, args.theta))}")
     return chain, theta
 
 

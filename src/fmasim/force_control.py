@@ -11,9 +11,9 @@ machine sequences approach, touchdown, constrained contact, and departure.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -99,7 +99,7 @@ class ContactSurface:
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "normal", normal)
 
-    @property
+    @cached_property
     def effective(self) -> float:
         return effective_stiffness(self.sensor_stiffness, self.tool_stiffness, self.stiffness)
 
@@ -111,6 +111,14 @@ class SignalConditioner:
     a step input ramps linearly and reaches its full value only once the
     window has filled. The deadband zeroes individual force components
     strictly below the threshold; moments pass through.
+
+    ``step_batch`` takes an (m, 6) block of raw samples, oldest first, and
+    returns the wrench after the last of them: the same value, bit for
+    bit, as m successive ``step`` calls, because the history is kept as a
+    (window, 6) array and averaged with one ``np.mean(axis=0)`` either
+    way. Samples that leave the window inside the block never reach the
+    output, so a caller may pass only the last ``window`` of a longer
+    stream. ``step`` is the m = 1 case.
     """
 
     def __init__(self, bias: Wrench | None = None, window: int = 16, deadband: float = 0.0):
@@ -121,13 +129,25 @@ class SignalConditioner:
         self.bias = bias if bias is not None else Wrench(np.zeros(3), np.zeros(3))
         self.window = int(window)
         self.deadband = float(deadband)
-        self._history = deque([np.zeros(6)] * self.window, maxlen=self.window)
+        self.reset()
 
     def reset(self):
-        self._history = deque([np.zeros(6)] * self.window, maxlen=self.window)
+        self._history = np.zeros((self.window, 6))
 
     def step(self, raw: Wrench) -> Wrench:
-        self._history.append(raw.as_array() - self.bias.as_array())
+        return self.step_batch(raw.as_array()[np.newaxis])
+
+    def step_batch(self, samples) -> Wrench:
+        block = np.asarray(samples, dtype=float)
+        if block.ndim != 2 or block.shape[1] != 6:
+            raise ValueError("samples must be an (m, 6) array")
+        if not np.all(np.isfinite(block)):
+            raise ValueError(f"wrench samples must be finite, got {block}")
+        block = block - self.bias.as_array()
+        kept = self.window - block.shape[0]
+        if kept > 0:
+            block = np.concatenate([self._history[-kept:], block])
+        self._history = block[-self.window :]
         out = np.mean(self._history, axis=0)
         force = out[:3]
         force[np.abs(force) < self.deadband] = 0.0
@@ -278,23 +298,39 @@ def effective_stiffness(k_sensor: float, k_tool: float, k_env: float) -> float:
     return math.inf if total == 0.0 else 1.0 / total
 
 
+def normal_force(surface: ContactSurface, positions, velocities=None) -> np.ndarray:
+    """Penalty-contact normal force magnitudes at m tool points, shape (m,).
+
+    Zero above the plane; while penetrating, the force is proportional to
+    the penetration depth (less an optional viscous term on the normal
+    velocity) and pushes the tool back out. Never tensile. A non-finite
+    point gives a non-finite force rather than zero. With the normal along
+    a coordinate axis each row equals the one-point call bit for bit;
+    otherwise the batched dot product may round differently in the last
+    place.
+    """
+    p = np.asarray(positions, dtype=float).reshape(-1, 3)
+    depth = (surface.point - p) @ surface.normal
+    pressing = ~(depth <= 0.0)
+    magnitude = np.zeros(depth.shape)
+    magnitude[pressing] = surface.effective * depth[pressing]
+    if surface.damping > 0.0 and velocities is not None:
+        v = np.asarray(velocities, dtype=float).reshape(p.shape)
+        magnitude[pressing] -= surface.damping * (v[pressing] @ surface.normal)
+    return np.maximum(magnitude, 0.0)
+
+
 def contact_wrench(surface: ContactSurface, ee_position, ee_velocity=None) -> Wrench:
     """Frictionless penalty-contact wrench on the end effector.
 
-    Zero above the plane; while penetrating, a normal force proportional
-    to penetration depth (plus an optional viscous term) pushes the tool
-    back out. Never tensile.
+    The one-point case of ``normal_force``, directed along the surface
+    normal.
     """
-    p = np.asarray(ee_position, dtype=float).reshape(3)
-    depth = float(surface.normal @ (surface.point - p))
-    if depth <= 0.0:
-        return Wrench(np.zeros(3), np.zeros(3))
-    magnitude = surface.effective * depth
-    if surface.damping > 0.0 and ee_velocity is not None:
-        v = np.asarray(ee_velocity, dtype=float).reshape(3)
-        magnitude -= surface.damping * float(surface.normal @ v)
-    magnitude = max(magnitude, 0.0)
-    return Wrench(magnitude * surface.normal, np.zeros(3))
+    p = np.asarray(ee_position, dtype=float).reshape(1, 3)
+    v = None if ee_velocity is None else np.asarray(ee_velocity, dtype=float).reshape(1, 3)
+    magnitude = normal_force(surface, p, v)[0]
+    force = np.zeros(3) if magnitude == 0.0 else magnitude * surface.normal
+    return Wrench(force, np.zeros(3))
 
 
 def natural_frequency(k_eff: float, mass: float) -> float:

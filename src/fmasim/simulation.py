@@ -24,13 +24,11 @@ from .force_control import (
     GainSet,
     SignalConditioner,
     compliant_control_step,
-    condition_signal,
     contact_state_step,
-    contact_wrench,
+    normal_force,
     pure_force_control_step,
 )
 from .kinematics import SerialChainModel, frame_transforms, g_function
-from .spatial import Wrench
 from .units import GRAVITY, LBF_TO_N
 
 TRACE_COLUMNS = ("t", "q", "q_ref", "qd", "qd_ref", "qM1", "qM2", "v1", "v2", "tau_ext")
@@ -443,20 +441,32 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
 
     dt = 1.0 / scenario.control_rate
     n_ticks = round(scenario.duration * scenario.control_rate)
-    # The sensor pipeline runs at the physics rate, so the filter window
-    # spans milliseconds; only the control law waits for the next tick.
+    # The sensor samples at the physics rate, so the filter window spans
+    # milliseconds, while the law reads it once per tick. The penalty law
+    # keeps no state and the filter keeps only its last `window` samples,
+    # so a sample that leaves the window before the tick ends never
+    # reaches the law. Each tick therefore senses only its last
+    # min(window, substeps) substeps and feeds them to the conditioner as
+    # one block, which gives the same bits as sensing every substep.
     substeps = max(1, round(dt / scenario.physics_timestep))
     gamma = 0.0 if scenario.arm_lag == 0.0 else math.exp(-dt / (substeps * scenario.arm_lag))
     conditioner = SignalConditioner(window=scenario.filter_window, deadband=scenario.deadband)
+    # Interpolation weights of the sensed substeps along each tick's
+    # segment; they depend only on gamma and substeps.
+    fade = gamma**substeps
+    denom = 1.0 - fade
+    weights = np.array(
+        [
+            (s / substeps) if denom < 1e-15 else (1.0 - gamma**s) / denom
+            for s in range(max(1, substeps - scenario.filter_window + 1), substeps + 1)
+        ]
+    )[:, np.newaxis]
+    samples = np.zeros((weights.shape[0], 6))
 
-    def raw_at(p):
+    def raw_at(points):
         if surface is None:
-            return 0.0
-        return -float(contact_wrench(surface, p).force[2])
-
-    def sense(p):
-        clean = condition_signal(conditioner, Wrench(np.array([0.0, 0.0, raw_at(p)]), np.zeros(3)))
-        return float(clean.force[2])
+            return np.zeros(len(points))
+        return -normal_force(surface, points)
 
     if scenario.law == "force-pid":
         # Per-period gains mapped onto the rate law: theta_dot * dt gives
@@ -515,7 +525,7 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
             t, p_now[2], _ee_z(chain, theta_cmd), (p_now[2] - z_prev) / dt if k else 0.0,
             0.0, 0.0, 0.0, 0.0, 0.0, f_meas, f_ref,
         )
-        raw_force[k] = raw_at(p_now)
+        raw_force[k] = raw_at(p_now)[0]
         phase_code[k] = list(ContactPhase).index(phase)
         z_prev = p_now[2]
         f_prev = f_meas
@@ -543,14 +553,11 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
         # Advance the arm and the sensor stream to the next tick. The arm
         # relaxes exponentially toward the command, a straight segment in
         # joint space, so the tool point is interpolated along it.
-        fade = gamma**substeps
         theta_act = theta_cmd + (theta_act - theta_cmd) * fade
         _, origins = frame_transforms(chain, theta_act)
         p_end = origins[-1].copy()
-        denom = 1.0 - fade
-        for s in range(1, substeps + 1):
-            w = (s / substeps) if denom < 1e-15 else (1.0 - gamma**s) / denom
-            f_meas = sense(p_now + w * (p_end - p_now))
+        samples[:, 2] = raw_at(p_now + weights * (p_end - p_now))
+        f_meas = float(conditioner.step_batch(samples).force[2])
         p_now = p_end
 
     meta = {

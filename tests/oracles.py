@@ -3,6 +3,8 @@
 Everything here is derived from first principles (finite differences,
 a symbolic Lagrangian), never from the code under test.
 """
+from collections import deque
+
 import numpy as np
 
 from fmasim.kinematics import forward_kinematics, frame_transforms, g_function
@@ -174,3 +176,21 @@ def two_link_lagrangian_torques(m1, m2, length1, c1, c2, izz1, izz2, g=9.81):
                            theta_ddot[0], theta_ddot[1]), dtype=float)
 
     return torques
+
+
+def moving_average_outputs(samples, bias, window, deadband):
+    """Conditioned 6-vectors after each raw sample, one sample at a time.
+
+    A zero-primed deque of the last ``window`` bias-removed samples,
+    averaged with ``np.mean(axis=0)``, then the force deadband: the
+    per-sample filter written without ``SignalConditioner``.
+    """
+    history = deque([np.zeros(6)] * window, maxlen=window)
+    outputs = []
+    for raw in np.asarray(samples, dtype=float):
+        history.append(raw - np.asarray(bias, dtype=float))
+        out = np.mean(history, axis=0)
+        force = out[:3]
+        force[np.abs(force) < deadband] = 0.0
+        outputs.append(out)
+    return outputs

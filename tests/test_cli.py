@@ -227,3 +227,22 @@ def test_wrist_singularity_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "singular" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["fk", "jacobian"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_joint_angles_exit_2(command, bad, capsys):
+    assert main([command, "powercube6", "0", bad, "0", "0", "0", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("sweep", ["inf", "1,nan"])
+def test_envelope_rejects_non_finite_sweep(rest_config, sweep, tmp_path, capsys):
+    args = ["envelope", "--config", rest_config, "--sweep", sweep, "--out", str(tmp_path)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "envelope.csv").exists()

@@ -5,10 +5,13 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from fmasim.force_control import SignalConditioner
 from fmasim.kinematics import DHRow, SerialChainModel, g_function, h_function
+from fmasim.spatial import Wrench
 
-from oracles import fd_hessian, fd_jacobian
+from oracles import fd_hessian, fd_jacobian, moving_average_outputs
 
 _angles = st.floats(-np.pi, np.pi)
 _lengths = st.floats(-0.5, 0.5)
@@ -41,3 +44,56 @@ def test_coefficients_match_finite_differences(case):
     assert np.max(np.abs(g - fd_jacobian(model, theta, target=target))) < 1.0e-6
     h = h_function(model, theta, target)
     assert np.max(np.abs(h - fd_hessian(model, theta, target=target))) < 1.0e-5
+
+
+_components = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-50.0, 50.0))
+
+
+@st.composite
+def conditioner_streams(draw):
+    """Window, bias, deadband and a few sample blocks shorter and longer than the window."""
+    window = draw(st.integers(1, 32))
+    bias = draw(arrays(np.float64, 6, elements=_components))
+    deadband = draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+    sizes = draw(st.lists(st.integers(1, 2 * window + 2), min_size=1, max_size=4))
+    blocks = [draw(arrays(np.float64, (m, 6), elements=_components)) for m in sizes]
+    return window, bias, deadband, blocks
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(conditioner_streams())
+def test_batch_conditioner_equals_successive_steps(case):
+    window, bias, deadband, blocks = case
+    bias_wrench = Wrench(bias[:3], bias[3:])
+    batched = SignalConditioner(bias_wrench, window, deadband)
+    stepped = SignalConditioner(bias_wrench, window, deadband)
+    reference = moving_average_outputs(np.concatenate(blocks), bias, window, deadband)
+    seen = 0
+    for block in blocks:
+        out = batched.step_batch(block).as_array()
+        for row in block:
+            one = stepped.step(Wrench(row[:3], row[3:])).as_array()
+            assert _same_bits(one, reference[seen])
+            seen += 1
+        assert _same_bits(out, one)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 32),
+    st.integers(1, 40),
+    st.data(),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+def test_batch_conditioner_rejects_non_finite_samples(window, m, data, bad):
+    cond = SignalConditioner(window=window)
+    block = np.ones((m, 6))
+    block[data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, 5))] = bad
+    with pytest.raises(ValueError, match="finite"):
+        cond.step_batch(block)
+    # the rejected block leaves the filter as it was
+    assert cond.step_batch(np.ones((1, 6))).force[2] == 1.0 / window
