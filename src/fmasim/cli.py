@@ -123,6 +123,8 @@ def cmd_envelope(args) -> int:
         raise ConfigError(f"bad sweep spec {args.sweep!r}; expected comma-separated numbers") from None
     if not multipliers or not all(math.isfinite(m) and m > 0 for m in multipliers):
         raise ConfigError("sweep multipliers must be finite positive numbers")
+    if args.parallel < 1:
+        raise ConfigError(f"--parallel must be at least 1, got {args.parallel}")
 
     base_name = cfg.run["name"]
     base_peak = cfg.reference["omega_peak"]
@@ -132,8 +134,10 @@ def cmd_envelope(args) -> int:
         variants.append(config_mod.replace_values(variant, "run", name=f"{base_name}@x{mult:g}"))
 
     out = _out_dir(args.out)
-    if args.parallel > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
+    # A pool starts all its workers at the first submit; never more than runs.
+    workers = min(args.parallel, len(variants))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(_run_config, variants))
     else:
         traces = [_run_config(v) for v in variants]

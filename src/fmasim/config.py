@@ -22,7 +22,7 @@ from pathlib import Path
 from . import fixtures
 from .errors import ConfigError
 from .force_control import GainSet, diagonal_gain
-from .simulation import BurrDisturbance, FmaScenario, ForceControlScenario
+from .simulation import DEFAULT_BURR_BANDS, BurrDisturbance, FmaScenario, ForceControlScenario
 from .units import LBF_TO_N, UnitError, parse_quantity
 
 _SECTIONS = ("plant", "controller", "reference", "disturbance", "run")
@@ -70,7 +70,7 @@ _FMA_SCHEMA = {
     "disturbance": {
         "kind": _Key("str", default="none", choices=("none", "burr")),
         "noise_sigma": _Key("quantity", default=2.0, unit="N*m"),
-        "bands": _Key("bands", default=((1.0, 2.0, 5.0), (3.0, 4.0, 25.0))),
+        "bands": _Key("bands", default=DEFAULT_BURR_BANDS),
         "band_unit": _Key("str", default="rad", choices=("rad", "deg")),
     },
     "run": {

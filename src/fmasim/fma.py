@@ -14,8 +14,9 @@ the output link driven by the two armature voltages.
 """
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,8 +187,9 @@ class WeightingPolicy:
     torque_threshold: float
 
     def __post_init__(self):
-        quiet = _check_weight(np.asarray(self.quiet, dtype=float), 2)
-        disturbed = _check_weight(np.asarray(self.disturbed, dtype=float), 2)
+        # Copies: the runner tells the two weights apart by identity.
+        quiet = _check_weight(np.array(self.quiet, dtype=float), 2)
+        disturbed = _check_weight(np.array(self.disturbed, dtype=float), 2)
         quiet.flags.writeable = False
         disturbed.flags.writeable = False
         object.__setattr__(self, "quiet", quiet)
@@ -241,14 +243,13 @@ class DualActuatorModel:
     def output_inertia(self) -> float:
         return self.link_mass * self.link_com**2 + self.tool_mass * self.link_length**2
 
-    def output_gravity(self, q: float) -> float:
-        arm = self.link_mass * self.link_com + self.tool_mass * self.link_length
-        return arm * GRAVITY * np.sin(q)
+    @property
+    def gravity_arm(self) -> float:
+        """Gravity torque with the link horizontal, (m c + m_tool L) g."""
+        return (self.link_mass * self.link_com + self.tool_mass * self.link_length) * GRAVITY
 
-    def friction(self, qd: float) -> float:
-        if self.friction_model == "none":
-            return 0.0
-        return stribeck_friction(qd)
+    def output_gravity(self, q: float) -> float:
+        return self.gravity_arm * math.sin(q)
 
 
 def motor_dynamics_matrices(
@@ -274,12 +275,40 @@ def motor_dynamics_matrices(
 
 @dataclass(frozen=True)
 class _ReducedTerms:
-    """Scalar output-shaft model coefficients under one active weight."""
+    """Output-shaft model of one actuator under one active weight.
+
+    The fields are fixed per (model, weight); the methods are the
+    per-tick laws in plain float arithmetic, so a runner can build the
+    terms once per weight and call the laws every tick or RK4 stage.
+    """
 
     g_plus: np.ndarray
     inertia: float
     damping: float
     voltage_row: np.ndarray
+    volts_per_torque: np.ndarray  # K_M^-1 g^T
+    gravity_arm: float
+    link_inertia: float
+    stribeck: bool
+
+    def friction(self, qd: float) -> float:
+        return stribeck_friction(qd) if self.stribeck else 0.0
+
+    def gravity(self, q: float) -> float:
+        return self.gravity_arm * math.sin(q)
+
+    def voltages(self, q: float, qd: float, accel: float) -> np.ndarray:
+        """Armature voltages that produce output acceleration ``accel``."""
+        tau = self.inertia * accel + self.damping * qd + self.friction(qd) + self.gravity(q)
+        return self.volts_per_torque * tau
+
+    def acceleration(self, q: float, qd: float, drive: float, tau_ext: float) -> float:
+        """Output acceleration under the drive torque ``voltage_row @ v``."""
+        return (drive - tau_ext - self.damping * qd - self.friction(qd) - self.gravity(q)) / self.inertia
+
+    def output_torque(self, q: float, qd: float, qdd: float, tau_ext: float) -> float:
+        """Torque the transmission delivers to the output link."""
+        return self.link_inertia * qdd + self.gravity(q) + self.friction(qd) + tau_ext
 
 
 def reduced_terms(model: DualActuatorModel, weight: np.ndarray | None = None) -> _ReducedTerms:
@@ -290,7 +319,11 @@ def reduced_terms(model: DualActuatorModel, weight: np.ndarray | None = None) ->
     damping = float(gp @ b_m @ gp)
     if inertia <= 0.0:
         raise ValueError("reduced inertia must be positive")
-    return _ReducedTerms(gp, inertia, damping, gp @ k_m)
+    volts_per_torque = np.linalg.solve(k_m, model.g_row)
+    return _ReducedTerms(
+        gp, inertia, damping, gp @ k_m, volts_per_torque,
+        model.gravity_arm, model.output_inertia(), model.friction_model == "stribeck",
+    )
 
 
 def reduced_dynamics(
@@ -300,7 +333,6 @@ def reduced_dynamics(
     v: np.ndarray,
     tau_ext: float,
     weight: np.ndarray | None = None,
-    include_friction: bool = True,
 ) -> float:
     """Output-shaft acceleration of the reduced dual-actuator model.
 
@@ -310,10 +342,7 @@ def reduced_dynamics(
     if v.shape != (2,):
         raise ValueError("v must hold two armature voltages")
     terms = reduced_terms(model, weight)
-    fric = model.friction(qd) if include_friction else 0.0
-    rhs = float(terms.voltage_row @ v) - tau_ext
-    rhs -= terms.damping * qd + fric + model.output_gravity(q)
-    return rhs / terms.inertia
+    return terms.acceleration(q, qd, float(terms.voltage_row @ v), tau_ext)
 
 
 def computed_torque_voltage(
@@ -326,7 +355,6 @@ def computed_torque_voltage(
     kp: float = 100.0,
     kv: float = 20.0,
     weight: np.ndarray | None = None,
-    include_friction: bool = True,
 ) -> np.ndarray:
     """Armature voltages from an inverse-model law with a PD servo.
 
@@ -334,12 +362,8 @@ def computed_torque_voltage(
     terms sit inside the inverse-model bracket; kp = kv = 0 recovers the
     pure feedforward law.
     """
-    terms = reduced_terms(model, weight)
     accel = qdd_ref + kv * (qd_ref - qd) + kp * (q_ref - q)
-    fric = model.friction(qd) if include_friction else 0.0
-    tau_des = terms.inertia * accel + terms.damping * qd + fric + model.output_gravity(q)
-    _, _, k_m = motor_dynamics_matrices(model)
-    return np.linalg.solve(k_m, model.g_row * tau_des)
+    return reduced_terms(model, weight).voltages(q, qd, accel)
 
 
 def electromagnetic_torques(

@@ -104,6 +104,22 @@ class ContactSurface:
         return effective_stiffness(self.sensor_stiffness, self.tool_stiffness, self.stiffness)
 
 
+def window_mean(history):
+    """Mean of a window of samples along its first axis.
+
+    The sum starts at 0.0 and adds the samples oldest to newest, one at a
+    time, so its bits depend on neither the Python version (3.12 made
+    ``sum`` of floats compensated) nor numpy's summation strategy. It
+    matches ``sum`` before 3.12 and, over a (window, 6) block,
+    ``np.mean(axis=0)``, which also adds row by row; a one-dimensional
+    ``np.mean`` sums pairwise and does not, so do not swap it in.
+    """
+    acc = 0.0
+    for sample in history:
+        acc = acc + sample
+    return acc / len(history)
+
+
 class SignalConditioner:
     """Stateful bias removal, moving-average filter, and force deadband.
 
@@ -115,8 +131,8 @@ class SignalConditioner:
     ``step_batch`` takes an (m, 6) block of raw samples, oldest first, and
     returns the wrench after the last of them: the same value, bit for
     bit, as m successive ``step`` calls, because the history is kept as a
-    (window, 6) array and averaged with one ``np.mean(axis=0)`` either
-    way. Samples that leave the window inside the block never reach the
+    (window, 6) array and averaged with one ``window_mean`` either way.
+    Samples that leave the window inside the block never reach the
     output, so a caller may pass only the last ``window`` of a longer
     stream. ``step`` is the m = 1 case.
     """
@@ -148,7 +164,7 @@ class SignalConditioner:
         if kept > 0:
             block = np.concatenate([self._history[-kept:], block])
         self._history = block[-self.window :]
-        out = np.mean(self._history, axis=0)
+        out = window_mean(self._history)
         force = out[:3]
         force[np.abs(force) < self.deadband] = 0.0
         return Wrench(force, out[3:])

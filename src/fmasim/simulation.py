@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fma
 from .errors import DegenerateConfigurationError, SimulationBlowUpError
-from .fma import DualActuatorModel, WeightingPolicy, motor_dynamics_matrices
+from .fma import DualActuatorModel, WeightingPolicy
 from .force_control import (
     ContactPhase,
     ContactSurface,
@@ -27,17 +27,16 @@ from .force_control import (
     contact_state_step,
     normal_force,
     pure_force_control_step,
+    window_mean,
 )
-from .kinematics import SerialChainModel, frame_transforms, g_function
-from .units import GRAVITY, LBF_TO_N
+from .kinematics import SerialChainModel, _target_g, frame_transforms
+from .units import LBF_TO_N
 
 TRACE_COLUMNS = ("t", "q", "q_ref", "qd", "qd_ref", "qM1", "qM2", "v1", "v2", "tau_ext")
 
-# Burr bands as published: viscous gain over two narrow angle windows.
-DEFAULT_BURR_BANDS = (
-    (math.radians(1.0), math.radians(2.0), 5.0),
-    (math.radians(3.0), math.radians(4.0), 25.0),
-)
+# Default burr bands, (lo, hi, gain) with edges in rad: viscous gain over
+# two angle windows of the deburring sweep. The config schema reads these.
+DEFAULT_BURR_BANDS = ((1.0, 2.0, 5.0), (3.0, 4.0, 25.0))
 
 
 def rk4_step(deriv, state, t: float, dt: float):
@@ -55,22 +54,12 @@ def rk4_step(deriv, state, t: float, dt: float):
     return y + increment
 
 
-def trapezoidal_velocity(t: float, total_time: float, omega_peak: float) -> float:
-    """Ramp/plateau/ramp speed profile: quarter-period ramps at each end."""
-    if total_time <= 0.0:
-        raise ValueError("total_time must be positive")
-    if t < 0.0 or t > total_time:
-        raise ValueError(f"t={t} outside [0, {total_time}]")
-    ramp = total_time / 4.0
-    if t <= ramp:
-        return omega_peak * t / ramp
-    if t < 3.0 * ramp:
-        return omega_peak
-    return omega_peak * (total_time - t) / ramp
+def trapezoidal_profile(t: float, total_time: float, omega_peak: float) -> tuple[float, float, float]:
+    """Position, speed and acceleration of a ramp/plateau/ramp speed profile.
 
-
-def trapezoidal_position(t: float, total_time: float, omega_peak: float) -> float:
-    """Integral of the trapezoidal speed profile from zero initial position."""
+    The ramps last a quarter of ``total_time`` at each end; the position
+    is integrated from zero.
+    """
     if total_time <= 0.0:
         raise ValueError("total_time must be positive")
     if t < 0.0 or t > total_time:
@@ -78,25 +67,12 @@ def trapezoidal_position(t: float, total_time: float, omega_peak: float) -> floa
     ramp = total_time / 4.0
     accel = omega_peak / ramp
     if t <= ramp:
-        return 0.5 * accel * t * t
+        return 0.5 * accel * t * t, omega_peak * t / ramp, accel
     if t < 3.0 * ramp:
-        return omega_peak * ramp / 2.0 + omega_peak * (t - ramp)
+        return omega_peak * ramp / 2.0 + omega_peak * (t - ramp), omega_peak, 0.0
     tau = t - 3.0 * ramp
-    return omega_peak * ramp / 2.0 + 2.0 * omega_peak * ramp + omega_peak * tau - 0.5 * accel * tau * tau
-
-
-def trapezoidal_acceleration(t: float, total_time: float, omega_peak: float) -> float:
-    """Piecewise-constant acceleration of the trapezoidal profile."""
-    if total_time <= 0.0:
-        raise ValueError("total_time must be positive")
-    if t < 0.0 or t > total_time:
-        raise ValueError(f"t={t} outside [0, {total_time}]")
-    ramp = total_time / 4.0
-    if t <= ramp:
-        return omega_peak / ramp
-    if t < 3.0 * ramp:
-        return 0.0
-    return -omega_peak / ramp
+    q = omega_peak * ramp / 2.0 + 2.0 * omega_peak * ramp + omega_peak * tau - 0.5 * accel * tau * tau
+    return q, omega_peak * (total_time - t) / ramp, -accel
 
 
 def sinusoidal_force_reference(t_c: float, f_max: float, period: float) -> float:
@@ -296,43 +272,30 @@ class SimulationTrace:
             raise KeyError(f"trace has no column {name!r}") from None
 
 
-def _ma_update(history: deque, sample: float) -> float:
-    history.append(sample)
-    return sum(history) / history.maxlen
-
-
 def run_fma_scenario(scenario: FmaScenario) -> SimulationTrace:
     """Integrate the reduced dual-actuator model under inverse-model control.
 
     The allocation weight is re-evaluated every control tick from the
     moving-average-filtered disturbance measurement; voltages and the
-    disturbance torque are held over the tick. The recorded controller
-    and plant quantities agree with computed_torque_voltage and
-    reduced_dynamics evaluated at the recorded states.
+    disturbance torque are held over the tick. The controller and the
+    plant are the per-tick laws of ``fma.reduced_terms``, the ones
+    ``computed_torque_voltage`` and ``reduced_dynamics`` evaluate.
     """
     plant = scenario.plant
     ctrl = scenario.controller_model if scenario.controller_model is not None else plant
     policy = scenario.weighting
 
-    weights = {"quiet": policy.quiet, "disturbed": policy.disturbed} if policy else {"fixed": None}
-    plant_terms = {k: fma.reduced_terms(plant, w) for k, w in weights.items()}
-    ctrl_terms = {k: fma.reduced_terms(ctrl, w) for k, w in weights.items()}
-    _, _, k_m = motor_dynamics_matrices(ctrl)
-    kminv_g = np.linalg.solve(k_m, ctrl.g_row)
-
-    plant_arm = plant.link_mass * plant.link_com + plant.tool_mass * plant.link_length
-    ctrl_arm = ctrl.link_mass * ctrl.link_com + ctrl.tool_mass * ctrl.link_length
-    i_link = plant.output_inertia()
-    plant_fric = plant.friction_model == "stribeck"
-    ctrl_fric = ctrl.friction_model == "stribeck"
+    # Terms per weight, indexed by whether the disturbed weight is active.
+    weights = (policy.quiet, policy.disturbed) if policy else (None,)
+    plant_terms = [fma.reduced_terms(plant, w) for w in weights]
+    ctrl_terms = [fma.reduced_terms(ctrl, w) for w in weights]
 
     if scenario.reference == "trapezoid":
-        w_pk, total = scenario.peak_speed, scenario.duration
-        ref = lambda t: (
-            scenario.q0 + trapezoidal_position(t, total, w_pk),
-            trapezoidal_velocity(t, total, w_pk),
-            trapezoidal_acceleration(t, total, w_pk),
-        )
+        w_pk, total, q0 = scenario.peak_speed, scenario.duration, scenario.q0
+
+        def ref(t):
+            q, qd, qdd = trapezoidal_profile(t, total, w_pk)
+            return q0 + q, qd, qdd
     else:
         ref = lambda t: (scenario.q0, 0.0, 0.0)
 
@@ -361,33 +324,24 @@ def run_fma_scenario(scenario: FmaScenario) -> SimulationTrace:
             )
         else:
             tau_ext = 0.0
-        filt = _ma_update(tau_history, tau_ext)
-        branch = ("quiet" if filt < policy.torque_threshold else "disturbed") if policy else "fixed"
-        pt = plant_terms[branch]
-        ct = ctrl_terms[branch]
+        tau_history.append(tau_ext)
+        filt = window_mean(tau_history)
+        disturbed = policy is not None and fma.weighting(policy, filt) is policy.disturbed
+        pt = plant_terms[disturbed]
 
         q_ref, qd_ref, qdd_ref = ref(t)
         accel_cmd = qdd_ref + scenario.kv * (qd_ref - qd) + scenario.kp * (q_ref - q)
-        fric_hat = fma.stribeck_friction(qd) if ctrl_fric else 0.0
-        tau_des = ct.inertia * accel_cmd + ct.damping * qd + fric_hat + ctrl_arm * GRAVITY * math.sin(q)
-        v = kminv_g * tau_des
+        v = ctrl_terms[disturbed].voltages(q, qd, accel_cmd)
         drive = float(pt.voltage_row @ v)
 
-        inertia, damping = pt.inertia, pt.damping
+        def deriv(_t, y, pt=pt, drive=drive, tau_ext=tau_ext):
+            return (y[1], pt.acceleration(y[0], y[1], drive, tau_ext))
 
-        def deriv(_t, y, drive=drive, tau_ext=tau_ext, inertia=inertia, damping=damping):
-            qi, qdi = y
-            fric = fma.stribeck_friction(qdi) if plant_fric else 0.0
-            gravity = plant_arm * GRAVITY * math.sin(qi)
-            qdd = (drive - tau_ext - damping * qdi - fric - gravity) / inertia
-            return (qdi, qdd)
-
-        _, qdd_now = deriv(t, (q, qd))
-        fric_now = fma.stribeck_friction(qd) if plant_fric else 0.0
+        qdd_now = pt.acceleration(q, qd, drive, tau_ext)
         rows[k] = (t, q, q_ref, qd, qd_ref, pt.g_plus[0] * qd, pt.g_plus[1] * qd, v[0], v[1], tau_ext)
-        tau_out[k] = i_link * qdd_now + plant_arm * GRAVITY * math.sin(q) + fric_now + tau_ext
+        tau_out[k] = pt.output_torque(q, qd, qdd_now, tau_ext)
         tau_filtered[k] = filt
-        disturbed_flag[k] = branch == "disturbed"
+        disturbed_flag[k] = disturbed
 
         if k == n_ticks:
             break
@@ -413,11 +367,6 @@ def run_fma_scenario(scenario: FmaScenario) -> SimulationTrace:
     return SimulationTrace(TRACE_COLUMNS, rows, meta, aux)
 
 
-def _ee_z(chain: SerialChainModel, theta: np.ndarray) -> float:
-    _, origins = frame_transforms(chain, theta)
-    return float(origins[-1][2])
-
-
 def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrace:
     """Drive the chain onto the surface and run the selected force law.
 
@@ -429,7 +378,9 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
     chain = scenario.chain
     theta_cmd = np.array(scenario.home, dtype=float)
     theta_act = theta_cmd.copy()
-    z0 = _ee_z(chain, theta_act)
+    _, origins = frame_transforms(chain, theta_act)
+    p_now = origins[-1].copy()
+    z0 = float(p_now[2])
 
     surface = scenario.surface
     if surface is not None:
@@ -481,8 +432,6 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
     e_prev = np.zeros(6)
     f_meas = 0.0
     f_prev = 0.0
-    _, origins = frame_transforms(chain, theta_act)
-    p_now = origins[-1].copy()
     z_prev = p_now[2]
 
     columns = TRACE_COLUMNS + ("f_ref",)
@@ -521,8 +470,10 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
                 t - contact_time, -abs(scenario.sine_amplitude), scenario.sine_period
             )
 
+        # One transform of the commanded pose gives the row's z and the Jacobian.
+        rots, origins = frame_transforms(chain, theta_cmd)
         rows[k] = (
-            t, p_now[2], _ee_z(chain, theta_cmd), (p_now[2] - z_prev) / dt if k else 0.0,
+            t, p_now[2], origins[-1][2], (p_now[2] - z_prev) / dt if k else 0.0,
             0.0, 0.0, 0.0, 0.0, 0.0, f_meas, f_ref,
         )
         raw_force[k] = raw_at(p_now)[0]
@@ -532,7 +483,7 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
         if k == n_ticks:
             break
 
-        jac = g_function(chain, theta_cmd)
+        jac = _target_g(chain, rots, origins, "ee")[0]
         if phase is ContactPhase.APPROACH:
             du = np.array([0.0, 0.0, -scenario.approach_speed * dt, 0.0, 0.0, 0.0])
             try:

@@ -4,6 +4,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from fmasim import cli
 from fmasim.cli import main
 
 REST_INI = """
@@ -245,4 +246,49 @@ def test_envelope_rejects_non_finite_sweep(rest_config, sweep, tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error:") and "finite" in err
     assert len(err.splitlines()) == 1
+    assert not (tmp_path / "envelope.csv").exists()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "sweep, parallel, workers", [("0.5,1", "8", [2]), ("1", "4", []), ("0.5,0.75,1", "2", [2])]
+)
+def test_envelope_parallel_is_capped_at_the_runs(
+    rest_config, sweep, parallel, workers, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    args = ["envelope", "--config", rest_config, "--sweep", sweep, "--parallel", parallel]
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert _RecordingPool.created == workers
+
+
+@pytest.mark.parametrize("parallel", ["0", "-3"])
+def test_envelope_parallel_below_one_exits_2(rest_config, parallel, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    args = ["envelope", "--config", rest_config, "--parallel", parallel, "--out", str(tmp_path)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--parallel" in err
+    assert len(err.splitlines()) == 1
+    assert _RecordingPool.created == []
     assert not (tmp_path / "envelope.csv").exists()

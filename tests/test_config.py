@@ -13,7 +13,7 @@ from fmasim.config import (
     serialize_config,
 )
 from fmasim.errors import ConfigError
-from fmasim.simulation import FmaScenario, ForceControlScenario
+from fmasim.simulation import BurrDisturbance, FmaScenario, ForceControlScenario
 
 MINIMAL_FMA = """
 [plant]
@@ -89,6 +89,15 @@ def test_band_unit_degrees_converted():
     assert hi == pytest.approx(math.pi / 3.0)
     assert gain == 5.0
     assert cfg.disturbance["band_unit"] == "rad"
+
+
+def test_default_bands_are_the_schema_default():
+    # One source of truth: a burr section without bands gets the bands a
+    # BurrDisturbance built in code gets, in rad.
+    cfg = parse_config(MINIMAL_FMA + "\n[disturbance]\nkind = burr\n")
+    assert cfg.disturbance["band_unit"] == "rad"
+    assert BurrDisturbance().bands == cfg.disturbance["bands"]
+    assert build_scenario(cfg).disturbance.bands == BurrDisturbance().bands
 
 
 def test_band_order_validated():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from fmasim.fixtures import (
+    fma_force_prime_mover,
+    fma_motion_prime_mover,
     fma_paper_design,
     fma_paper_plant,
     fma_paper_weighting,
@@ -225,6 +227,65 @@ def test_model_mismatch_leaves_residual():
     v = computed_torque_voltage(design, 0.4, 0.5, 0.0, 0.0, 2.0, kp=0.0, kv=0.0, weight=w)
     qdd = reduced_dynamics(plant, 0.4, 0.5, v, tau_ext=0.0, weight=w)
     assert qdd != pytest.approx(2.0, abs=1e-3)
+
+
+def _random_case(rng, i):
+    """A perturbed paper actuator, a weight (identity every fifth case) and a state."""
+
+    def prime_mover(base):
+        return PrimeMoverParams(
+            base.rotor_inertia * rng.uniform(0.5, 2.0),
+            base.damping * rng.uniform(0.0, 2.0),
+            base.torque_constant * rng.uniform(0.5, 2.0),
+            base.back_emf_constant * rng.uniform(0.5, 2.0),
+            base.armature_resistance * rng.uniform(0.5, 2.0),
+        )
+
+    length = rng.uniform(0.1, 1.0)
+    model = DualActuatorModel(
+        fma_star_geometry(),
+        prime_mover(fma_motion_prime_mover()),
+        prime_mover(fma_force_prime_mover()),
+        link_mass=rng.uniform(1.0, 20.0),
+        link_length=length,
+        tool_mass=rng.uniform(0.0, 10.0),
+        link_com=rng.uniform(0.0, length),
+        friction_model=("stribeck", "none")[i % 2],
+    )
+    m = rng.normal(size=(2, 2))
+    weight = None if i % 5 == 0 else m @ m.T + np.diag(rng.uniform(0.1, 200.0, 2))
+    return model, weight, rng.normal(0.0, 2.0, 2)
+
+
+def test_laws_agree_with_the_matrix_form():
+    # The per-tick laws round in the runner's order; the matrix form
+    # solves K_M v = g tau and sums the reduced equation differently.
+    # They must agree within 1e-14 of the largest term in the equation.
+    rng = np.random.default_rng(20261018)
+    for i in range(1000):
+        model, weight, (q, qd) = _random_case(rng, i)
+        terms = reduced_terms(model, weight)
+        _, _, k_m = motor_dynamics_matrices(model)
+        fric = stribeck_friction(qd) if model.friction_model == "stribeck" else 0.0
+        arm = model.link_mass * model.link_com + model.tool_mass * model.link_length
+        gravity = arm * 9.81 * np.sin(q)
+
+        q_ref, qd_ref, qdd_ref = rng.normal(0.0, 2.0, 3)
+        kp, kv = rng.uniform(0.0, 1000.0), rng.uniform(0.0, 100.0)
+        accel = qdd_ref + kv * (qd_ref - qd) + kp * (q_ref - q)
+        tau_des = terms.inertia * accel + terms.damping * qd + fric + gravity
+        v = computed_torque_voltage(model, q, qd, q_ref, qd_ref, qdd_ref, kp=kp, kv=kv, weight=weight)
+        v_matrix = np.linalg.solve(k_m, model.g_row * tau_des)
+        parts = (terms.inertia * accel, terms.damping * qd, fric, gravity)
+        scale = np.max(np.abs(np.linalg.solve(k_m, model.g_row))) * sum(map(abs, parts))
+        assert np.max(np.abs(v - v_matrix)) <= 1.0e-14 * scale
+
+        v_in, tau_ext = rng.normal(0.0, 20.0, 2), rng.normal(0.0, 10.0)
+        drive = float(terms.voltage_row @ v_in)
+        parts = (drive, tau_ext, terms.damping * qd, fric, gravity)
+        qdd_matrix = (drive - tau_ext - (terms.damping * qd + fric + gravity)) / terms.inertia
+        qdd = reduced_dynamics(model, q, qd, v_in, tau_ext, weight)
+        assert abs(qdd - qdd_matrix) <= 1.0e-14 * sum(map(abs, parts)) / terms.inertia
 
 
 def test_reduced_dynamics_validation():

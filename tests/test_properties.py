@@ -1,4 +1,6 @@
 """Invariants checked over generated inputs with hypothesis."""
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fmasim.force_control import SignalConditioner
+from fmasim.config import build_scenario, load_scenario, replace_values
+from fmasim.force_control import SignalConditioner, window_mean
 from fmasim.kinematics import DHRow, SerialChainModel, g_function, h_function
+from fmasim.simulation import run_fma_scenario
 from fmasim.spatial import Wrench
 
 from oracles import fd_hessian, fd_jacobian, moving_average_outputs
@@ -97,3 +101,56 @@ def test_batch_conditioner_rejects_non_finite_samples(window, m, data, bad):
         cond.step_batch(block)
     # the rejected block leaves the filter as it was
     assert cond.step_batch(np.ones((1, 6))).force[2] == 1.0 / window
+
+
+def _loop_mean(window):
+    """The window mean written out: 0.0, then each sample oldest first."""
+    acc = 0.0
+    for x in window:
+        acc += x
+    return acc / len(window)
+
+
+# Wide magnitudes make the summation order visible in the last place.
+_samples = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1.0e9, 1.0e9, allow_subnormal=False),
+    st.floats(-1.0, 1.0),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_samples, min_size=1, max_size=64))
+def test_window_mean_adds_oldest_to_newest(values):
+    expected = _loop_mean(values)
+    got = window_mean(deque(values, maxlen=len(values)))
+    assert _same_bits(np.float64(got), np.float64(expected))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 32).flatmap(lambda w: arrays(np.float64, (w, 6), elements=_samples)))
+def test_window_mean_of_a_block_is_the_loop_per_column(block):
+    expected = np.array([_loop_mean([float(x) for x in column]) for column in block.T])
+    got = window_mean(block)
+    assert _same_bits(got, expected)
+    # a new array: the conditioner zeroes parts of the result in place
+    assert not np.shares_memory(got, block)
+
+
+@pytest.mark.parametrize("updates", [{}, {"tau_filter_window": 7}])
+@pytest.mark.parametrize("noise_sigma", [2.0, 0.0])
+def test_fma_runner_filters_tau_ext_with_the_window_mean(updates, noise_sigma):
+    # Starting at 0.9 rad the 2 s sweep enters the first burr band; without
+    # noise, the zero drag outside it gives -0.0 samples whenever qd < 0.
+    cfg = load_scenario("fma-paper-deburr")
+    cfg = replace_values(cfg, "reference", duration=2.0, q0=0.9)
+    cfg = replace_values(cfg, "disturbance", noise_sigma=noise_sigma)
+    cfg = replace_values(cfg, "controller", **updates)
+    scenario = build_scenario(cfg)
+    trace = run_fma_scenario(scenario)
+    window = scenario.tau_filter_window
+    stream = [0.0] * (window - 1) + [float(x) for x in trace.column("tau_ext")]
+    expected = np.array([_loop_mean(stream[k : k + window]) for k in range(trace.n_samples)])
+    assert _same_bits(trace.aux["tau_filtered"], expected)
+    threshold = scenario.weighting.torque_threshold
+    assert np.array_equal(trace.aux["disturbed"], ~(expected < threshold))

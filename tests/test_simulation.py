@@ -27,9 +27,7 @@ from fmasim.simulation import (
     run_force_control_scenario,
     sinusoidal_force_reference,
     trace_csv_text,
-    trapezoidal_acceleration,
-    trapezoidal_position,
-    trapezoidal_velocity,
+    trapezoidal_profile,
 )
 from fmasim.units import MM_PER_LBF_TO_M_PER_N
 
@@ -66,27 +64,30 @@ def test_rk4_validation():
         rk4_step(lambda t, y: np.array([math.inf]), np.array([1.0]), 0.0, 1e-3)
 
 
+def _speed(t, total, w):
+    return trapezoidal_profile(t, total, w)[1]
+
+
 def test_trapezoid_profile_values():
     w = 2.0 * math.pi / 10.0
-    assert trapezoidal_velocity(0.0, 10.0, w) == 0.0
-    assert trapezoidal_velocity(2.5, 10.0, w) == pytest.approx(w)
-    assert trapezoidal_velocity(5.0, 10.0, w) == pytest.approx(w)
+    assert _speed(0.0, 10.0, w) == 0.0
+    assert _speed(2.5, 10.0, w) == pytest.approx(w)
+    assert _speed(5.0, 10.0, w) == pytest.approx(w)
     # halfway down the deceleration ramp
-    assert trapezoidal_velocity(8.75, 10.0, w) == pytest.approx(w / 2.0)
-    assert trapezoidal_velocity(10.0, 10.0, w) == pytest.approx(0.0)
-    assert trapezoidal_acceleration(1.0, 10.0, w) == pytest.approx(w / 2.5)
-    assert trapezoidal_acceleration(5.0, 10.0, w) == 0.0
-    assert trapezoidal_acceleration(9.0, 10.0, w) == pytest.approx(-w / 2.5)
+    assert _speed(8.75, 10.0, w) == pytest.approx(w / 2.0)
+    assert _speed(10.0, 10.0, w) == pytest.approx(0.0)
+    assert trapezoidal_profile(1.0, 10.0, w)[2] == pytest.approx(w / 2.5)
+    assert trapezoidal_profile(5.0, 10.0, w)[2] == 0.0
+    assert trapezoidal_profile(9.0, 10.0, w)[2] == pytest.approx(-w / 2.5)
 
 
 def test_trapezoid_profile_domain():
-    for fn in (trapezoidal_velocity, trapezoidal_position, trapezoidal_acceleration):
-        with pytest.raises(ValueError):
-            fn(-0.1, 10.0, 1.0)
-        with pytest.raises(ValueError):
-            fn(10.1, 10.0, 1.0)
-        with pytest.raises(ValueError):
-            fn(1.0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        trapezoidal_profile(-0.1, 10.0, 1.0)
+    with pytest.raises(ValueError):
+        trapezoidal_profile(10.1, 10.0, 1.0)
+    with pytest.raises(ValueError):
+        trapezoidal_profile(1.0, 0.0, 1.0)
 
 
 def test_trapezoid_position_integrates_velocity():
@@ -94,15 +95,15 @@ def test_trapezoid_position_integrates_velocity():
     total = 10.0
     ts = np.linspace(0.0, total, 2001)
     integral = 0.0
-    prev_v = trapezoidal_velocity(0.0, total, w)
+    prev_v = _speed(0.0, total, w)
     for a, b in zip(ts[:-1], ts[1:]):
-        v = trapezoidal_velocity(b, total, w)
+        v = _speed(b, total, w)
         integral += 0.5 * (prev_v + v) * (b - a)
         prev_v = v
-        assert trapezoidal_position(b, total, w) == pytest.approx(integral, abs=1e-6)
+        assert trapezoidal_profile(b, total, w)[0] == pytest.approx(integral, abs=1e-6)
     # ramps average to half speed, so the sweep covers 3/4 of w * T
     w = 2.0 * math.pi / total
-    assert trapezoidal_position(total, total, w) == pytest.approx(0.75 * w * total)
+    assert trapezoidal_profile(total, total, w)[0] == pytest.approx(0.75 * w * total)
 
 
 def test_sinusoidal_reference_is_rectified():
