@@ -32,7 +32,7 @@ from .simulation import (
     metrics_text,
     run_fma_scenario,
     run_force_control_scenario,
-    trace_csv_text,
+    write_trace_csv,
 )
 
 EXIT_OK = 0
@@ -84,7 +84,7 @@ def cmd_simulate(args) -> int:
     metrics = compute_metrics(trace)
     trace_path = out / "trace.csv"
     metrics_path = out / "metrics.txt"
-    trace_path.write_text(trace_csv_text(trace), encoding="ascii")
+    write_trace_csv(trace, trace_path)
     metrics_path.write_text(metrics_text(metrics), encoding="ascii")
     written = [str(trace_path), str(metrics_path)]
     if args.svg:

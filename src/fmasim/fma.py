@@ -133,21 +133,30 @@ def allocate_velocities(
     return qd_m
 
 
-def stribeck_friction(qd):
-    """Transmission friction torque, odd in speed away from zero.
-
-    At rest the breakaway value of the static term is reported with
-    positive sign.
-    """
-    q = np.asarray(qd, dtype=float)
-    mag = np.abs(q)
-    f = (
+def _friction_magnitude(mag):
+    # np.exp, not math.exp: the two differ in the last bit on some
+    # platforms, and the scalar and array paths must agree bit for bit.
+    return (
         FRICTION_STATIC
         + FRICTION_VISCOUS * mag
         - FRICTION_KNEE_GAIN * (1.0 - np.exp(-FRICTION_KNEE_RATE * mag))
     )
-    out = np.where(q < 0.0, -f, f)
-    return float(out) if np.isscalar(qd) else out
+
+
+def stribeck_friction(qd):
+    """Transmission friction torque, odd in speed away from zero.
+
+    At rest the breakaway value of the static term is reported with
+    positive sign. A scalar speed gives a Python float, an array speed an
+    array of the same shape.
+    """
+    if np.isscalar(qd):
+        q = float(qd)
+        f = float(_friction_magnitude(abs(q)))
+        return -f if q < 0.0 else f
+    q = np.asarray(qd, dtype=float)
+    f = _friction_magnitude(np.abs(q))
+    return np.where(q < 0.0, -f, f)
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,29 @@ def rk4_step(deriv, state, t: float, dt: float):
     return y + increment
 
 
+def _rk4_reduced(terms, drive: float, tau_ext: float, q: float, qd: float, t: float, dt: float):
+    """``rk4_step`` of the reduced output-shaft model, in plain floats.
+
+    The state is (q, qd) under a drive torque and disturbance held over
+    the step. The operations and their order are ``rk4_step``'s, so the
+    result is the same to the bit.
+    """
+    accel = terms.acceleration
+    k1q, k1d = qd, accel(q, qd, drive, tau_ext)
+    yq, yd = q + 0.5 * dt * k1q, qd + 0.5 * dt * k1d
+    k2q, k2d = yd, accel(yq, yd, drive, tau_ext)
+    yq, yd = q + 0.5 * dt * k2q, qd + 0.5 * dt * k2d
+    k3q, k3d = yd, accel(yq, yd, drive, tau_ext)
+    yq, yd = q + dt * k3q, qd + dt * k3d
+    k4q, k4d = yd, accel(yq, yd, drive, tau_ext)
+    h = dt / 6.0
+    dq = (k1q + 2.0 * k2q + 2.0 * k3q + k4q) * h
+    dqd = (k1d + 2.0 * k2d + 2.0 * k3d + k4d) * h
+    if not (math.isfinite(dq) and math.isfinite(dqd)):
+        raise SimulationBlowUpError(f"non-finite derivative at t={t:.6g} s")
+    return q + dq, qd + dqd
+
+
 def trapezoidal_profile(t: float, total_time: float, omega_peak: float) -> tuple[float, float, float]:
     """Position, speed and acceleration of a ramp/plateau/ramp speed profile.
 
@@ -333,10 +356,6 @@ def run_fma_scenario(scenario: FmaScenario) -> SimulationTrace:
         accel_cmd = qdd_ref + scenario.kv * (qd_ref - qd) + scenario.kp * (q_ref - q)
         v = ctrl_terms[disturbed].voltages(q, qd, accel_cmd)
         drive = float(pt.voltage_row @ v)
-
-        def deriv(_t, y, pt=pt, drive=drive, tau_ext=tau_ext):
-            return (y[1], pt.acceleration(y[0], y[1], drive, tau_ext))
-
         qdd_now = pt.acceleration(q, qd, drive, tau_ext)
         rows[k] = (t, q, q_ref, qd, qd_ref, pt.g_plus[0] * qd, pt.g_plus[1] * qd, v[0], v[1], tau_ext)
         tau_out[k] = pt.output_torque(q, qd, qdd_now, tau_ext)
@@ -345,10 +364,8 @@ def run_fma_scenario(scenario: FmaScenario) -> SimulationTrace:
 
         if k == n_ticks:
             break
-        state = np.array([q, qd])
         for s in range(substeps):
-            state = rk4_step(deriv, state, t + s * dt, dt)
-        q, qd = float(state[0]), float(state[1])
+            q, qd = _rk4_reduced(pt, drive, tau_ext, q, qd, t + s * dt, dt)
 
     meta = {
         "kind": "fma",
@@ -714,20 +731,22 @@ def envelope_points(traces) -> list:
     return points
 
 
-def _format(x: float) -> str:
-    return f"{x:.17g}"
+def _trace_csv_lines(trace: SimulationTrace):
+    """Header, then one line per sample, each value as ``%.17g``."""
+    yield ",".join(trace.columns) + "\n"
+    row_format = ",".join(["%.17g"] * len(trace.columns)) + "\n"
+    for row in trace.data:
+        yield row_format % tuple(row)
 
 
 def trace_csv_text(trace: SimulationTrace) -> str:
-    lines = [",".join(trace.columns)]
-    for row in trace.data:
-        lines.append(",".join(_format(x) for x in row))
-    return "\n".join(lines) + "\n"
+    return "".join(_trace_csv_lines(trace))
 
 
 def write_trace_csv(trace: SimulationTrace, path) -> None:
+    """Write the trace CSV line by line, without building the whole text."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(trace_csv_text(trace))
+        fh.writelines(_trace_csv_lines(trace))
 
 
 def metrics_text(metrics: Metrics) -> str:

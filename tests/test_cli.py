@@ -230,6 +230,26 @@ def test_wrist_singularity_exits_3(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "run, diverged_at",
+    [
+        ("", "0.0050"),
+        # twenty RK4 substeps per control tick
+        ("timestep = 0.02 s\ncontrol_period = 1 s\n", "3.0000"),
+    ],
+)
+def test_fma_divergence_exits_3(run, diverged_at, tmp_path, capsys):
+    text = resources.files("fmasim").joinpath("scenarios", "fma-paper-deburr.ini").read_text()
+    text = text.replace("kp = 900\nkv = 60\n", "kp = 1e9\nkv = 1e6\n", 1)
+    text = text.replace("[run]\n", "[run]\n" + run, 1)
+    path = tmp_path / "stiff.ini"
+    path.write_text(text)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: fma-paper-deburr: state diverged at t={diverged_at} s\n"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["fk", "jacobian"])
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_non_finite_joint_angles_exit_2(command, bad, capsys):

@@ -1,5 +1,6 @@
 """Invariants checked over generated inputs with hypothesis."""
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fmasim.config import build_scenario, load_scenario, replace_values
+from fmasim.errors import SimulationBlowUpError
+from fmasim.fixtures import fma_paper_plant
+from fmasim.fma import reduced_terms, stribeck_friction
 from fmasim.force_control import SignalConditioner, window_mean
 from fmasim.kinematics import DHRow, SerialChainModel, g_function, h_function
-from fmasim.simulation import run_fma_scenario
+from fmasim.simulation import _rk4_reduced, rk4_step, run_fma_scenario
 from fmasim.spatial import Wrench
 
 from oracles import fd_hessian, fd_jacobian, moving_average_outputs
@@ -154,3 +158,77 @@ def test_fma_runner_filters_tau_ext_with_the_window_mean(updates, noise_sigma):
     assert _same_bits(trace.aux["tau_filtered"], expected)
     threshold = scenario.weighting.torque_threshold
     assert np.array_equal(trace.aux["disturbed"], ~(expected < threshold))
+
+
+def _bits(x):
+    """The IEEE-754 bit pattern of a float64, so NaNs and signed zeros compare."""
+    return np.float64(x).view(np.uint64)
+
+
+_speeds = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -2.5e-308, 1.7e308]),
+    st.floats(),  # any float: subnormals, huge magnitudes, infinities, NaNs
+    st.floats(-50.0, 50.0),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_speeds, _speeds.map(np.float64), st.integers(-(10**6), 10**6)))
+def test_scalar_friction_is_the_array_friction(qd):
+    scalar = stribeck_friction(qd)
+    assert type(scalar) is float
+    with np.errstate(over="ignore"):
+        element = stribeck_friction(np.array([qd], dtype=float))[0]
+    assert _bits(scalar) == _bits(element)
+
+
+@st.composite
+def reduced_steps(draw):
+    """Reduced terms with drawn plant constants, a state, a held drive and a step."""
+    terms = replace(
+        reduced_terms(fma_paper_plant()),
+        inertia=draw(st.floats(0.01, 100.0)),
+        damping=draw(st.floats(0.0, 50.0)),
+        gravity_arm=draw(st.floats(0.0, 100.0)),
+        stribeck=draw(st.booleans()),
+    )
+    q, qd = draw(st.floats(-10.0, 10.0)), draw(st.floats(-50.0, 50.0))
+    drive, tau_ext = draw(st.floats(-500.0, 500.0)), draw(st.floats(-50.0, 50.0))
+    t, dt = draw(st.floats(0.0, 100.0)), draw(st.floats(1.0e-6, 0.1))
+    return terms, drive, tau_ext, q, qd, t, dt
+
+
+def _array_rk4(terms, drive, tau_ext, q, qd, t, dt):
+    def deriv(_t, y):
+        return (y[1], terms.acceleration(y[0], y[1], drive, tau_ext))
+
+    return rk4_step(deriv, np.array([q, qd]), t, dt)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(reduced_steps())
+def test_float_rk4_is_rk4_step(case):
+    q, qd = _rk4_reduced(*case)
+    expected = _array_rk4(*case)
+    assert (_bits(q), _bits(qd)) == (_bits(expected[0]), _bits(expected[1]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(reduced_steps(), st.sampled_from(["nan drive", "nan tau_ext", "overflow"]), st.data())
+def test_float_rk4_blows_up_as_rk4_step(case, bad, data):
+    terms, drive, tau_ext, q, qd, t, dt = case
+    if bad == "nan drive":
+        drive = np.nan
+    elif bad == "nan tau_ext":
+        tau_ext = np.nan
+    else:
+        # Every stage is finite, but k1 + 2 k2 overflows: a unit inertia
+        # with no damping or friction makes each k of qd about the drive.
+        terms = replace(terms, inertia=1.0, damping=0.0, stribeck=False)
+        drive = data.draw(st.floats(1.0e308, 1.7e308)) * data.draw(st.sampled_from([1.0, -1.0]))
+    case = (terms, drive, tau_ext, q, qd, t, dt)
+    with pytest.raises(SimulationBlowUpError) as from_floats:
+        _rk4_reduced(*case)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationBlowUpError) as from_arrays:
+        _array_rk4(*case)
+    assert str(from_floats.value) == str(from_arrays.value)
