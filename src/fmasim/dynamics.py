@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DegenerateConfigurationError
 from .kinematics import JointState, SerialChainModel, _g_of, _h_of, frame_transforms, g_function
@@ -130,12 +129,19 @@ def forward_dynamics(
     loads: tuple[ExternalLoad, ...] = (),
     viscous: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Joint accelerations from applied torques (symmetric positive solve)."""
+    """Joint accelerations from applied torques.
+
+    Raises DegenerateConfigurationError when the effective inertia is not
+    positive definite or its condition number exceeds CONDITION_LIMIT.
+    """
     theta = np.asarray(theta, dtype=float)
     theta_dot = np.asarray(theta_dot, dtype=float)
     tau = np.asarray(tau, dtype=float)
     quant = compute_dynamics(model, theta, gravity)
-    if np.linalg.cond(quant.inertia) > CONDITION_LIMIT:
+    # The extreme eigenvalues of the symmetric inertia give its exact
+    # 2-norm condition number; a matrix that is not positive definite fails too.
+    w = np.linalg.eigvalsh(quant.inertia)
+    if not w[0] * CONDITION_LIMIT >= w[-1] > 0.0:
         raise DegenerateConfigurationError(
             "effective inertia is numerically singular at this configuration"
         )
@@ -143,4 +149,4 @@ def forward_dynamics(
     rhs -= _load_torques(model, theta, loads)
     if viscous is not None:
         rhs -= np.asarray(viscous, dtype=float) * theta_dot
-    return cho_solve(cho_factor(quant.inertia), rhs)
+    return np.linalg.solve(quant.inertia, rhs)

@@ -15,6 +15,7 @@ task acceleration is ``G @ qdd + qd . H . qd``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +86,16 @@ class SerialChainModel:
     def dof(self) -> int:
         return len(self.dh)
 
+    @cached_property
+    def _dh_constants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Theta offsets, cos and sin of alpha_prev, and each link's origin offset (n,3)."""
+        offsets = np.array([row.theta_offset for row in self.dh])
+        ca = np.array([np.cos(row.alpha_prev) for row in self.dh])
+        sa = np.array([np.sin(row.alpha_prev) for row in self.dh])
+        d = np.array([row.d for row in self.dh])
+        p_rel = np.stack([[row.a_prev for row in self.dh], -sa * d, ca * d], axis=-1)
+        return offsets, ca, sa, p_rel
+
 
 @dataclass(frozen=True)
 class JointState:
@@ -130,33 +141,22 @@ class GKICSet:
         object.__setattr__(self, "H", H)
 
 
-def _frame_transform(row: DHRow, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    th = theta + row.theta_offset
-    ca, sa = np.cos(row.alpha_prev), np.sin(row.alpha_prev)
-    ct, st = np.cos(th), np.sin(th)
-    r = np.array(
-        [
-            [ct, -st, 0.0],
-            [st * ca, ct * ca, -sa],
-            [st * sa, ct * sa, ca],
-        ]
-    )
-    p = np.array([row.a_prev, -sa * row.d, ca * row.d])
-    return r, p
-
-
 def frame_transforms(model: SerialChainModel, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotations (n,3,3) and origins (n,3) of every link frame in base coordinates."""
     theta = _check_theta(model, theta)
+    offsets, ca, sa, p_rel = model._dh_constants
+    th = theta + offsets
+    ct, st = np.cos(th), np.sin(th)
     n = model.dof
+    r_rel = np.array([ct, -st, np.zeros(n), st * ca, ct * ca, -sa, st * sa, ct * sa, ca])
+    r_rel = r_rel.T.reshape(n, 3, 3)
     rots = np.empty((n, 3, 3))
     origins = np.empty((n, 3))
     r = np.eye(3)
     p = np.zeros(3)
     for i in range(n):
-        r_rel, p_rel = _frame_transform(model.dh[i], theta[i])
-        p = p + r @ p_rel
-        r = r @ r_rel
+        p = p + r @ p_rel[i]
+        r = r @ r_rel[i]
         rots[i] = r
         origins[i] = p
     return rots, origins
@@ -241,11 +241,18 @@ def _g_of(rots, origins, points, lasts) -> np.ndarray:
     """
     zs = rots[:, :, 2]
     moves = np.arange(len(zs)) <= lasts[:, None]
-    lin = np.cross(zs, points[:, None, :] - origins)
+    lin = _cross(zs, points[:, None, :] - origins)
     g = np.zeros((len(points), 6, len(zs)))
     g[:, :3] = np.where(moves[:, :, None], lin, 0.0).transpose(0, 2, 1)
     g[:, 3:] = np.where(moves[:, :, None], zs, 0.0).transpose(0, 2, 1)
     return g
+
+
+def _cross(a, b) -> np.ndarray:
+    """Cross product over the last axis, with ``np.cross``'s arithmetic and broadcasting."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 def _h_of(zs, g) -> np.ndarray:
@@ -260,8 +267,8 @@ def _h_of(zs, g) -> np.ndarray:
     g_lin = g[:, :3].transpose(0, 2, 1)
     g_ang = g[:, 3:].transpose(0, 2, 1)
     h = np.zeros((len(g), len(zs), 6, len(zs)))
-    h[:, :, :3] = np.cross(zs[lo], g_lin[:, hi]).transpose(0, 1, 3, 2)
-    ang = np.cross(zs[:, None, :], g_ang[:, None, :, :])
+    h[:, :, :3] = _cross(zs[lo], g_lin[:, hi]).transpose(0, 1, 3, 2)
+    ang = _cross(zs[:, None, :], g_ang[:, None, :, :])
     h[:, :, 3:] = np.where((idx[:, None] < idx)[:, :, None], ang, 0.0).transpose(0, 1, 3, 2)
     return h
 

@@ -395,8 +395,13 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
     chain = scenario.chain
     theta_cmd = np.array(scenario.home, dtype=float)
     theta_act = theta_cmd.copy()
-    _, origins = frame_transforms(chain, theta_act)
-    p_now = origins[-1].copy()
+    # The last transform of the actual pose, keyed by its bytes. A rigid
+    # arm (fade == 0) ends each tick on the command, and contact handover
+    # commands the actual pose, so the next command transform reuses it;
+    # equal bytes make the reuse bit-exact, -0.0 included.
+    act_key = theta_act.tobytes()
+    act_rots, act_origins = frame_transforms(chain, theta_act)
+    p_now = act_origins[-1].copy()
     z0 = float(p_now[2])
 
     surface = scenario.surface
@@ -488,7 +493,10 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
             )
 
         # One transform of the commanded pose gives the row's z and the Jacobian.
-        rots, origins = frame_transforms(chain, theta_cmd)
+        if theta_cmd.tobytes() == act_key:
+            rots, origins = act_rots, act_origins
+        else:
+            rots, origins = frame_transforms(chain, theta_cmd)
         rows[k] = (
             t, p_now[2], origins[-1][2], (p_now[2] - z_prev) / dt if k else 0.0,
             0.0, 0.0, 0.0, 0.0, 0.0, f_meas, f_ref,
@@ -522,8 +530,9 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
         # relaxes exponentially toward the command, a straight segment in
         # joint space, so the tool point is interpolated along it.
         theta_act = theta_cmd + (theta_act - theta_cmd) * fade
-        _, origins = frame_transforms(chain, theta_act)
-        p_end = origins[-1].copy()
+        act_key = theta_act.tobytes()
+        act_rots, act_origins = frame_transforms(chain, theta_act)
+        p_end = act_origins[-1].copy()
         samples[:, 2] = raw_at(p_now + weights * (p_end - p_now))
         f_meas = float(conditioner.step_batch(samples).force[2])
         p_now = p_end

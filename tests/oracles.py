@@ -10,6 +10,33 @@ import numpy as np
 from fmasim.kinematics import forward_kinematics, frame_transforms, g_function
 
 
+def loop_frame_transforms(model, theta):
+    """Rotations (n,3,3) and origins (n,3) of every link frame, one D-H row at a time.
+
+    The per-row form of ``frame_transforms``: each row's cos/sin and
+    relative transform come from scalar calls, then the same sequential
+    products from the identity. The arithmetic is the same, so the
+    results must be equal to the bit.
+    """
+    theta = np.asarray(theta, dtype=float)
+    n = len(model.dh)
+    rots = np.empty((n, 3, 3))
+    origins = np.empty((n, 3))
+    r = np.eye(3)
+    p = np.zeros(3)
+    for i, row in enumerate(model.dh):
+        th = theta[i] + row.theta_offset
+        ca, sa = np.cos(row.alpha_prev), np.sin(row.alpha_prev)
+        ct, st = np.cos(th), np.sin(th)
+        r_rel = np.array([[ct, -st, 0.0], [st * ca, ct * ca, -sa], [st * sa, ct * sa, ca]])
+        p_rel = np.array([row.a_prev, -sa * row.d, ca * row.d])
+        p = p + r @ p_rel
+        r = r @ r_rel
+        rots[i] = r
+        origins[i] = p
+    return rots, origins
+
+
 def _target_frame(model, theta, target):
     """World rotation of the link carrying a target, and the target point."""
     rots, origins = frame_transforms(model, theta)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fmasim
 from fmasim.dynamics import (
     DegenerateConfigurationError,
     ExternalLoad,
@@ -215,3 +221,10 @@ def test_degenerate_inertia_raises():
     )
     with pytest.raises(DegenerateConfigurationError):
         forward_dynamics(model, np.zeros(2), np.zeros(2), np.zeros(2))
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(fmasim.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = 'import fmasim; import sys; assert "scipy" not in sys.modules'
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), check=True)

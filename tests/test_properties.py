@@ -15,11 +15,18 @@ from fmasim.errors import SimulationBlowUpError
 from fmasim.fixtures import fma_paper_plant
 from fmasim.fma import reduced_terms, stribeck_friction
 from fmasim.force_control import SignalConditioner, window_mean
-from fmasim.kinematics import DHRow, SerialChainModel, g_function, h_function
+from fmasim.kinematics import (
+    DHRow,
+    SerialChainModel,
+    _cross,
+    frame_transforms,
+    g_function,
+    h_function,
+)
 from fmasim.simulation import _rk4_reduced, rk4_step, run_fma_scenario
 from fmasim.spatial import Wrench
 
-from oracles import fd_hessian, fd_jacobian, moving_average_outputs
+from oracles import fd_hessian, fd_jacobian, loop_frame_transforms, moving_average_outputs
 
 _angles = st.floats(-np.pi, np.pi)
 _lengths = st.floats(-0.5, 0.5)
@@ -52,6 +59,65 @@ def test_coefficients_match_finite_differences(case):
     assert np.max(np.abs(g - fd_jacobian(model, theta, target=target))) < 1.0e-6
     h = h_function(model, theta, target)
     assert np.max(np.abs(h - fd_hessian(model, theta, target=target))) < 1.0e-5
+
+
+# Signed zeros reach the sign bits of -sin(alpha) * d and of the products.
+_dh_values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-np.pi, np.pi))
+_poses = st.one_of(
+    st.sampled_from([0.0, -0.0, np.pi, -np.pi / 2]),
+    st.floats(-2.0 * np.pi, 2.0 * np.pi),
+    st.floats(-1.0e3, 1.0e3),
+)
+
+
+@st.composite
+def chains_and_poses(draw):
+    """A DH chain of 1-7 joints and a pose, both with signed zeros."""
+    n = draw(st.integers(1, 7))
+    dh = tuple(DHRow(*(draw(_dh_values) for _ in range(4))) for _ in range(n))
+    model = SerialChainModel(dh, np.ones(n), np.zeros((n, 3)), np.array([np.eye(3)] * n))
+    return model, np.array([draw(_poses) for _ in range(n)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(chains_and_poses())
+def test_frame_transforms_are_the_per_row_transforms(case):
+    model, theta = case
+    rots, origins = frame_transforms(model, theta)
+    expected_rots, expected_origins = loop_frame_transforms(model, theta)
+    assert rots.tobytes() == expected_rots.tobytes()
+    assert origins.tobytes() == expected_origins.tobytes()
+
+
+_vector_parts = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1.0e6, 1.0e6, allow_subnormal=False),
+    st.floats(-1.0, 1.0),
+)
+
+
+@st.composite
+def cross_operands(draw):
+    """Operand pairs in the broadcast shapes the G/H kernels pass to ``_cross``."""
+    n, m = draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    shape_a, shape_b = draw(
+        st.sampled_from(
+            [((n, 3), (m, n, 3)), ((n, n, 3), (m, n, n, 3)), ((n, 1, 3), (m, 1, n, 3))]
+        )
+    )
+    return (
+        draw(arrays(np.float64, shape_a, elements=_vector_parts)),
+        draw(arrays(np.float64, shape_b, elements=_vector_parts)),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cross_operands())
+def test_cross_is_np_cross(operands):
+    a, b = operands
+    got, expected = _cross(a, b), np.cross(a, b)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 _components = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-50.0, 50.0))

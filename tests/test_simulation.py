@@ -1,8 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import fmasim.simulation as simulation
+from fmasim.config import build_scenario, load_scenario
 from fmasim.errors import SimulationBlowUpError
 from fmasim.fixtures import (
     compliant_scale_surface,
@@ -30,6 +33,8 @@ from fmasim.simulation import (
     trapezoidal_profile,
 )
 from fmasim.units import MM_PER_LBF_TO_M_PER_N
+
+from test_golden import GOLDEN
 
 
 def test_rk4_is_fourth_order():
@@ -294,3 +299,34 @@ def test_force_run_reaches_contact():
     assert trace.columns[-1] == "f_ref"
     # pushing down on the scale: sensed force goes negative
     assert trace.column("tau_ext").min() < -1.0
+
+
+def _counted_run(monkeypatch, name):
+    """Run a built-in force scenario; return its transform count and tick count."""
+    transform = simulation.frame_transforms
+    calls = []
+
+    def counting(chain, theta):
+        calls.append(theta)
+        return transform(chain, theta)
+
+    monkeypatch.setattr(simulation, "frame_transforms", counting)
+    scenario = build_scenario(load_scenario(name))
+    trace = run_force_control_scenario(scenario)
+    digest = hashlib.sha256(trace_csv_text(trace).encode("ascii")).hexdigest()
+    assert digest == GOLDEN[name]
+    return len(calls), round(scenario.duration * scenario.control_rate)
+
+
+def test_rigid_arm_transforms_each_pose_once(monkeypatch):
+    # The arm lands on the command every tick, so the command transform
+    # reuses the actual one: one transform per tick plus the home pose.
+    calls, n_ticks = _counted_run(monkeypatch, "force-regulation")
+    assert calls <= n_ticks + 2
+
+
+def test_lagging_arm_transforms_command_and_actual_each_tick(monkeypatch):
+    # The actual pose trails the command, so each tick transforms both;
+    # only the home pose and the contact handover share one transform.
+    calls, n_ticks = _counted_run(monkeypatch, "compliant-kp03")
+    assert calls == 2 * n_ticks
