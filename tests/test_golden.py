@@ -1,7 +1,9 @@
 """Golden sha256 of ``trace.csv`` for the built-in scenarios at their fixed seeds.
 
 Any change to a runner, a law or the CSV writer that moves a single bit
-of a trace fails here. The two force-regulation variants cover a filter
+of a trace fails here. ``metrics.txt`` is pinned too for the built-ins
+and the force-regulation variants: the raw penalty force is kept in
+``aux``, not in the trace, and reaches disk only through the impulse. The two force-regulation variants cover a filter
 window that spans ticks (200 Hz control, 5 substeps per tick against a
 16-sample window) and a zero deadband, where signed zeros reach the file.
 The deburr variants cover a matched controller model, a fixed weight, a
@@ -63,6 +65,19 @@ FMA_VARIANTS = {
     ),
 }
 
+METRICS = {
+    "fma-paper-deburr": "16a52b118d81fc5174c434301467663a95551ecfffb30eb7e6efbf02e710c88a",
+    "force-regulation": "2bd5448e010fe238c155ee3d28604a6b9551a1339c2c9b4e5ac0d26377b8c621",
+    "compliant-kp03": "ed0cb140897f128807dc88169839c07b674134477cfc321bcd7cf08df4523868",
+    "compliant-kp01": "ebb870e3bf22fdeaf4cf8a53da634f74aa639f8d214ba20b790dd10aa8506cf1",
+    "force-sine-tracking": "d64e73412a49421e5bd687308ea499278392b225d1b6886b9b312aeafaa24e12",
+}
+
+VARIANT_METRICS = {
+    "control_rate=200Hz": "d9008aa9358c668a83af2b67de850f1c198a54ab0e7883fa1df9096d42c4b557",
+    "deadband=0": "fe832d00d4ebedb619583e821bb89c70598d3bba891dca5fa8bc1a4ac25f770d",
+}
+
 ENVELOPE = "6a5cf567c0299be607523c2617dd216182474a744568586c73e6b5eeb4335154"
 
 
@@ -70,16 +85,16 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _trace_digest(config: str, out) -> str:
+def _trace_digest(config: str, out, file="trace.csv") -> str:
     assert main(["simulate", "--config", config, "--out", str(out)]) == 0
-    return _sha256(out / "trace.csv")
+    return _sha256(out / file)
 
 
-def _variant_digest(scenario, section, updates, tmp_path) -> str:
+def _variant_digest(scenario, section, updates, tmp_path, file="trace.csv") -> str:
     cfg = replace_values(load_scenario(scenario), section, **updates)
     path = tmp_path / "variant.ini"
     path.write_text(serialize_config(cfg), encoding="ascii")
-    return _trace_digest(str(path), tmp_path / "out")
+    return _trace_digest(str(path), tmp_path / "out", file)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -92,6 +107,20 @@ def test_builtin_trace_is_golden(name, tmp_path, capsys):
 def test_force_regulation_variant_trace_is_golden(variant, tmp_path, capsys):
     updates, digest = VARIANTS[variant]
     assert _variant_digest("force-regulation", "controller", updates, tmp_path) == digest
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_builtin_metrics_are_golden(name, tmp_path, capsys):
+    assert _trace_digest(name, tmp_path, "metrics.txt") == METRICS[name]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANT_METRICS))
+def test_force_regulation_variant_metrics_are_golden(variant, tmp_path, capsys):
+    updates, _ = VARIANTS[variant]
+    digest = _variant_digest("force-regulation", "controller", updates, tmp_path, "metrics.txt")
+    assert digest == VARIANT_METRICS[variant]
     capsys.readouterr()
 
 
