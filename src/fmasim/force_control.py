@@ -110,10 +110,15 @@ def window_mean(history):
     The sum starts at 0.0 and adds the samples oldest to newest, one at a
     time, so its bits depend on neither the Python version (3.12 made
     ``sum`` of floats compensated) nor numpy's summation strategy. It
-    matches ``sum`` before 3.12 and, over a (window, 6) block,
-    ``np.mean(axis=0)``, which also adds row by row; a one-dimensional
-    ``np.mean`` sums pairwise and does not, so do not swap it in.
+    matches ``sum`` before 3.12. A two-dimensional array, such as the
+    conditioner's (window, 6) block, is summed by one axis-0
+    ``np.add.reduce``, which adds whole rows in order; ``initial=0.0``
+    keeps the leading ``0.0 +``, which turns an all ``-0.0`` column into
+    ``+0.0``. A one-dimensional ``np.mean`` sums pairwise and does not
+    match, so do not swap it in.
     """
+    if isinstance(history, np.ndarray) and history.ndim == 2:
+        return np.add.reduce(history, axis=0, initial=0.0) / len(history)
     acc = 0.0
     for sample in history:
         acc = acc + sample
@@ -134,7 +139,8 @@ class SignalConditioner:
     (window, 6) array and averaged with one ``window_mean`` either way.
     Samples that leave the window inside the block never reach the
     output, so a caller may pass only the last ``window`` of a longer
-    stream. ``step`` is the m = 1 case.
+    stream. ``step`` is the m = 1 case, and ``filter_batch`` returns the
+    same six values as a plain array, without building a ``Wrench``.
     """
 
     def __init__(self, bias: Wrench | None = None, window: int = 16, deadband: float = 0.0):
@@ -154,10 +160,15 @@ class SignalConditioner:
         return self.step_batch(raw.as_array()[np.newaxis])
 
     def step_batch(self, samples) -> Wrench:
+        out = self.filter_batch(samples)
+        return Wrench(out[:3], out[3:])
+
+    def filter_batch(self, samples) -> np.ndarray:
+        """Conditioned wrench (6,), forces first, after an (m, 6) block of samples."""
         block = np.asarray(samples, dtype=float)
         if block.ndim != 2 or block.shape[1] != 6:
             raise ValueError("samples must be an (m, 6) array")
-        if not np.all(np.isfinite(block)):
+        if not np.isfinite(block).all():
             raise ValueError(f"wrench samples must be finite, got {block}")
         block = block - self.bias.as_array()
         kept = self.window - block.shape[0]
@@ -167,7 +178,7 @@ class SignalConditioner:
         out = window_mean(self._history)
         force = out[:3]
         force[np.abs(force) < self.deadband] = 0.0
-        return Wrench(force, out[3:])
+        return out
 
 
 def condition_signal(conditioner: SignalConditioner, raw: Wrench) -> Wrench:
@@ -321,9 +332,9 @@ def normal_force(surface: ContactSurface, positions, velocities=None) -> np.ndar
     the penetration depth (less an optional viscous term on the normal
     velocity) and pushes the tool back out. Never tensile. A non-finite
     point gives a non-finite force rather than zero. With the normal along
-    a coordinate axis each row equals the one-point call bit for bit;
-    otherwise the batched dot product may round differently in the last
-    place.
+    a coordinate axis each row equals the one-point call bit for bit, so
+    a caller may evaluate unrelated points in one call; otherwise the
+    batched dot product may round differently in the last place.
     """
     p = np.asarray(positions, dtype=float).reshape(-1, 3)
     depth = (surface.point - p) @ surface.normal

@@ -141,6 +141,13 @@ class GKICSet:
         object.__setattr__(self, "H", H)
 
 
+# The base frame every chain product starts from; read-only, as all calls share it.
+_EYE3 = np.eye(3)
+_ZERO3 = np.zeros(3)
+_EYE3.flags.writeable = False
+_ZERO3.flags.writeable = False
+
+
 def frame_transforms(model: SerialChainModel, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotations (n,3,3) and origins (n,3) of every link frame in base coordinates."""
     theta = _check_theta(model, theta)
@@ -152,13 +159,10 @@ def frame_transforms(model: SerialChainModel, theta: np.ndarray) -> tuple[np.nda
     r_rel = r_rel.T.reshape(n, 3, 3)
     rots = np.empty((n, 3, 3))
     origins = np.empty((n, 3))
-    r = np.eye(3)
-    p = np.zeros(3)
+    r, p = _EYE3, _ZERO3
     for i in range(n):
-        p = p + r @ p_rel[i]
-        r = r @ r_rel[i]
-        rots[i] = r
-        origins[i] = p
+        p = np.add(p, np.matmul(r, p_rel[i]), out=origins[i])
+        r = np.matmul(r, r_rel[i], out=rots[i])
     return rots, origins
 
 
@@ -166,7 +170,7 @@ def _check_theta(model: SerialChainModel, theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.dof,):
         raise ValueError(f"expected {model.dof} joint values, got shape {theta.shape}")
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise ValueError("joint values must be finite")
     return theta
 
@@ -184,10 +188,8 @@ def com_positions(model: SerialChainModel, theta: np.ndarray) -> np.ndarray:
 
 
 def _resolve_target(model, rots, origins, target) -> tuple[int, np.ndarray]:
-    """Return (last joint moving the target, world target point)."""
+    """Return (last joint moving a link target, world target point)."""
     n = model.dof
-    if target == "ee":
-        return n - 1, origins[-1]
     kind, j = target
     if not 1 <= j <= n:
         raise ValueError(f"link index {j} out of range 1..{n}")
@@ -229,8 +231,27 @@ def compute_gkic(model: SerialChainModel, theta: np.ndarray, target="ee") -> GKI
 
 
 def _target_g(model, rots, origins, target) -> np.ndarray:
+    if target == "ee":
+        return _ee_g(rots, origins)[None]
     last, point = _resolve_target(model, rots, origins, target)
     return _g_of(rots, origins, point[None], np.array([last]))
+
+
+def _ee_g(rots, origins) -> np.ndarray:
+    """G (6, n) of the tool point, the origin of the last frame.
+
+    Every joint moves it, so no column is masked: ``_g_of``'s rows for
+    ``origins[-1]``, with ``_cross``'s operations in the same order.
+    """
+    zs = rots[:, :, 2].T
+    z0, z1, z2 = zs
+    d0, d1, d2 = (origins[-1] - origins).T
+    g = np.empty((6, len(origins)))
+    g[0] = z1 * d2 - z2 * d1
+    g[1] = z2 * d0 - z0 * d2
+    g[2] = z0 * d1 - z1 * d0
+    g[3:] = zs
+    return g
 
 
 def _g_of(rots, origins, points, lasts) -> np.ndarray:

@@ -29,7 +29,7 @@ from .force_control import (
     pure_force_control_step,
     window_mean,
 )
-from .kinematics import SerialChainModel, _target_g, frame_transforms
+from .kinematics import SerialChainModel, _ee_g, frame_transforms
 from .units import LBF_TO_N
 
 TRACE_COLUMNS = ("t", "q", "q_ref", "qd", "qd_ref", "qM1", "qM2", "v1", "v2", "tau_ext")
@@ -384,6 +384,13 @@ def run_fma_scenario(scenario: FmaScenario) -> SimulationTrace:
     return SimulationTrace(TRACE_COLUMNS, rows, meta, aux)
 
 
+_PHASE_CODES = {phase: code for code, phase in enumerate(ContactPhase)}
+
+
+# A diverging run overflows inside the laws before the joint state turns
+# non-finite; the runner reports that state as a blow-up, so numpy's
+# warnings on the way there would only add noise on stderr.
+@np.errstate(over="ignore", invalid="ignore")
 def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrace:
     """Drive the chain onto the surface and run the selected force law.
 
@@ -435,6 +442,7 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
         ]
     )[:, np.newaxis]
     samples = np.zeros((weights.shape[0], 6))
+    tick_points = np.empty((weights.shape[0] + 1, 3))
 
     def raw_at(points):
         if surface is None:
@@ -459,12 +467,11 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
     columns = TRACE_COLUMNS + ("f_ref",)
     rows = np.empty((n_ticks + 1, len(columns)))
     raw_force = np.empty(n_ticks + 1)
+    raw_force[0] = raw_at(p_now)[0]
     phase_code = np.empty(n_ticks + 1, dtype=int)
 
     for k in range(n_ticks + 1):
         t = k * dt
-        if not np.all(np.isfinite(theta_act)):
-            raise SimulationBlowUpError(f"{scenario.name}: joint state diverged at t={t:.4f} s")
         if abs(p_now[2] - z0) > 10.0:
             raise SimulationBlowUpError(f"{scenario.name}: tool ran away at t={t:.4f} s")
 
@@ -501,14 +508,13 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
             t, p_now[2], origins[-1][2], (p_now[2] - z_prev) / dt if k else 0.0,
             0.0, 0.0, 0.0, 0.0, 0.0, f_meas, f_ref,
         )
-        raw_force[k] = raw_at(p_now)[0]
-        phase_code[k] = list(ContactPhase).index(phase)
+        phase_code[k] = _PHASE_CODES[phase]
         z_prev = p_now[2]
         f_prev = f_meas
         if k == n_ticks:
             break
 
-        jac = _target_g(chain, rots, origins, "ee")[0]
+        jac = _ee_g(rots, origins)
         if phase is ContactPhase.APPROACH:
             du = np.array([0.0, 0.0, -scenario.approach_speed * dt, 0.0, 0.0, 0.0])
             try:
@@ -528,13 +534,24 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
 
         # Advance the arm and the sensor stream to the next tick. The arm
         # relaxes exponentially toward the command, a straight segment in
-        # joint space, so the tool point is interpolated along it.
+        # joint space, so the tool point is interpolated along it. One check
+        # covers both poses: theta_act is non-finite whenever theta_cmd is.
         theta_act = theta_cmd + (theta_act - theta_cmd) * fade
+        if not np.isfinite(theta_act).all():
+            raise SimulationBlowUpError(
+                f"{scenario.name}: joint state diverged at t={(k + 1) * dt:.4f} s"
+            )
         act_key = theta_act.tobytes()
         act_rots, act_origins = frame_transforms(chain, theta_act)
         p_end = act_origins[-1].copy()
-        samples[:, 2] = raw_at(p_now + weights * (p_end - p_now))
-        f_meas = float(conditioner.step_batch(samples).force[2])
+        # The sensed substeps and the next row's raw force in one penalty-law
+        # call; the normal is the z axis, so each row is the one-point value.
+        tick_points[:-1] = p_now + weights * (p_end - p_now)
+        tick_points[-1] = p_end
+        forces = raw_at(tick_points)
+        samples[:, 2] = forces[:-1]
+        raw_force[k + 1] = forces[-1]
+        f_meas = float(conditioner.filter_batch(samples)[2])
         p_now = p_end
 
     meta = {

@@ -250,6 +250,21 @@ def test_fma_divergence_exits_3(run, diverged_at, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# Warnings are errors here: pytest would otherwise capture a numpy
+# RuntimeWarning that a user would see on stderr.
+@pytest.mark.filterwarnings("error")
+def test_non_finite_joint_command_exits_3(tmp_path, capsys):
+    # The gain overflows the compliant law, so the command turns infinite
+    # and the lagging arm's update gives nan.
+    text = resources.files("fmasim").joinpath("scenarios", "compliant-kp03.ini").read_text()
+    text = text.replace("kp = 0.03 mm/lbf\n", "kp = 1e307 m/N\n", 1)
+    path = tmp_path / "huge-gain.ini"
+    path.write_text(text)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: compliant-kp03: joint state diverged at t=3.8667 s\n"
+
+
 @pytest.mark.parametrize("command", ["fk", "jacobian"])
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_non_finite_joint_angles_exit_2(command, bad, capsys):

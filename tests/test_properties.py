@@ -14,11 +14,13 @@ from fmasim.config import build_scenario, load_scenario, replace_values
 from fmasim.errors import SimulationBlowUpError
 from fmasim.fixtures import fma_paper_plant
 from fmasim.fma import reduced_terms, stribeck_friction
-from fmasim.force_control import SignalConditioner, window_mean
+from fmasim.force_control import ContactSurface, SignalConditioner, normal_force, window_mean
 from fmasim.kinematics import (
     DHRow,
     SerialChainModel,
     _cross,
+    _ee_g,
+    _g_of,
     frame_transforms,
     g_function,
     h_function,
@@ -89,6 +91,15 @@ def test_frame_transforms_are_the_per_row_transforms(case):
     assert origins.tobytes() == expected_origins.tobytes()
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(chains_and_poses())
+def test_tool_point_g_is_the_masked_kernel(case):
+    model, theta = case
+    rots, origins = frame_transforms(model, theta)
+    expected = _g_of(rots, origins, origins[-1][None], np.array([model.dof - 1]))[0]
+    assert _ee_g(rots, origins).tobytes() == expected.tobytes()
+
+
 _vector_parts = st.one_of(
     st.sampled_from([0.0, -0.0]),
     st.floats(-1.0e6, 1.0e6, allow_subnormal=False),
@@ -154,6 +165,48 @@ def test_batch_conditioner_equals_successive_steps(case):
             assert _same_bits(one, reference[seen])
             seen += 1
         assert _same_bits(out, one)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(conditioner_streams())
+def test_filter_batch_is_step_batch_without_the_wrench(case):
+    window, bias, deadband, blocks = case
+    bias_wrench = Wrench(bias[:3], bias[3:])
+    filtered = SignalConditioner(bias_wrench, window, deadband)
+    stepped = SignalConditioner(bias_wrench, window, deadband)
+    for block in blocks:
+        got = filtered.filter_batch(block)
+        assert got.shape == (6,)
+        assert got.tobytes() == stepped.step_batch(block).as_array().tobytes()
+
+
+@st.composite
+def axis_surfaces_and_points(draw):
+    """A penalty surface with an axis-aligned normal and m tool points, with velocities."""
+    normal = np.zeros(3)
+    normal[draw(st.integers(0, 2))] = draw(st.sampled_from([1.0, -1.0, 3.5]))
+    surface = ContactSurface(
+        stiffness=draw(st.floats(1.0, 1.0e6)),
+        point=draw(arrays(np.float64, 3, elements=_components)),
+        normal=normal,
+        sensor_stiffness=draw(st.one_of(st.just(np.inf), st.floats(1.0, 1.0e6))),
+        damping=draw(st.one_of(st.just(0.0), st.floats(0.0, 100.0))),
+    )
+    m = draw(st.integers(1, 20))
+    points = draw(arrays(np.float64, (m, 3), elements=_components))
+    velocities = draw(st.one_of(st.none(), arrays(np.float64, (m, 3), elements=_components)))
+    return surface, points, velocities
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(axis_surfaces_and_points())
+def test_batched_normal_force_rows_are_one_point_calls(case):
+    surface, points, velocities = case
+    forces = normal_force(surface, points, velocities)
+    for i, point in enumerate(points):
+        velocity = None if velocities is None else velocities[i : i + 1]
+        one = normal_force(surface, point[None], velocity)
+        assert forces[i : i + 1].tobytes() == one.tobytes()
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
