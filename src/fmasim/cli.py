@@ -32,6 +32,7 @@ from .simulation import (
     metrics_text,
     run_fma_scenario,
     run_force_control_scenario,
+    write_metrics,
     write_trace_csv,
 )
 
@@ -85,7 +86,7 @@ def cmd_simulate(args) -> int:
     trace_path = out / "trace.csv"
     metrics_path = out / "metrics.txt"
     write_trace_csv(trace, trace_path)
-    metrics_path.write_text(metrics_text(metrics), encoding="ascii")
+    write_metrics(metrics, metrics_path)
     written = [str(trace_path), str(metrics_path)]
     if args.svg:
         series, ylabel = _trace_plot(trace)
@@ -180,7 +181,10 @@ def cmd_envelope(args) -> int:
 
 
 def _chain_and_angles(args):
-    chain = fixtures.chain_fixture(args.chain)
+    try:
+        chain = fixtures.chain_fixture(args.chain)
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from None
     theta = np.asarray(args.theta, dtype=float)
     if theta.shape[0] != chain.dof:
         raise ConfigError(f"{args.chain!r} has {chain.dof} joints, got {theta.shape[0]} angles")
@@ -281,10 +285,6 @@ def main(argv=None) -> int:
         return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except KeyError as exc:
-        # fixture registries raise KeyError with a message listing the known names
-        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SimulationBlowUpError, DegenerateConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import fixtures
 from .errors import ConfigError
-from .force_control import GainSet, diagonal_gain
+from .force_control import DEFAULT_CONTACT_THRESHOLD, DEFAULT_SETTLE_RATE, GainSet, diagonal_gain
 from .simulation import DEFAULT_BURR_BANDS, BurrDisturbance, FmaScenario, ForceControlScenario
 from .units import LBF_TO_N, UnitError, parse_quantity
 
@@ -96,8 +96,8 @@ _FORCE_SCHEMA = {
         "ki": _Key("quantity", default=0.0, unit="m/N"),
         "control_rate": _Key("quantity", default=15.0, unit="Hz"),
         "deadband": _Key("quantity", default=0.25 * LBF_TO_N, unit="N"),
-        "contact_threshold": _Key("quantity", default=0.25 * LBF_TO_N, unit="N"),
-        "settle_rate": _Key("quantity", default=5.0, unit="N/s"),
+        "contact_threshold": _Key("quantity", default=DEFAULT_CONTACT_THRESHOLD, unit="N"),
+        "settle_rate": _Key("quantity", default=DEFAULT_SETTLE_RATE, unit="N/s"),
         "filter_window": _Key("int", default=16),
     },
     "reference": {

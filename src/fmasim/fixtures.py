@@ -174,35 +174,23 @@ SURFACE_FIXTURES = {
 WEIGHTING_FIXTURES = {"fma-paper": fma_paper_weighting}
 
 
+def _make(registry: dict, kind: str, name: str):
+    if name not in registry:
+        raise KeyError(f"unknown {kind} fixture {name!r}; known: {sorted(registry)}")
+    return registry[name]()
+
+
 def chain_fixture(name: str) -> SerialChainModel:
-    try:
-        return CHAIN_FIXTURES[name]()
-    except KeyError:
-        raise KeyError(f"unknown chain fixture {name!r}; known: {sorted(CHAIN_FIXTURES)}") from None
+    return _make(CHAIN_FIXTURES, "chain", name)
 
 
 def actuator_fixture(name: str) -> DualActuatorModel:
-    try:
-        return ACTUATOR_FIXTURES[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown actuator fixture {name!r}; known: {sorted(ACTUATOR_FIXTURES)}"
-        ) from None
+    return _make(ACTUATOR_FIXTURES, "actuator", name)
 
 
 def surface_fixture(name: str) -> ContactSurface:
-    try:
-        return SURFACE_FIXTURES[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown surface fixture {name!r}; known: {sorted(SURFACE_FIXTURES)}"
-        ) from None
+    return _make(SURFACE_FIXTURES, "surface", name)
 
 
 def weighting_fixture(name: str) -> WeightingPolicy:
-    try:
-        return WEIGHTING_FIXTURES[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown weighting fixture {name!r}; known: {sorted(WEIGHTING_FIXTURES)}"
-        ) from None
+    return _make(WEIGHTING_FIXTURES, "weighting", name)

@@ -129,7 +129,7 @@ def allocate_velocities(
         seed = np.asarray(qd_seed, dtype=float).reshape(-1)
         if seed.shape != g.shape:
             raise ValueError("seed shape must match the number of prime movers")
-        qd_m = qd_m + (np.eye(g.shape[0]) - np.outer(gp, g)) @ seed
+        qd_m = qd_m + null_space_projector(g, weight) @ seed
     return qd_m
 
 
@@ -306,8 +306,11 @@ class _ReducedTerms:
     def gravity(self, q: float) -> float:
         return self.gravity_arm * math.sin(q)
 
-    def voltages(self, q: float, qd: float, accel: float) -> np.ndarray:
-        """Armature voltages that produce output acceleration ``accel``."""
+    def voltages(
+        self, q: float, qd: float, q_ref: float, qd_ref: float, qdd_ref: float, kp: float, kv: float
+    ) -> np.ndarray:
+        """Armature voltages of the inverse-model law, PD servo inside its bracket."""
+        accel = qdd_ref + kv * (qd_ref - qd) + kp * (q_ref - q)
         tau = self.inertia * accel + self.damping * qd + self.friction(qd) + self.gravity(q)
         return self.volts_per_torque * tau
 
@@ -367,12 +370,10 @@ def computed_torque_voltage(
 ) -> np.ndarray:
     """Armature voltages from an inverse-model law with a PD servo.
 
-    ``model`` is the design model the controller believes in. The servo
-    terms sit inside the inverse-model bracket; kp = kv = 0 recovers the
-    pure feedforward law.
+    ``model`` is the design model the controller believes in; kp = kv = 0
+    recovers the pure feedforward law.
     """
-    accel = qdd_ref + kv * (qd_ref - qd) + kp * (q_ref - q)
-    return reduced_terms(model, weight).voltages(q, qd, accel)
+    return reduced_terms(model, weight).voltages(q, qd, q_ref, qd_ref, qdd_ref, kp, kv)
 
 
 def electromagnetic_torques(

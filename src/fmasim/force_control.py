@@ -22,8 +22,8 @@ from .spatial import Wrench
 from .units import LBF_TO_N
 
 # Contact retention threshold and touchdown settle rate used when a
-# scenario does not override them.
-DEFAULT_CONTACT_THRESHOLD = 0.45 * LBF_TO_N
+# scenario does not override them; the scenario and its schema read these.
+DEFAULT_CONTACT_THRESHOLD = 0.25 * LBF_TO_N
 DEFAULT_SETTLE_RATE = 5.0
 
 
@@ -133,14 +133,14 @@ class SignalConditioner:
     window has filled. The deadband zeroes individual force components
     strictly below the threshold; moments pass through.
 
-    ``step_batch`` takes an (m, 6) block of raw samples, oldest first, and
-    returns the wrench after the last of them: the same value, bit for
-    bit, as m successive ``step`` calls, because the history is kept as a
+    There are two entry points. ``filter_batch`` takes an (m, 6) block of
+    raw samples, forces first and oldest first, and returns the (6,)
+    array after the last of them: the same value, bit for bit, as m
+    successive ``step`` calls, because the history is kept as a
     (window, 6) array and averaged with one ``window_mean`` either way.
     Samples that leave the window inside the block never reach the
     output, so a caller may pass only the last ``window`` of a longer
-    stream. ``step`` is the m = 1 case, and ``filter_batch`` returns the
-    same six values as a plain array, without building a ``Wrench``.
+    stream. ``step`` is the m = 1 case, with a ``Wrench`` in and out.
     """
 
     def __init__(self, bias: Wrench | None = None, window: int = 16, deadband: float = 0.0):
@@ -149,6 +149,7 @@ class SignalConditioner:
         if deadband < 0.0:
             raise ValueError("deadband must be nonnegative")
         self.bias = bias if bias is not None else Wrench(np.zeros(3), np.zeros(3))
+        self._bias = self.bias.as_array()
         self.window = int(window)
         self.deadband = float(deadband)
         self.reset()
@@ -157,10 +158,7 @@ class SignalConditioner:
         self._history = np.zeros((self.window, 6))
 
     def step(self, raw: Wrench) -> Wrench:
-        return self.step_batch(raw.as_array()[np.newaxis])
-
-    def step_batch(self, samples) -> Wrench:
-        out = self.filter_batch(samples)
+        out = self.filter_batch(raw.as_array()[np.newaxis])
         return Wrench(out[:3], out[3:])
 
     def filter_batch(self, samples) -> np.ndarray:
@@ -170,7 +168,7 @@ class SignalConditioner:
             raise ValueError("samples must be an (m, 6) array")
         if not np.isfinite(block).all():
             raise ValueError(f"wrench samples must be finite, got {block}")
-        block = block - self.bias.as_array()
+        block = block - self._bias
         kept = self.window - block.shape[0]
         if kept > 0:
             block = np.concatenate([self._history[-kept:], block])
@@ -179,11 +177,6 @@ class SignalConditioner:
         force = out[:3]
         force[np.abs(force) < self.deadband] = 0.0
         return out
-
-
-def condition_signal(conditioner: SignalConditioner, raw: Wrench) -> Wrench:
-    """Feed one raw sample through the conditioner and return the clean wrench."""
-    return conditioner.step(raw)
 
 
 class ContactPhase(Enum):
@@ -276,10 +269,7 @@ def virtual_spring_step(k, dw_b: Wrench) -> np.ndarray:
     from the registered equilibrium wrench, so releasing the disturbance
     returns the commanded pose to the equilibrium point.
     """
-    k = np.asarray(k, dtype=float)
-    if k.shape != (6, 6):
-        raise ValueError("gain must be 6x6")
-    return k @ dw_b.as_array()
+    return virtual_inertia_damper_step(k, dw_b)
 
 
 def _solve_jacobian(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -11,18 +11,21 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import fma
-from .errors import DegenerateConfigurationError, SimulationBlowUpError
+from .errors import SimulationBlowUpError
 from .fma import DualActuatorModel, WeightingPolicy
 from .force_control import (
+    DEFAULT_CONTACT_THRESHOLD,
+    DEFAULT_SETTLE_RATE,
     ContactPhase,
     ContactSurface,
     GainSet,
     SignalConditioner,
+    _solve_jacobian,
     compliant_control_step,
     contact_state_step,
     normal_force,
@@ -221,8 +224,8 @@ class ForceControlScenario:
     sine_period: float = 50.0
     duration: float = 10.0
     deadband: float = 0.25 * LBF_TO_N
-    contact_threshold: float = 0.25 * LBF_TO_N
-    settle_rate: float = 5.0
+    contact_threshold: float = DEFAULT_CONTACT_THRESHOLD
+    settle_rate: float = DEFAULT_SETTLE_RATE
     filter_window: int = 16
     arm_lag: float = 0.0
     physics_timestep: float = 1.0e-3
@@ -353,8 +356,7 @@ def run_fma_scenario(scenario: FmaScenario) -> SimulationTrace:
         pt = plant_terms[disturbed]
 
         q_ref, qd_ref, qdd_ref = ref(t)
-        accel_cmd = qdd_ref + scenario.kv * (qd_ref - qd) + scenario.kp * (q_ref - q)
-        v = ctrl_terms[disturbed].voltages(q, qd, accel_cmd)
+        v = ctrl_terms[disturbed].voltages(q, qd, q_ref, qd_ref, qdd_ref, scenario.kp, scenario.kv)
         drive = float(pt.voltage_row @ v)
         qdd_now = pt.acceleration(q, qd, drive, tau_ext)
         rows[k] = (t, q, q_ref, qd, qd_ref, pt.g_plus[0] * qd, pt.g_plus[1] * qd, v[0], v[1], tau_ext)
@@ -517,10 +519,7 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
         jac = _ee_g(rots, origins)
         if phase is ContactPhase.APPROACH:
             du = np.array([0.0, 0.0, -scenario.approach_speed * dt, 0.0, 0.0, 0.0])
-            try:
-                dtheta = np.linalg.solve(jac, du)
-            except np.linalg.LinAlgError as exc:
-                raise DegenerateConfigurationError("jacobian is singular") from exc
+            dtheta = _solve_jacobian(jac, du)
         else:
             e = np.array([0.0, 0.0, f_ref - f_meas, 0.0, 0.0, 0.0])
             if scenario.law == "force-pid":
@@ -784,20 +783,9 @@ def metrics_text(metrics: Metrics) -> str:
         return f"{value:.9g}"
 
     lines = [f"kind = {metrics.kind}"]
-    for name in (
-        "max_position_error",
-        "mean_position_error",
-        "max_velocity_error",
-        "mean_velocity_error",
-        "pvke_percent",
-        "mean_abs_speed",
-        "mean_abs_torque",
-        "impulse",
-        "settling_time",
-        "overshoot_percent",
-        "lag_percent",
-    ):
-        lines.append(f"{name} = {render(getattr(metrics, name))}")
+    for f in fields(metrics):
+        if f.name not in ("kind", "notes"):
+            lines.append(f"{f.name} = {render(getattr(metrics, f.name))}")
     for note in metrics.notes:
         lines.append(f"note = {note}")
     return "\n".join(lines) + "\n"

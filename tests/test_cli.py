@@ -76,6 +76,16 @@ def test_unknown_chain_fixture(capsys):
     assert "hexapod" in err
 
 
+def test_key_error_inside_a_run_propagates(rest_config, tmp_path, monkeypatch):
+    # Only an unknown chain name is a usage error; any other KeyError is a bug.
+    def broken(trace):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "compute_metrics", broken)
+    with pytest.raises(KeyError, match="bug"):
+        main(["simulate", "--config", rest_config, "--out", str(tmp_path / "out")])
+
+
 def test_jacobian_output(capsys):
     assert main(["jacobian", "powercube6", "0", "0", "0", "0", "0", "0"]) == 0
     out = capsys.readouterr().out.strip().split("\n")

@@ -1,4 +1,6 @@
+import inspect
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from fmasim.config import (
     serialize_config,
 )
 from fmasim.errors import ConfigError
+from fmasim.force_control import contact_state_step
 from fmasim.simulation import BurrDisturbance, FmaScenario, ForceControlScenario
 
 MINIMAL_FMA = """
@@ -58,6 +61,17 @@ def test_minimal_force_parses_with_defaults():
     assert cfg.controller["control_rate"] == 15.0
     assert cfg.reference["force"] == pytest.approx(5.0 * 4.4482216)
     assert cfg.disturbance["kind"] == "none"
+
+
+def test_contact_defaults_are_the_law_defaults():
+    # One value each: the law's signature, the scenario field and a config
+    # without the keys all give the same contact threshold and settle rate.
+    law = inspect.signature(contact_state_step).parameters
+    field_defaults = {f.name: f.default for f in fields(ForceControlScenario)}
+    cfg = parse_config(MINIMAL_FORCE)
+    for name in ("contact_threshold", "settle_rate"):
+        assert law[name].default == field_defaults[name] == cfg.controller[name]
+        assert getattr(build_scenario(cfg), name) == law[name].default
 
 
 def test_unknown_section_is_named():

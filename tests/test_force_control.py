@@ -13,7 +13,6 @@ from fmasim.force_control import (
     GainSet,
     SignalConditioner,
     compliant_control_step,
-    condition_signal,
     contact_state_step,
     contact_wrench,
     diagonal_gain,
@@ -135,7 +134,7 @@ def test_conditioner_reset_and_validation():
         SignalConditioner(window=0)
     with pytest.raises(ValueError):
         SignalConditioner(deadband=-0.1)
-    assert condition_signal(SignalConditioner(window=1), wrench(fx=3.0)).force[0] == 3.0
+    assert SignalConditioner(window=1).step(wrench(fx=3.0)).force[0] == 3.0
 
 
 def test_contact_phase_cycle():

@@ -159,25 +159,13 @@ def test_batch_conditioner_equals_successive_steps(case):
     reference = moving_average_outputs(np.concatenate(blocks), bias, window, deadband)
     seen = 0
     for block in blocks:
-        out = batched.step_batch(block).as_array()
+        out = batched.filter_batch(block)
+        assert out.shape == (6,)
         for row in block:
             one = stepped.step(Wrench(row[:3], row[3:])).as_array()
             assert _same_bits(one, reference[seen])
             seen += 1
         assert _same_bits(out, one)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(conditioner_streams())
-def test_filter_batch_is_step_batch_without_the_wrench(case):
-    window, bias, deadband, blocks = case
-    bias_wrench = Wrench(bias[:3], bias[3:])
-    filtered = SignalConditioner(bias_wrench, window, deadband)
-    stepped = SignalConditioner(bias_wrench, window, deadband)
-    for block in blocks:
-        got = filtered.filter_batch(block)
-        assert got.shape == (6,)
-        assert got.tobytes() == stepped.step_batch(block).as_array().tobytes()
 
 
 @st.composite
@@ -221,9 +209,9 @@ def test_batch_conditioner_rejects_non_finite_samples(window, m, data, bad):
     block = np.ones((m, 6))
     block[data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, 5))] = bad
     with pytest.raises(ValueError, match="finite"):
-        cond.step_batch(block)
+        cond.filter_batch(block)
     # the rejected block leaves the filter as it was
-    assert cond.step_batch(np.ones((1, 6))).force[2] == 1.0 / window
+    assert cond.filter_batch(np.ones((1, 6)))[2] == 1.0 / window
 
 
 def _loop_mean(window):

@@ -13,6 +13,7 @@ from fmasim.fixtures import (
     fma_paper_weighting,
     powercube6,
 )
+from fmasim.fma import computed_torque_voltage
 from fmasim.force_control import GainSet, diagonal_gain
 from fmasim.simulation import (
     BurrDisturbance,
@@ -230,6 +231,23 @@ def test_fma_trace_structure_and_metrics():
     text = metrics_text(metrics)
     assert "max_position_error" in text
     assert "kind = fma" in text
+
+
+def test_deburr_voltages_are_the_computed_torque_law():
+    # The runner and computed_torque_voltage share one servo law, bit for bit.
+    scenario = build_scenario(load_scenario("fma-paper-deburr"))
+    trace = run_fma_scenario(scenario)
+    policy = scenario.weighting
+    assert trace.aux["disturbed"].any() and not trace.aux["disturbed"].all()
+    names = ("t", "q", "q_ref", "qd", "qd_ref", "v1", "v2")
+    for k in range(0, trace.n_samples, 97):
+        t, q, q_ref, qd, qd_ref, v1, v2 = (trace.column(name)[k] for name in names)
+        qdd_ref = trapezoidal_profile(t, scenario.duration, scenario.peak_speed)[2]
+        weight = policy.disturbed if trace.aux["disturbed"][k] else policy.quiet
+        v = computed_torque_voltage(
+            scenario.controller_model, q, qd, q_ref, qd_ref, qdd_ref, scenario.kp, scenario.kv, weight
+        )
+        assert v.tobytes() == np.array([v1, v2]).tobytes()
 
 
 def test_trace_csv_round_trips_floats():
