@@ -181,10 +181,7 @@ def cmd_envelope(args) -> int:
 
 
 def _chain_and_angles(args):
-    try:
-        chain = fixtures.chain_fixture(args.chain)
-    except KeyError as exc:
-        raise ConfigError(exc.args[0]) from None
+    chain = fixtures.chain_fixture(args.chain)
     theta = np.asarray(args.theta, dtype=float)
     if theta.shape[0] != chain.dof:
         raise ConfigError(f"{args.chain!r} has {chain.dof} joints, got {theta.shape[0]} angles")

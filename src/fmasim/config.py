@@ -304,9 +304,9 @@ def build_scenario(cfg: ScenarioConfig):
         if cfg.kind == "fma":
             return _build_fma(cfg)
         return _build_force(cfg)
-    except KeyError as exc:
+    except ConfigError:
         # fixture lookups report the known names themselves
-        raise ConfigError(str(exc)) from None
+        raise
     except ValueError as exc:
         raise ConfigError(f"inconsistent scenario: {exc}") from None
 

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from .errors import ConfigError
 from .fma import DualActuatorModel, PrimeMoverParams, StarCompoundGeometry, WeightingPolicy
 from .force_control import ContactSurface
 from .kinematics import DHRow, SerialChainModel
@@ -176,7 +177,7 @@ WEIGHTING_FIXTURES = {"fma-paper": fma_paper_weighting}
 
 def _make(registry: dict, kind: str, name: str):
     if name not in registry:
-        raise KeyError(f"unknown {kind} fixture {name!r}; known: {sorted(registry)}")
+        raise ConfigError(f"unknown {kind} fixture {name!r}; known: {sorted(registry)}")
     return registry[name]()
 
 

@@ -41,6 +41,34 @@ TRACE_COLUMNS = ("t", "q", "q_ref", "qd", "qd_ref", "qM1", "qM2", "v1", "v2", "t
 # two angle windows of the deburring sweep. The config schema reads these.
 DEFAULT_BURR_BANDS = ((1.0, 2.0, 5.0), (3.0, 4.0, 25.0))
 
+# Limits a scenario must keep, checked when it is built, before its runner
+# allocates or loops: the trace's bytes (rows x columns x 8), a filter
+# window's length in samples, and the integration steps (ticks x substeps).
+MAX_TRACE_BYTES = 2**30
+MAX_FILTER_WINDOW = 2**20
+MAX_STEPS = 10**8
+
+
+def _check_run_size(ticks: float, substeps: int, columns: int, window_key: str, window: int):
+    """Raise ValueError when a run of ``ticks`` control ticks would pass a limit above."""
+    if not math.isfinite(ticks):
+        raise ValueError(f"the run would take {ticks} control ticks")
+    rows = round(ticks) + 1
+    size = rows * columns * 8
+    if size > MAX_TRACE_BYTES:
+        raise ValueError(
+            f"the trace would take {size:.3g} bytes ({rows} rows x {columns} columns x 8); "
+            f"the limit is {MAX_TRACE_BYTES} bytes"
+        )
+    if window > MAX_FILTER_WINDOW:
+        raise ValueError(f"{window_key} = {window} samples; the limit is {MAX_FILTER_WINDOW}")
+    steps = (rows - 1) * substeps
+    if steps > MAX_STEPS:
+        raise ValueError(
+            f"the run would take {steps:.3g} integration steps ({rows - 1} ticks x {substeps} "
+            f"substeps); the limit is {MAX_STEPS:.0e}"
+        )
+
 
 def rk4_step(deriv, state, t: float, dt: float):
     """One classic fourth-order Runge-Kutta step of d(state)/dt = deriv(t, state)."""
@@ -189,10 +217,21 @@ class FmaScenario:
         if self.reference not in ("trapezoid", "rest"):
             raise ValueError(f"unknown reference profile {self.reference!r}")
         substeps = self.control_period / self.timestep
-        if substeps < 1.0 - 1e-9 or abs(substeps - round(substeps)) > 1e-9:
+        if substeps < 1.0 - 1e-9 or abs(substeps - round(substeps)) > 1e-9 * substeps:
             raise ValueError("control_period must be an integer multiple of timestep")
         if self.tau_filter_window < 1:
             raise ValueError("tau_filter_window must be at least 1")
+        _check_run_size(
+            self.duration / self.control_period,
+            self.substeps,
+            len(TRACE_COLUMNS),
+            "tau_filter_window",
+            self.tau_filter_window,
+        )
+
+    @property
+    def substeps(self) -> int:
+        return round(self.control_period / self.timestep)
 
     @property
     def peak_speed(self) -> float:
@@ -250,7 +289,20 @@ class ForceControlScenario:
             raise ValueError("resolved-rate drive needs a six-joint chain")
         if len(self.home) != self.chain.dof:
             raise ValueError("home configuration length must match the chain")
+        if self.filter_window < 1:
+            raise ValueError("filter_window must be at least 1")
+        _check_run_size(
+            self.duration * self.control_rate,
+            self.substeps,
+            len(TRACE_COLUMNS) + 1,
+            "filter_window",
+            self.filter_window,
+        )
         object.__setattr__(self, "home", tuple(float(x) for x in self.home))
+
+    @property
+    def substeps(self) -> int:
+        return max(1, round(1.0 / self.control_rate / self.physics_timestep))
 
 
 @dataclass(frozen=True)
@@ -330,7 +382,7 @@ def run_fma_scenario(scenario: FmaScenario) -> SimulationTrace:
 
     dt = scenario.timestep
     tick = scenario.control_period
-    substeps = round(tick / dt)
+    substeps = scenario.substeps
     n_ticks = round(scenario.duration / tick)
 
     rows = np.empty((n_ticks + 1, len(TRACE_COLUMNS)))
@@ -430,7 +482,7 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
     # reaches the law. Each tick therefore senses only its last
     # min(window, substeps) substeps and feeds them to the conditioner as
     # one block, which gives the same bits as sensing every substep.
-    substeps = max(1, round(dt / scenario.physics_timestep))
+    substeps = scenario.substeps
     gamma = 0.0 if scenario.arm_lag == 0.0 else math.exp(-dt / (substeps * scenario.arm_lag))
     conditioner = SignalConditioner(window=scenario.filter_window, deadband=scenario.deadband)
     # Interpolation weights of the sensed substeps along each tick's

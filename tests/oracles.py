@@ -4,6 +4,7 @@ Everything here is derived from first principles (finite differences,
 a symbolic Lagrangian), never from the code under test.
 """
 from collections import deque
+from functools import lru_cache
 
 import numpy as np
 
@@ -156,11 +157,14 @@ def fd_fk_position(model, theta):
     return forward_kinematics(model, theta).position
 
 
+@lru_cache(maxsize=None)
 def two_link_lagrangian_torques(m1, m2, length1, c1, c2, izz1, izz2, g=9.81):
     """Symbolic inverse dynamics of a 2R chain swinging in the x-y plane.
 
     Gravity acts along -y. Returns tau(theta, theta_dot, theta_ddot)
-    lambdified from tau_i = d/dt(dL/dqd_i) - dL/dq_i.
+    lambdified from tau_i = d/dt(dL/dqd_i) - dL/dq_i. The derivation
+    costs seconds in ``sp.simplify``, so each set of arguments is derived
+    once per session.
     """
     import sympy as sp
 

@@ -4,7 +4,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from fmasim import cli
+from fmasim import cli, fixtures
 from fmasim.cli import main
 
 REST_INI = """
@@ -74,6 +74,60 @@ def test_unknown_chain_fixture(capsys):
     assert main(["fk", "hexapod", "0", "0", "0", "0", "0", "0"]) == 2
     err = capsys.readouterr().err
     assert "hexapod" in err
+
+
+def _builtin_variant(tmp_path, name, old, new):
+    """A copy of a built-in scenario file with one piece of its text replaced."""
+    text = resources.files("fmasim").joinpath("scenarios", f"{name}.ini").read_text(encoding="utf-8")
+    assert old in text
+    path = tmp_path / f"{name}-variant.ini"
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    return str(path)
+
+
+def test_unknown_surface_fixture(tmp_path, capsys):
+    cfg = _builtin_variant(tmp_path, "force-regulation", "surface = compliant-scale", "surface = nosuch")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    known = sorted(fixtures.SURFACE_FIXTURES)
+    assert capsys.readouterr().err == f"error: unknown surface fixture 'nosuch'; known: {known}\n"
+
+
+@pytest.mark.parametrize(
+    "name, old, new, figure",
+    [
+        ("fma-paper-deburr", "duration = 10 s", "duration = 1e15 s", "the trace would take 8e+19 bytes"),
+        (
+            "fma-paper-deburr",
+            "kv = 60",
+            "kv = 60\ntau_filter_window = 300000000",
+            "tau_filter_window = 300000000 samples",
+        ),
+        (
+            "force-regulation",
+            "deadband = 0.25 lbf",
+            "deadband = 0.25 lbf\nfilter_window = 300000000",
+            "filter_window = 300000000 samples",
+        ),
+        ("force-regulation", "duration = 20 s", "duration = 1e15 s", "the trace would take 1.32e+18 bytes"),
+        (
+            "fma-paper-deburr",
+            "seed = 20040815",
+            "seed = 20040815\ntimestep = 1e-9 s\ncontrol_period = 1 s",
+            "1e+10 integration steps (10 ticks x 1000000000 substeps)",
+        ),
+    ],
+)
+def test_oversized_run_exits_2_before_it_starts(tmp_path, monkeypatch, capsys, name, old, new, figure):
+    def unreachable(scenario):
+        raise AssertionError("an oversized run reached its runner")
+
+    monkeypatch.setattr(cli, "run_fma_scenario", unreachable)
+    monkeypatch.setattr(cli, "run_force_control_scenario", unreachable)
+    cfg = _builtin_variant(tmp_path, name, old, new)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert figure in err and "the limit is" in err
 
 
 def test_key_error_inside_a_run_propagates(rest_config, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from fmasim import config
 from fmasim.config import (
     ScenarioConfig,
     build_scenario,
@@ -168,6 +169,16 @@ def test_build_unknown_fixture_is_config_error():
     bad = MINIMAL_FMA.replace("actuator = fma-paper", "actuator = not-a-thing")
     with pytest.raises(ConfigError, match="not-a-thing"):
         build_scenario(parse_config(bad))
+
+
+def test_key_error_while_building_propagates(monkeypatch):
+    # Fixture lookups raise ConfigError themselves; any KeyError is a bug.
+    def broken(**gains):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(config, "GainSet", broken)
+    with pytest.raises(KeyError, match="bug"):
+        build_scenario(load_scenario("force-regulation"))
 
 
 def test_load_scenario_from_path(tmp_path):

@@ -19,7 +19,6 @@ from fmasim.dynamics import (
 )
 from fmasim.fixtures import powercube6
 from fmasim.kinematics import DHRow, JointState, SerialChainModel, com_positions, g_function
-from fmasim.simulation import rk4_step
 from fmasim.spatial import Wrench
 
 from oracles import rnea_torques, two_link_lagrangian_torques
@@ -105,40 +104,10 @@ def test_inverse_dynamics_matches_newton_euler_oracle():
     assert worst < 1.0e-9
 
 
-def pendulum():
-    dh = (DHRow(),)
-    return SerialChainModel(
-        dh,
-        np.array([1.7]),
-        np.array([[0.25, 0.0, 0.0]]),
-        np.array([np.diag([0.0, 0.0, 0.012])]),
-        name="pendulum",
-    )
-
-
-def test_unforced_pendulum_conserves_energy():
+def test_unforced_pendulum_conserves_energy(pendulum_energy_drift):
     # swing in the x-y plane with gravity along -y so the single rotary
     # joint does work against it; RK4 at 1 ms should hold energy to 1e-4
-    model = pendulum()
-    i_eff = float(effective_inertia(model, np.zeros(1))[0, 0])
-
-    def energy(q, qd):
-        com = com_positions(model, np.array([q]))[0]
-        return 0.5 * i_eff * qd**2 + 1.7 * 9.81 * com[1]
-
-    def deriv(_t, y):
-        q, qd = y
-        qdd = forward_dynamics(model, np.array([q]), np.array([qd]), np.zeros(1), gravity=GRAVITY_XY)
-        return np.array([qd, qdd[0]])
-
-    y = np.array([2.0, 0.0])
-    e0 = energy(*y)
-    t = 0.0
-    for _ in range(10_000):
-        y = rk4_step(deriv, y, t, 1.0e-3)
-        t += 1.0e-3
-    drift = abs(energy(*y) - e0) / abs(e0)
-    assert drift < 1.0e-4
+    assert pendulum_energy_drift < 1.0e-4
 
 
 def test_gravity_torque_is_potential_gradient():

@@ -11,12 +11,21 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fmasim.config import build_scenario, load_scenario, replace_values
+from fmasim.dynamics import (
+    ExternalLoad,
+    _joint_terms,
+    compute_dynamics,
+    coriolis_torque,
+    forward_dynamics,
+    inverse_dynamics,
+)
 from fmasim.errors import SimulationBlowUpError
 from fmasim.fixtures import fma_paper_plant
 from fmasim.fma import reduced_terms, stribeck_friction
 from fmasim.force_control import ContactSurface, SignalConditioner, normal_force, window_mean
 from fmasim.kinematics import (
     DHRow,
+    JointState,
     SerialChainModel,
     _cross,
     _ee_g,
@@ -61,6 +70,65 @@ def test_coefficients_match_finite_differences(case):
     assert np.max(np.abs(g - fd_jacobian(model, theta, target=target))) < 1.0e-6
     h = h_function(model, theta, target)
     assert np.max(np.abs(h - fd_hessian(model, theta, target=target))) < 1.0e-5
+
+
+@st.composite
+def dynamic_states(draw):
+    """A DH chain of 1-7 joints with random mass properties, a state, and
+    random gravity, external loads and viscous terms."""
+    n = draw(st.integers(1, 7))
+    dh = tuple(
+        DHRow(draw(_angles), draw(_lengths), draw(_lengths), draw(_angles)) for _ in range(n)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    root = rng.normal(0.0, 0.2, (n, 3, 3))
+    inertias = root @ root.transpose(0, 2, 1) + 0.01 * np.eye(3)
+    model = SerialChainModel(
+        dh, rng.uniform(0.2, 3.0, n), rng.uniform(-0.3, 0.3, (n, 3)), inertias
+    )
+    loads = tuple(
+        ExternalLoad(Wrench(*rng.normal(0.0, 5.0, (2, 3))), link=draw(st.integers(1, n)), at=at)
+        for at in draw(st.lists(st.sampled_from(["frame", "com"]), max_size=3))
+    )
+    viscous = draw(st.sampled_from([None, rng.uniform(0.0, 2.0, n)]))
+    return (
+        model,
+        rng.uniform(-np.pi, np.pi, n),
+        rng.uniform(-3.0, 3.0, n),
+        rng.normal(0.0, 5.0, n),
+        rng.normal(0.0, 6.0, 3),
+        loads,
+        viscous,
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dynamic_states())
+def test_newton_euler_bias_is_the_power_array_torque(case):
+    # Ties the lean path to P*, which the Lagrangian and Newton-Euler
+    # oracles check through inverse_dynamics.
+    model, theta, qd, _, _, _, _ = case
+    quant = compute_dynamics(model, theta)
+    _, bias = _joint_terms(model, theta, qd, np.zeros(3), (), None)
+    expected = coriolis_torque(quant.power, qd)
+    # The torque's terms are of the size of |qd| . |P*| . |qd| and of
+    # I* qd^2; they bound the rounding of both sums, also where the torque
+    # cancels to nearly zero (it is zero for one joint).
+    terms = np.einsum("i,ilj,j->l", np.abs(qd), np.abs(quant.power), np.abs(qd))
+    scale = max(np.max(terms), np.max(np.abs(quant.inertia)) * np.max(qd**2))
+    assert np.max(np.abs(bias - expected)) <= 1.0e-14 * scale
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dynamic_states())
+def test_forward_and_inverse_dynamics_round_trip(case):
+    model, theta, qd, tau, gravity, loads, viscous = case
+    terms = dict(gravity=gravity, loads=loads, viscous=viscous)
+    qdd = forward_dynamics(model, theta, qd, tau, **terms)
+    back = inverse_dynamics(model, JointState(theta, qd, qdd), **terms)
+    inertia, bias = _joint_terms(model, theta, qd, gravity, loads, viscous)
+    scale = max(np.max(np.abs(inertia) @ np.abs(qdd)), np.max(np.abs(bias)))
+    assert np.max(np.abs(back - tau)) <= 1.0e-14 * scale
 
 
 # Signed zeros reach the sign bits of -sin(alpha) * d and of the products.
