@@ -6,8 +6,10 @@ plant kind: ``fma`` for the dual-actuator joint, ``chain`` for the
 6-DOF arm under force control. Unknown sections or keys are rejected
 rather than ignored, so a typo cannot silently fall back to a default.
 
-Physical quantities carry a unit suffix ("0.25 lbf", "1 ms") and are
-converted to SI on parse. Serialization writes canonical SI units, so
+A key left out takes the default of the scenario field it sets, in
+``FmaScenario``, ``BurrDisturbance`` or ``ForceControlScenario``.
+Quantities carry a unit suffix ("0.25 lbf", "1 ms"), are converted to SI
+on parse and must be finite. Serialization writes canonical SI units, so
 ``parse_config(serialize_config(cfg)) == cfg`` for any parsed cfg.
 """
 from __future__ import annotations
@@ -16,38 +18,51 @@ import configparser
 import importlib.resources
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import fixtures
 from .errors import ConfigError
-from .force_control import DEFAULT_CONTACT_THRESHOLD, DEFAULT_SETTLE_RATE, GainSet, diagonal_gain
-from .simulation import DEFAULT_BURR_BANDS, BurrDisturbance, FmaScenario, ForceControlScenario
-from .units import LBF_TO_N, UnitError, parse_quantity
+from .force_control import GainSet, diagonal_gain
+from .simulation import BurrDisturbance, FmaScenario, ForceControlScenario
+from .units import UnitError, parse_quantity
 
 _SECTIONS = ("plant", "controller", "reference", "disturbance", "run")
 
 _REQUIRED = object()
+_UNSET = object()
 
 
 @dataclass(frozen=True)
 class _Key:
-    """Schema entry: how to parse one key and how to write it back."""
+    """Schema entry: how to parse one key, which field it sets, how to write it back."""
 
     parse: str  # "str" | "int" | "quantity" | "vector" | "bands"
-    default: object = _REQUIRED
     unit: str = ""  # canonical suffix used when serializing
     choices: tuple = ()
+    to: str = ""  # the scenario field the key sets as is
+    default: object = _UNSET  # unset: the default of field ``to``, else required
 
 
-def _deg(x: float) -> float:
-    return math.radians(x)
+def _field_defaults(keys: dict, scenario: type, **owners: type) -> dict:
+    """The schema with each unset default filled in: required for a key
+    that sets no field, else the default of its field ``to``, a field of
+    ``scenario`` or of the section's class in ``owners``."""
+    schema = {}
+    for section, specs in keys.items():
+        found = {f.name: f.default for f in fields(owners.get(section, scenario))}
+        schema[section] = {
+            key: replace(spec, default=found[spec.to] if spec.to else _REQUIRED)
+            if spec.default is _UNSET else spec
+            for key, spec in specs.items()
+        }
+    return schema
 
 
 # Keys are materialized in schema order, defaults filled in, so a parsed
 # config is always fully explicit. band_unit is consumed during parsing
 # (band edges are converted to rad) and written back as "rad".
-_FMA_SCHEMA = {
+_FMA_KEYS = {
     "plant": {
         "kind": _Key("str", choices=("fma", "chain")),
         "actuator": _Key("str"),
@@ -56,70 +71,73 @@ _FMA_SCHEMA = {
     },
     "controller": {
         "law": _Key("str", default="computed-torque", choices=("computed-torque",)),
-        "kp": _Key("quantity", default=100.0),
-        "kv": _Key("quantity", default=20.0),
-        "tau_filter_window": _Key("int", default=16),
+        "kp": _Key("quantity", to="kp"),
+        "kv": _Key("quantity", to="kv"),
+        "tau_filter_window": _Key("int", to="tau_filter_window"),
     },
     "reference": {
-        "profile": _Key("str", choices=("trapezoid", "rest")),
-        "duration": _Key("quantity", unit="s"),
-        "omega_peak": _Key("quantity", default=0.0, unit="rad/s"),
-        "q0": _Key("quantity", default=0.0, unit="rad"),
-        "qd0": _Key("quantity", default=0.0, unit="rad/s"),
+        "profile": _Key("str", choices=("trapezoid", "rest"), to="reference", default=_REQUIRED),
+        "duration": _Key("quantity", unit="s", to="duration", default=_REQUIRED),
+        "omega_peak": _Key("quantity", default=0.0, unit="rad/s"),  # 0: one sweep
+        "q0": _Key("quantity", unit="rad", to="q0"),
+        "qd0": _Key("quantity", unit="rad/s", to="qd0"),
     },
     "disturbance": {
         "kind": _Key("str", default="none", choices=("none", "burr")),
-        "noise_sigma": _Key("quantity", default=2.0, unit="N*m"),
-        "bands": _Key("bands", default=DEFAULT_BURR_BANDS),
+        "noise_sigma": _Key("quantity", unit="N*m", to="noise_sigma"),
+        "bands": _Key("bands", to="bands"),
         "band_unit": _Key("str", default="rad", choices=("rad", "deg")),
     },
     "run": {
-        "timestep": _Key("quantity", default=1.0e-3, unit="s"),
-        "control_period": _Key("quantity", default=1.0e-3, unit="s"),
-        "seed": _Key("int", default=0),
-        "name": _Key("str", default="fma"),
+        "timestep": _Key("quantity", unit="s", to="timestep"),
+        "control_period": _Key("quantity", unit="s", to="control_period"),
+        "seed": _Key("int", to="seed"),
+        "name": _Key("str", to="name"),
     },
 }
 
-_FORCE_SCHEMA = {
+_FORCE_KEYS = {
     "plant": {
         "kind": _Key("str", choices=("fma", "chain")),
         "chain": _Key("str"),
         "surface": _Key("str"),
-        "arm_lag": _Key("quantity", default=0.0, unit="s"),
-        "home": _Key("vector", default=(0.0, -0.6, 0.9, 0.0, 0.7, 0.0), unit="rad"),
+        "arm_lag": _Key("quantity", unit="s", to="arm_lag"),
+        "home": _Key("vector", unit="rad", to="home"),
     },
     "controller": {
-        "law": _Key("str", choices=("force-pid", "compliant")),
+        "law": _Key("str", choices=("force-pid", "compliant"), to="law", default=_REQUIRED),
         "kp": _Key("quantity", unit="m/N"),
         "kv": _Key("quantity", default=0.0, unit="m/N"),
         "ki": _Key("quantity", default=0.0, unit="m/N"),
-        "control_rate": _Key("quantity", default=15.0, unit="Hz"),
-        "deadband": _Key("quantity", default=0.25 * LBF_TO_N, unit="N"),
-        "contact_threshold": _Key("quantity", default=DEFAULT_CONTACT_THRESHOLD, unit="N"),
-        "settle_rate": _Key("quantity", default=DEFAULT_SETTLE_RATE, unit="N/s"),
-        "filter_window": _Key("int", default=16),
+        "control_rate": _Key("quantity", unit="Hz", to="control_rate"),
+        "deadband": _Key("quantity", unit="N", to="deadband"),
+        "contact_threshold": _Key("quantity", unit="N", to="contact_threshold"),
+        "settle_rate": _Key("quantity", unit="N/s", to="settle_rate"),
+        "filter_window": _Key("int", to="filter_window"),
     },
     "reference": {
         "profile": _Key("str", choices=("constant-force", "sine-force")),
-        "duration": _Key("quantity", unit="s"),
-        "force": _Key("quantity", default=5.0 * LBF_TO_N, unit="N"),
-        "amplitude": _Key("quantity", default=3.0 * LBF_TO_N, unit="N"),
-        "period": _Key("quantity", default=50.0, unit="s"),
-        "approach_speed": _Key("quantity", default=2.25e-3, unit="m/s"),
-        "start_height": _Key("quantity", default=4.5e-3, unit="m"),
+        "duration": _Key("quantity", unit="s", to="duration", default=_REQUIRED),
+        "force": _Key("quantity", unit="N", to="force_target"),
+        "amplitude": _Key("quantity", unit="N", to="sine_amplitude"),
+        "period": _Key("quantity", unit="s", to="sine_period"),
+        "approach_speed": _Key("quantity", unit="m/s", to="approach_speed"),
+        "start_height": _Key("quantity", unit="m", to="start_height"),
     },
     "disturbance": {
         "kind": _Key("str", default="none", choices=("none",)),
     },
     "run": {
-        "physics_timestep": _Key("quantity", default=1.0e-3, unit="s"),
-        "seed": _Key("int", default=0),
-        "name": _Key("str", default="force"),
+        "physics_timestep": _Key("quantity", unit="s", to="physics_timestep"),
+        "seed": _Key("int", to="seed"),
+        "name": _Key("str", to="name"),
     },
 }
 
-_SCHEMAS = {"fma": _FMA_SCHEMA, "force": _FORCE_SCHEMA}
+_SCHEMAS = {
+    "fma": _field_defaults(_FMA_KEYS, FmaScenario, disturbance=BurrDisturbance),
+    "force": _field_defaults(_FORCE_KEYS, ForceControlScenario),
+}
 
 
 @dataclass(frozen=True)
@@ -145,13 +163,18 @@ def replace_values(cfg: ScenarioConfig, section: str, **updates) -> ScenarioConf
     """Copy of cfg with some keys of one section replaced."""
     if section not in _SECTIONS:
         raise ConfigError(f"unknown section {section!r}")
-    schema = _SCHEMAS[cfg.kind][section]
-    bad = set(updates) - set(schema)
+    bad = set(updates) - set(_SCHEMAS[cfg.kind][section])
     if bad:
         raise ConfigError(f"unknown key(s) in [{section}]: {sorted(bad)}")
     parts = {name: dict(getattr(cfg, name)) for name in _SECTIONS}
     parts[section].update(updates)
     return _finalize(ScenarioConfig(**parts))
+
+
+def _finite(where: str, x: float) -> float:
+    if not math.isfinite(x):
+        raise ConfigError(f"{where}: expected a finite number, got {x}")
+    return x
 
 
 def _parse_scalar(spec: _Key, section: str, key: str, text: str):
@@ -168,7 +191,7 @@ def _parse_scalar(spec: _Key, section: str, key: str, text: str):
             raise ConfigError(f"{where}: expected an integer, got {text!r}") from None
     if spec.parse == "quantity":
         try:
-            return parse_quantity(text)
+            return _finite(where, parse_quantity(text))
         except UnitError as exc:
             raise ConfigError(f"{where}: {exc}") from None
     if spec.parse == "vector":
@@ -181,7 +204,7 @@ def _parse_scalar(spec: _Key, section: str, key: str, text: str):
                 unit = tokens[-1]
                 tokens = tokens[:-1]
         try:
-            return tuple(parse_quantity(f"{tok} {unit}".strip()) for tok in tokens)
+            return tuple(_finite(where, parse_quantity(f"{tok} {unit}".strip())) for tok in tokens)
         except UnitError as exc:
             raise ConfigError(f"{where}: {exc}") from None
     if spec.parse == "bands":
@@ -191,9 +214,10 @@ def _parse_scalar(spec: _Key, section: str, key: str, text: str):
             if len(parts) != 3:
                 raise ConfigError(f"{where}: each band must be lo:hi:gain, got {chunk.strip()!r}")
             try:
-                out.append(tuple(float(p) for p in parts))
+                band = tuple(float(p) for p in parts)
             except ValueError:
                 raise ConfigError(f"{where}: non-numeric band entry in {chunk.strip()!r}") from None
+            out.append(tuple(_finite(where, x) for x in band))
         return tuple(out)
     raise AssertionError(f"unhandled value kind {spec.parse!r}")
 
@@ -204,11 +228,9 @@ def _format_scalar(spec: _Key, value) -> str:
     if spec.parse == "int":
         return str(int(value))
     if spec.parse == "quantity":
-        text = repr(float(value))
-        return f"{text} {spec.unit}" if spec.unit else text
+        return f"{float(value)!r} {spec.unit}".rstrip()
     if spec.parse == "vector":
-        body = " ".join(repr(float(x)) for x in value)
-        return f"{body} {spec.unit}" if spec.unit else body
+        return f"{' '.join(repr(float(x)) for x in value)} {spec.unit}".rstrip()
     if spec.parse == "bands":
         return ", ".join(":".join(repr(float(x)) for x in band) for band in value)
     raise AssertionError(f"unhandled value kind {spec.parse!r}")
@@ -256,8 +278,7 @@ def parse_config(text: str) -> ScenarioConfig:
         raw = dict(parser.items(section)) if parser.has_section(section) else {}
         parts[section] = _materialize(schema[section], raw, section)
 
-    cfg = ScenarioConfig(**parts)
-    return _finalize(cfg)
+    return _finalize(ScenarioConfig(**parts))
 
 
 def _finalize(cfg: ScenarioConfig) -> ScenarioConfig:
@@ -267,7 +288,8 @@ def _finalize(cfg: ScenarioConfig) -> ScenarioConfig:
             cfg.plant["controller_model"] = cfg.plant["actuator"]
         dist = cfg.disturbance
         if dist["band_unit"] == "deg":
-            dist["bands"] = tuple((_deg(lo), _deg(hi), gain) for lo, hi, gain in dist["bands"])
+            rad = math.radians
+            dist["bands"] = tuple((rad(lo), rad(hi), gain) for lo, hi, gain in dist["bands"])
             dist["band_unit"] = "rad"
         for lo, hi, gain in dist["bands"]:
             if not lo < hi:
@@ -311,87 +333,49 @@ def build_scenario(cfg: ScenarioConfig):
         raise ConfigError(f"inconsistent scenario: {exc}") from None
 
 
+def _copies(cfg: ScenarioConfig, *sections: str) -> dict:
+    """The values of the keys in these sections that set a field as is, by field."""
+    specs = [(s, key, spec) for s in sections for key, spec in _SCHEMAS[cfg.kind][s].items()]
+    return {spec.to: getattr(cfg, s)[key] for s, key, spec in specs if spec.to}
+
+
 def _build_fma(cfg: ScenarioConfig) -> FmaScenario:
-    plant = fixtures.actuator_fixture(cfg.plant["actuator"])
-    controller = fixtures.actuator_fixture(cfg.plant["controller_model"])
-    weighting = None
-    if cfg.plant["weighting"] != "none":
-        weighting = fixtures.weighting_fixture(cfg.plant["weighting"])
-    disturbance = None
-    if cfg.disturbance["kind"] == "burr":
-        disturbance = BurrDisturbance(
-            bands=cfg.disturbance["bands"], noise_sigma=cfg.disturbance["noise_sigma"]
-        )
-    ref = cfg.reference
+    weighting = cfg.plant["weighting"]
+    burr = cfg.disturbance["kind"] == "burr"
     return FmaScenario(
-        plant=plant,
-        controller_model=controller,
-        weighting=weighting,
-        kp=cfg.controller["kp"],
-        kv=cfg.controller["kv"],
-        reference=ref["profile"],
-        duration=ref["duration"],
-        omega_peak=ref["omega_peak"] if ref["omega_peak"] > 0 else None,
-        disturbance=disturbance,
-        timestep=cfg.run["timestep"],
-        control_period=cfg.run["control_period"],
-        tau_filter_window=cfg.controller["tau_filter_window"],
-        seed=cfg.run["seed"],
-        q0=ref["q0"],
-        qd0=ref["qd0"],
-        name=cfg.run["name"],
+        plant=fixtures.actuator_fixture(cfg.plant["actuator"]),
+        controller_model=fixtures.actuator_fixture(cfg.plant["controller_model"]),
+        weighting=None if weighting == "none" else fixtures.weighting_fixture(weighting),
+        omega_peak=cfg.reference["omega_peak"] or None,
+        disturbance=BurrDisturbance(**_copies(cfg, "disturbance")) if burr else None,
+        **_copies(cfg, "plant", "controller", "reference", "run"),
     )
 
 
 def _build_force(cfg: ScenarioConfig) -> ForceControlScenario:
-    chain = fixtures.chain_fixture(cfg.plant["chain"])
-    surface = fixtures.surface_fixture(cfg.plant["surface"])
     ctl = cfg.controller
-    gains = GainSet(
-        kp=diagonal_gain(0.0, 0.0, ctl["kp"]),
-        kv=diagonal_gain(0.0, 0.0, ctl["kv"]),
-        ki=diagonal_gain(0.0, 0.0, ctl["ki"]),
-    )
-    ref = cfg.reference
     return ForceControlScenario(
-        chain=chain,
-        surface=surface,
-        gains=gains,
-        law=ctl["law"],
-        control_rate=ctl["control_rate"],
-        approach_speed=ref["approach_speed"],
-        start_height=ref["start_height"],
-        force_target=ref["force"],
-        reference="constant" if ref["profile"] == "constant-force" else "sine",
-        sine_amplitude=ref["amplitude"],
-        sine_period=ref["period"],
-        duration=ref["duration"],
-        deadband=ctl["deadband"],
-        contact_threshold=ctl["contact_threshold"],
-        settle_rate=ctl["settle_rate"],
-        filter_window=ctl["filter_window"],
-        arm_lag=cfg.plant["arm_lag"],
-        physics_timestep=cfg.run["physics_timestep"],
-        home=cfg.plant["home"],
-        seed=cfg.run["seed"],
-        name=cfg.run["name"],
+        chain=fixtures.chain_fixture(cfg.plant["chain"]),
+        surface=fixtures.surface_fixture(cfg.plant["surface"]),
+        gains=GainSet(**{k: diagonal_gain(0.0, 0.0, ctl[k]) for k in ("kp", "kv", "ki")}),
+        reference=cfg.reference["profile"].removesuffix("-force"),
+        **_copies(cfg, *_SECTIONS),
     )
 
 
-def _scenario_dir():
-    return importlib.resources.files("fmasim") / "scenarios"
+def _scenario_files() -> dict:
+    """Built-in scenario files by name, those in FMA_SIM_FIXTURES shadowing the packaged ones."""
+    packaged = importlib.resources.files("fmasim") / "scenarios"
+    files = {e.name[: -len(".ini")]: e for e in packaged.iterdir() if e.name.endswith(".ini")}
+    override = os.environ.get("FMA_SIM_FIXTURES")
+    if override and Path(override).is_dir():
+        files.update((p.stem, p) for p in Path(override).glob("*.ini"))
+    return files
 
 
 def builtin_scenario_names() -> list[str]:
     """Names accepted in place of a config path, sorted."""
-    names = set()
-    override = os.environ.get("FMA_SIM_FIXTURES")
-    if override and Path(override).is_dir():
-        names.update(p.stem for p in Path(override).glob("*.ini"))
-    for entry in _scenario_dir().iterdir():
-        if entry.name.endswith(".ini"):
-            names.add(entry.name[: -len(".ini")])
-    return sorted(names)
+    return sorted(_scenario_files())
 
 
 def _read_config(path) -> str:
@@ -413,12 +397,7 @@ def load_scenario(ref: str) -> ScenarioConfig:
         return parse_config(_read_config(p))
     if p.suffix == ".ini" or os.sep in ref:
         raise ConfigError(f"no such scenario file: {ref}")
-    override = os.environ.get("FMA_SIM_FIXTURES")
-    if override:
-        candidate = Path(override) / f"{ref}.ini"
-        if candidate.is_file():
-            return parse_config(_read_config(candidate))
-    packaged = _scenario_dir() / f"{ref}.ini"
-    if packaged.is_file():
-        return parse_config(_read_config(packaged))
-    raise ConfigError(f"unknown scenario {ref!r}; built-ins: {builtin_scenario_names()}")
+    files = _scenario_files()
+    if ref not in files:
+        raise ConfigError(f"unknown scenario {ref!r}; built-ins: {sorted(files)}")
+    return parse_config(_read_config(files[ref]))

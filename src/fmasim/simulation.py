@@ -181,8 +181,8 @@ class BurrDisturbance:
     noise_sigma: float = 2.0
 
     def __post_init__(self):
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and nonnegative")
         bands = tuple((float(lo), float(hi), float(g)) for lo, hi, g in self.bands)
         for lo, hi, _ in bands:
             if hi <= lo:
@@ -289,6 +289,8 @@ class ForceControlScenario:
             raise ValueError("resolved-rate drive needs a six-joint chain")
         if len(self.home) != self.chain.dof:
             raise ValueError("home configuration length must match the chain")
+        if not all(math.isfinite(x) for x in self.home):
+            raise ValueError("home configuration must be finite")
         if self.filter_window < 1:
             raise ValueError("filter_window must be at least 1")
         _check_run_size(

@@ -130,6 +130,42 @@ def test_oversized_run_exits_2_before_it_starts(tmp_path, monkeypatch, capsys, n
     assert figure in err and "the limit is" in err
 
 
+@pytest.mark.parametrize(
+    "name, old, new, where",
+    [
+        (
+            "force-regulation",
+            "surface = compliant-scale",
+            "surface = compliant-scale\nhome = 0 nan 0.9 0 0.7 0 rad",
+            "[plant] home",
+        ),
+        ("fma-paper-deburr", "noise_sigma = 2 N*m", "noise_sigma = nan N*m", "[disturbance] noise_sigma"),
+        ("fma-paper-deburr", "kp = 900", "kp = nan", "[controller] kp"),
+        ("fma-paper-deburr", "duration = 10 s", "duration = 10 s\nq0 = nan rad", "[reference] q0"),
+        (
+            "fma-paper-deburr",
+            "duration = 10 s",
+            "duration = 10 s\nomega_peak = inf rad/s",
+            "[reference] omega_peak",
+        ),
+        ("fma-paper-deburr", "seed = 20040815", "seed = 20040815\ntimestep = nan s", "[run] timestep"),
+        ("force-regulation", "kp = 0.1 mm/lbf", "kp = nan mm/lbf", "[controller] kp"),
+    ],
+)
+def test_non_finite_config_value_exits_2_naming_the_key(
+    tmp_path, monkeypatch, capsys, name, old, new, where
+):
+    def unreachable(scenario):
+        raise AssertionError("a non-finite config reached its runner")
+
+    monkeypatch.setattr(cli, "run_fma_scenario", unreachable)
+    monkeypatch.setattr(cli, "run_force_control_scenario", unreachable)
+    cfg = _builtin_variant(tmp_path, name, old, new)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: expected a finite number") and err.count("\n") == 1
+
+
 def test_key_error_inside_a_run_propagates(rest_config, tmp_path, monkeypatch):
     # Only an unknown chain name is a usage error; any other KeyError is a bug.
     def broken(trace):

@@ -73,6 +73,29 @@ def test_contact_defaults_are_the_law_defaults():
     for name in ("contact_threshold", "settle_rate"):
         assert law[name].default == field_defaults[name] == cfg.controller[name]
         assert getattr(build_scenario(cfg), name) == law[name].default
+    # Every field a minimal config leaves unset is the dataclass default,
+    # and each key sets the field of its own name (or its one rename).
+    set_by_minimal = {
+        MINIMAL_FMA: {"plant", "controller_model", "reference", "duration", "omega_peak"},
+        MINIMAL_FORCE: {"chain", "surface", "gains", "law", "reference", "duration"},
+    }
+    for text, given in set_by_minimal.items():
+        scenario = build_scenario(parse_config(text))
+        for f in fields(scenario):
+            if f.name not in given:
+                assert getattr(scenario, f.name) == f.default, f.name
+    burr = build_scenario(parse_config(MINIMAL_FMA + "\n[disturbance]\nkind = burr\n"))
+    assert burr.disturbance == BurrDisturbance()
+    renamed = {
+        "profile": "reference",
+        "force": "force_target",
+        "amplitude": "sine_amplitude",
+        "period": "sine_period",
+    }
+    for schema in config._SCHEMAS.values():
+        for specs in schema.values():
+            for key, spec in specs.items():
+                assert spec.to in ("", renamed.get(key, key)), key
 
 
 def test_unknown_section_is_named():
@@ -113,6 +136,13 @@ def test_default_bands_are_the_schema_default():
     assert cfg.disturbance["band_unit"] == "rad"
     assert BurrDisturbance().bands == cfg.disturbance["bands"]
     assert build_scenario(cfg).disturbance.bands == BurrDisturbance().bands
+
+
+@pytest.mark.parametrize("bands", ["1:inf:5", "nan:2:5", "1:2:nan"])
+def test_non_finite_band_is_named(bands):
+    text = MINIMAL_FMA + f"\n[disturbance]\nkind = burr\nbands = {bands}\n"
+    with pytest.raises(ConfigError, match=r"^\[disturbance\] bands: expected a finite"):
+        parse_config(text)
 
 
 def test_band_order_validated():

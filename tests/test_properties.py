@@ -1,6 +1,6 @@
 """Invariants checked over generated inputs with hypothesis."""
 from collections import deque
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fmasim.config import build_scenario, load_scenario, replace_values
+from fmasim import config, fixtures
+from fmasim.config import (
+    build_scenario,
+    load_scenario,
+    parse_config,
+    replace_values,
+    serialize_config,
+)
 from fmasim.dynamics import (
     ExternalLoad,
     _joint_terms,
@@ -407,3 +414,85 @@ def test_float_rk4_blows_up_as_rk4_step(case, bad, data):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationBlowUpError) as from_arrays:
         _array_rk4(*case)
     assert str(from_floats.value) == str(from_arrays.value)
+
+
+# Values a key may take, by what it names: fixtures by their registries, a
+# quantity by its canonical unit (any unit not listed: 1e-3 to 1e3). Each
+# range is valid whatever the other keys hold; a control period is drawn
+# as a whole number of timesteps.
+_FIXTURE_NAMES = {
+    "actuator": sorted(fixtures.ACTUATOR_FIXTURES),
+    "controller_model": ["", *sorted(fixtures.ACTUATOR_FIXTURES)],
+    "weighting": ["none", *sorted(fixtures.WEIGHTING_FIXTURES)],
+    "chain": sorted(fixtures.CHAIN_FIXTURES),
+    "surface": sorted(fixtures.SURFACE_FIXTURES),
+}
+_QUANTITY_RANGES = {"s": (1.0e-4, 1.0e-2), "Hz": (1.0, 100.0), "rad": (-np.pi, np.pi)}
+_NAMES = st.text("abcdefghijklmnopqrstuvwxyz0123456789-_", min_size=1, max_size=12)
+
+
+def _number(low, high):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _band(draw):
+    lo = draw(_number(-10.0, 10.0))
+    return lo, lo + draw(_number(1.0e-3, 10.0)), draw(_number(0.0, 100.0))
+
+
+@st.composite
+def config_texts(draw):
+    """A scenario file of either kind that gives every key of its schema."""
+    kind = draw(st.sampled_from(["fma", "chain"]))
+    numbers, lines = {}, []
+    for section, specs in config._SCHEMAS["fma" if kind == "fma" else "force"].items():
+        lines.append(f"[{section}]")
+        for key, spec in specs.items():
+            number = _number(*_QUANTITY_RANGES.get(spec.unit, (1.0e-3, 1.0e3)))
+            if key == "kind" and section == "plant":
+                value = kind
+            elif spec.choices or key in _FIXTURE_NAMES:
+                value = draw(st.sampled_from(spec.choices or _FIXTURE_NAMES[key]))
+            elif spec.parse == "str":
+                value = draw(_NAMES)
+            elif spec.parse == "int":
+                value = draw(st.integers(0, 2**31) if key == "seed" else st.integers(1, 64))
+            elif spec.parse == "bands":
+                bands = draw(st.lists(_band(), min_size=1, max_size=3))
+                value = ", ".join(":".join(map(repr, band)) for band in bands)
+            elif spec.parse == "vector":
+                angles = draw(st.lists(number, min_size=6, max_size=6))
+                value = " ".join([*map(repr, angles), spec.unit])
+            else:
+                if key == "omega_peak":
+                    number = st.just(0.0) | number  # 0: one sweep over the duration
+                elif key == "control_period":
+                    number = st.integers(1, 4).map(lambda k: k * numbers["timestep"])
+                numbers[key] = draw(number)
+                value = f"{numbers[key]!r} {spec.unit}".strip()
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+def _same(a, b) -> bool:
+    """Equality that reaches into dataclasses, sequences and arrays."""
+    if is_dataclass(a):
+        pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+        return type(a) is type(b) and all(_same(x, y) for x, y in pairs)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(config_texts())
+def test_serialized_config_parses_back_to_itself(text):
+    cfg = parse_config(text)
+    again = parse_config(serialize_config(cfg))
+    assert again == cfg
+    built, rebuilt = build_scenario(cfg), build_scenario(again)
+    for f in fields(built):
+        assert _same(getattr(rebuilt, f.name), getattr(built, f.name)), f.name

@@ -165,8 +165,9 @@ def test_burr_disturbance_deterministic_under_seed():
 def test_burr_dataclass_validation():
     with pytest.raises(ValueError):
         BurrDisturbance(bands=((2.0, 1.0, 5.0),))
-    with pytest.raises(ValueError):
-        BurrDisturbance(noise_sigma=-1.0)
+    for sigma in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            BurrDisturbance(noise_sigma=sigma)
 
 
 def test_fma_scenario_validation():
@@ -191,6 +192,8 @@ def test_force_scenario_validation():
         ForceControlScenario(chain, surface, gains, reference="square")
     with pytest.raises(ValueError):
         ForceControlScenario(chain, surface, gains, home=(0.0, 0.0))
+    with pytest.raises(ValueError, match="home configuration must be finite"):
+        ForceControlScenario(chain, surface, gains, home=(0.0, math.nan, 0.9, 0.0, 0.7, 0.0))
     with pytest.raises(ValueError):
         ForceControlScenario(chain, surface, gains, physics_timestep=1.0)
 
