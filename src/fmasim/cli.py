@@ -78,6 +78,17 @@ def _trace_plot(trace: SimulationTrace):
     ], "position [rad]"
 
 
+def _report(args, summary: dict, text: str, written: list) -> int:
+    """Print the summary and the files written as JSON, or the text and the files."""
+    if args.json:
+        print(json.dumps({**summary, "files": written}, indent=2, default=asdict))
+    else:
+        print(text, end="")
+        for path in written:
+            print(f"wrote {path}")
+    return EXIT_OK
+
+
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     out = _out_dir(args.out)
@@ -93,25 +104,9 @@ def cmd_simulate(args) -> int:
         svg_path = out / "trace.svg"
         svg.write_plot(svg_path, series, title=trace.meta["name"], xlabel="t [s]", ylabel=ylabel)
         written.append(str(svg_path))
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "name": trace.meta["name"],
-                    "kind": trace.meta["kind"],
-                    "samples": trace.n_samples,
-                    "metrics": asdict(metrics),
-                    "files": written,
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(f"{trace.meta['name']}: {trace.n_samples} samples")
-        print(metrics_text(metrics), end="")
-        for path in written:
-            print(f"wrote {path}")
-    return EXIT_OK
+    name, samples = trace.meta["name"], trace.n_samples
+    summary = {"name": name, "kind": trace.meta["kind"], "samples": samples, "metrics": metrics}
+    return _report(args, summary, f"{name}: {samples} samples\n{metrics_text(metrics)}", written)
 
 
 def cmd_envelope(args) -> int:
@@ -161,23 +156,8 @@ def cmd_envelope(args) -> int:
             ylabel="torque [N*m]",
         )
         written.append(str(svg_path))
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "name": base_name,
-                    "runs": len(variants),
-                    "points": [asdict(p) for p in points],
-                    "files": written,
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(f"{len(points)} envelope points from {len(variants)} runs")
-        for path in written:
-            print(f"wrote {path}")
-    return EXIT_OK
+    summary = {"name": base_name, "runs": len(variants), "points": points}
+    return _report(args, summary, f"{len(points)} envelope points from {len(variants)} runs\n", written)
 
 
 def _chain_and_angles(args):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import configparser
 import importlib.resources
 import math
+import operator
 import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -160,15 +161,22 @@ class ScenarioConfig:
 
 
 def replace_values(cfg: ScenarioConfig, section: str, **updates) -> ScenarioConfig:
-    """Copy of cfg with some keys of one section replaced."""
+    """Copy of cfg with some keys of one section replaced, each value
+    written as a file holds it and parsed back, so checked as parsed."""
     if section not in _SECTIONS:
         raise ConfigError(f"unknown section {section!r}")
-    bad = set(updates) - set(_SCHEMAS[cfg.kind][section])
+    schema = _SCHEMAS[cfg.kind][section]
+    bad = set(updates) - set(schema)
     if bad:
         raise ConfigError(f"unknown key(s) in [{section}]: {sorted(bad)}")
     parts = {name: dict(getattr(cfg, name)) for name in _SECTIONS}
-    parts[section].update(updates)
-    return _finalize(ScenarioConfig(**parts))
+    for key, value in updates.items():
+        try:
+            text = _format_scalar(schema[key], value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"[{section}] {key}: not a valid value: {value!r}") from None
+        parts[section][key] = _parse_scalar(schema[key], section, key, text)
+    return _finalize(ScenarioConfig(**parts), bands_written=section == "disturbance" and "bands" in updates)
 
 
 def _finite(where: str, x: float) -> float:
@@ -226,7 +234,7 @@ def _format_scalar(spec: _Key, value) -> str:
     if spec.parse == "str":
         return str(value)
     if spec.parse == "int":
-        return str(int(value))
+        return str(operator.index(value))
     if spec.parse == "quantity":
         return f"{float(value)!r} {spec.unit}".rstrip()
     if spec.parse == "vector":
@@ -278,19 +286,19 @@ def parse_config(text: str) -> ScenarioConfig:
         raw = dict(parser.items(section)) if parser.has_section(section) else {}
         parts[section] = _materialize(schema[section], raw, section)
 
-    return _finalize(ScenarioConfig(**parts))
+    return _finalize(ScenarioConfig(**parts), bands_written=parser.has_option("disturbance", "bands"))
 
 
-def _finalize(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Fill derived defaults and run cross-key checks."""
+def _finalize(cfg: ScenarioConfig, bands_written: bool) -> ScenarioConfig:
+    """Fill derived defaults and run cross-key checks; only written bands can be in deg."""
     if cfg.kind == "fma":
         if not cfg.plant["controller_model"]:
             cfg.plant["controller_model"] = cfg.plant["actuator"]
         dist = cfg.disturbance
-        if dist["band_unit"] == "deg":
+        if dist["band_unit"] == "deg" and bands_written:
             rad = math.radians
             dist["bands"] = tuple((rad(lo), rad(hi), gain) for lo, hi, gain in dist["bands"])
-            dist["band_unit"] = "rad"
+        dist["band_unit"] = "rad"
         for lo, hi, gain in dist["bands"]:
             if not lo < hi:
                 raise ConfigError(f"[disturbance] bands: lo must be < hi, got {lo}:{hi}")

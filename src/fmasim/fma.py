@@ -133,14 +133,10 @@ def allocate_velocities(
     return qd_m
 
 
-def _friction_magnitude(mag):
-    # np.exp, not math.exp: the two differ in the last bit on some
-    # platforms, and the scalar and array paths must agree bit for bit.
-    return (
-        FRICTION_STATIC
-        + FRICTION_VISCOUS * mag
-        - FRICTION_KNEE_GAIN * (1.0 - np.exp(-FRICTION_KNEE_RATE * mag))
-    )
+def _friction_magnitude(mag, knee):
+    # knee = np.exp(-FRICTION_KNEE_RATE * mag), not math.exp: the two differ
+    # in the last bit on some platforms, and both paths must agree.
+    return FRICTION_STATIC + FRICTION_VISCOUS * mag - FRICTION_KNEE_GAIN * (1.0 - knee)
 
 
 def stribeck_friction(qd):
@@ -150,12 +146,14 @@ def stribeck_friction(qd):
     positive sign. A scalar speed gives a Python float, an array speed an
     array of the same shape.
     """
-    if np.isscalar(qd):
+    if isinstance(qd, float) or np.isscalar(qd):
         q = float(qd)
-        f = float(_friction_magnitude(abs(q)))
+        mag = abs(q)
+        f = _friction_magnitude(mag, float(np.exp(-FRICTION_KNEE_RATE * mag)))
         return -f if q < 0.0 else f
     q = np.asarray(qd, dtype=float)
-    f = _friction_magnitude(np.abs(q))
+    mag = np.abs(q)
+    f = _friction_magnitude(mag, np.exp(-FRICTION_KNEE_RATE * mag))
     return np.where(q < 0.0, -f, f)
 
 
@@ -288,7 +286,9 @@ class _ReducedTerms:
 
     The fields are fixed per (model, weight); the methods are the
     per-tick laws in plain float arithmetic, so a runner can build the
-    terms once per weight and call the laws every tick or RK4 stage.
+    terms once per weight and call the laws every tick or RK4 stage. The
+    laws share a state's sin_q = math.sin(q) and fric = stribeck_friction(qd),
+    computed once by the caller; a frictionless model ignores fric.
     """
 
     g_plus: np.ndarray
@@ -300,27 +300,25 @@ class _ReducedTerms:
     link_inertia: float
     stribeck: bool
 
-    def friction(self, qd: float) -> float:
-        return stribeck_friction(qd) if self.stribeck else 0.0
-
-    def gravity(self, q: float) -> float:
-        return self.gravity_arm * math.sin(q)
-
     def voltages(
-        self, q: float, qd: float, q_ref: float, qd_ref: float, qdd_ref: float, kp: float, kv: float
+        self, q: float, qd: float, sin_q: float, fric: float,
+        q_ref: float, qd_ref: float, qdd_ref: float, kp: float, kv: float,
     ) -> np.ndarray:
         """Armature voltages of the inverse-model law, PD servo inside its bracket."""
         accel = qdd_ref + kv * (qd_ref - qd) + kp * (q_ref - q)
-        tau = self.inertia * accel + self.damping * qd + self.friction(qd) + self.gravity(q)
+        f = fric if self.stribeck else 0.0
+        tau = self.inertia * accel + self.damping * qd + f + self.gravity_arm * sin_q
         return self.volts_per_torque * tau
 
-    def acceleration(self, q: float, qd: float, drive: float, tau_ext: float) -> float:
+    def acceleration(self, qd: float, sin_q: float, fric: float, drive: float, tau_ext: float) -> float:
         """Output acceleration under the drive torque ``voltage_row @ v``."""
-        return (drive - tau_ext - self.damping * qd - self.friction(qd) - self.gravity(q)) / self.inertia
+        f = fric if self.stribeck else 0.0
+        return (drive - tau_ext - self.damping * qd - f - self.gravity_arm * sin_q) / self.inertia
 
-    def output_torque(self, q: float, qd: float, qdd: float, tau_ext: float) -> float:
+    def output_torque(self, sin_q: float, fric: float, qdd: float, tau_ext: float) -> float:
         """Torque the transmission delivers to the output link."""
-        return self.link_inertia * qdd + self.gravity(q) + self.friction(qd) + tau_ext
+        f = fric if self.stribeck else 0.0
+        return self.link_inertia * qdd + self.gravity_arm * sin_q + f + tau_ext
 
 
 def reduced_terms(model: DualActuatorModel, weight: np.ndarray | None = None) -> _ReducedTerms:
@@ -354,7 +352,7 @@ def reduced_dynamics(
     if v.shape != (2,):
         raise ValueError("v must hold two armature voltages")
     terms = reduced_terms(model, weight)
-    return terms.acceleration(q, qd, float(terms.voltage_row @ v), tau_ext)
+    return terms.acceleration(qd, math.sin(q), stribeck_friction(qd), float(terms.voltage_row @ v), tau_ext)
 
 
 def computed_torque_voltage(
@@ -373,7 +371,8 @@ def computed_torque_voltage(
     ``model`` is the design model the controller believes in; kp = kv = 0
     recovers the pure feedforward law.
     """
-    return reduced_terms(model, weight).voltages(q, qd, q_ref, qd_ref, qdd_ref, kp, kv)
+    terms = reduced_terms(model, weight)
+    return terms.voltages(q, qd, math.sin(q), stribeck_friction(qd), q_ref, qd_ref, qdd_ref, kp, kv)
 
 
 def electromagnetic_torques(

@@ -38,7 +38,7 @@ from .units import LBF_TO_N
 TRACE_COLUMNS = ("t", "q", "q_ref", "qd", "qd_ref", "qM1", "qM2", "v1", "v2", "tau_ext")
 
 # Default burr bands, (lo, hi, gain) with edges in rad: viscous gain over
-# two angle windows of the deburring sweep. The config schema reads these.
+# two angle windows of the deburring sweep.
 DEFAULT_BURR_BANDS = ((1.0, 2.0, 5.0), (3.0, 4.0, 25.0))
 
 # Limits a scenario must keep, checked when it is built, before its runner
@@ -85,21 +85,22 @@ def rk4_step(deriv, state, t: float, dt: float):
     return y + increment
 
 
-def _rk4_reduced(terms, drive: float, tau_ext: float, q: float, qd: float, t: float, dt: float):
+def _rk4_reduced(terms, drive: float, tau_ext: float, q: float, qd: float, t: float, dt: float, k1=None):
     """``rk4_step`` of the reduced output-shaft model, in plain floats.
 
     The state is (q, qd) under a drive torque and disturbance held over
-    the step. The operations and their order are ``rk4_step``'s, so the
-    result is the same to the bit.
+    the step; ``k1`` is the acceleration at (q, qd) if the caller has it.
+    The operations and their order are ``rk4_step``'s, so the result is
+    the same to the bit.
     """
-    accel = terms.acceleration
-    k1q, k1d = qd, accel(q, qd, drive, tau_ext)
+    accel, sin, friction = terms.acceleration, math.sin, fma.stribeck_friction
+    k1q, k1d = qd, accel(qd, sin(q), friction(qd), drive, tau_ext) if k1 is None else k1
     yq, yd = q + 0.5 * dt * k1q, qd + 0.5 * dt * k1d
-    k2q, k2d = yd, accel(yq, yd, drive, tau_ext)
+    k2q, k2d = yd, accel(yd, sin(yq), friction(yd), drive, tau_ext)
     yq, yd = q + 0.5 * dt * k2q, qd + 0.5 * dt * k2d
-    k3q, k3d = yd, accel(yq, yd, drive, tau_ext)
+    k3q, k3d = yd, accel(yd, sin(yq), friction(yd), drive, tau_ext)
     yq, yd = q + dt * k3q, qd + dt * k3d
-    k4q, k4d = yd, accel(yq, yd, drive, tau_ext)
+    k4q, k4d = yd, accel(yd, sin(yq), friction(yd), drive, tau_ext)
     h = dt / 6.0
     dq = (k1q + 2.0 * k2q + 2.0 * k3q + k4q) * h
     dqd = (k1d + 2.0 * k2d + 2.0 * k3d + k4d) * h
@@ -160,14 +161,19 @@ def pcb_insertion_profile(t: float) -> float:
     return 28.0
 
 
-def burr_disturbance(q: float, qd: float, rng, bands=DEFAULT_BURR_BANDS, noise_sigma: float = 2.0) -> float:
-    """Disturbance torque: banded viscous drag plus Gaussian sensor noise."""
+def _banded_drag(q: float, qd: float, bands) -> float:
+    """Viscous drag of the first band (lo, hi, gain) holding q, else 0."""
     b = 0.0
     for lo, hi, gain in bands:
         if lo < q < hi:
             b = gain
             break
-    tau = b * qd
+    return b * qd
+
+
+def burr_disturbance(q: float, qd: float, rng, bands=DEFAULT_BURR_BANDS, noise_sigma: float = 2.0) -> float:
+    """Disturbance torque: banded viscous drag plus Gaussian sensor noise."""
+    tau = _banded_drag(q, qd, bands)
     if noise_sigma > 0.0:
         tau += rng.normal(0.0, noise_sigma)
     return tau
@@ -359,7 +365,10 @@ def run_fma_scenario(scenario: FmaScenario) -> SimulationTrace:
     moving-average-filtered disturbance measurement; voltages and the
     disturbance torque are held over the tick. The controller and the
     plant are the per-tick laws of ``fma.reduced_terms``, the ones
-    ``computed_torque_voltage`` and ``reduced_dynamics`` evaluate.
+    ``computed_torque_voltage`` and ``reduced_dynamics`` evaluate. Friction
+    and sin(q) are evaluated once per state, the tick's acceleration is the
+    first RK4 stage, and the burr noise is one ``rng.normal`` draw of
+    n_ticks + 1 samples: the stream of one ``burr_disturbance`` per tick.
     """
     plant = scenario.plant
     ctrl = scenario.controller_model if scenario.controller_model is not None else plant
@@ -369,6 +378,7 @@ def run_fma_scenario(scenario: FmaScenario) -> SimulationTrace:
     weights = (policy.quiet, policy.disturbed) if policy else (None,)
     plant_terms = [fma.reduced_terms(plant, w) for w in weights]
     ctrl_terms = [fma.reduced_terms(ctrl, w) for w in weights]
+    g_plus = [pt.g_plus.tolist() for pt in plant_terms]
 
     if scenario.reference == "trapezoid":
         w_pk, total, q0 = scenario.peak_speed, scenario.duration, scenario.q0
@@ -379,13 +389,17 @@ def run_fma_scenario(scenario: FmaScenario) -> SimulationTrace:
     else:
         ref = lambda t: (scenario.q0, 0.0, 0.0)
 
-    rng = np.random.default_rng(scenario.seed)
     tau_history = deque([0.0] * scenario.tau_filter_window, maxlen=scenario.tau_filter_window)
 
     dt = scenario.timestep
     tick = scenario.control_period
     substeps = scenario.substeps
     n_ticks = round(scenario.duration / tick)
+
+    burr = scenario.disturbance
+    noise = None
+    if burr is not None and burr.noise_sigma > 0.0:
+        noise = np.random.default_rng(scenario.seed).normal(0.0, burr.noise_sigma, n_ticks + 1)
 
     rows = np.empty((n_ticks + 1, len(TRACE_COLUMNS)))
     tau_out = np.empty(n_ticks + 1)
@@ -398,30 +412,29 @@ def run_fma_scenario(scenario: FmaScenario) -> SimulationTrace:
         if not (math.isfinite(q) and math.isfinite(qd)) or abs(q) > 1e9 or abs(qd) > 1e9:
             raise SimulationBlowUpError(f"{scenario.name}: state diverged at t={t:.4f} s")
 
-        if scenario.disturbance is not None:
-            tau_ext = burr_disturbance(
-                q, qd, rng, scenario.disturbance.bands, scenario.disturbance.noise_sigma
-            )
-        else:
-            tau_ext = 0.0
+        tau_ext = 0.0 if burr is None else _banded_drag(q, qd, burr.bands)
+        if noise is not None:
+            tau_ext += noise.item(k)
         tau_history.append(tau_ext)
         filt = window_mean(tau_history)
         disturbed = policy is not None and fma.weighting(policy, filt) is policy.disturbed
-        pt = plant_terms[disturbed]
+        pt, ct = plant_terms[disturbed], ctrl_terms[disturbed]
 
         q_ref, qd_ref, qdd_ref = ref(t)
-        v = ctrl_terms[disturbed].voltages(q, qd, q_ref, qd_ref, qdd_ref, scenario.kp, scenario.kv)
+        sin_q, fric = math.sin(q), fma.stribeck_friction(qd)
+        v = ct.voltages(q, qd, sin_q, fric, q_ref, qd_ref, qdd_ref, scenario.kp, scenario.kv)
         drive = float(pt.voltage_row @ v)
-        qdd_now = pt.acceleration(q, qd, drive, tau_ext)
-        rows[k] = (t, q, q_ref, qd, qd_ref, pt.g_plus[0] * qd, pt.g_plus[1] * qd, v[0], v[1], tau_ext)
-        tau_out[k] = pt.output_torque(q, qd, qdd_now, tau_ext)
+        qdd_now = pt.acceleration(qd, sin_q, fric, drive, tau_ext)
+        g1, g2 = g_plus[disturbed]
+        rows[k] = (t, q, q_ref, qd, qd_ref, g1 * qd, g2 * qd, *v.tolist(), tau_ext)
+        tau_out[k] = pt.output_torque(sin_q, fric, qdd_now, tau_ext)
         tau_filtered[k] = filt
         disturbed_flag[k] = disturbed
 
         if k == n_ticks:
             break
         for s in range(substeps):
-            q, qd = _rk4_reduced(pt, drive, tau_ext, q, qd, t + s * dt, dt)
+            q, qd = _rk4_reduced(pt, drive, tau_ext, q, qd, t + s * dt, dt, None if s else qdd_now)
 
     meta = {
         "kind": "fma",
@@ -658,8 +671,8 @@ def _fma_metrics(trace: SimulationTrace) -> Metrics:
     total = energies[0] + energies[1]
     notes = []
     if total > 0.0:
-        pvke = (100.0 * energies[0] / total, 100.0 * energies[1] / total)
-        pvke = (pvke[0], 100.0 - pvke[0])
+        share = 100.0 * energies[0] / total
+        pvke = (share, 100.0 - share)
     else:
         pvke = None
         notes.append("kinetic-energy partition undefined: rotors never moved")
@@ -815,7 +828,7 @@ def _trace_csv_lines(trace: SimulationTrace):
     yield ",".join(trace.columns) + "\n"
     row_format = ",".join(["%.17g"] * len(trace.columns)) + "\n"
     for row in trace.data:
-        yield row_format % tuple(row)
+        yield row_format % tuple(row.tolist())
 
 
 def trace_csv_text(trace: SimulationTrace) -> str:

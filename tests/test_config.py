@@ -138,6 +138,20 @@ def test_default_bands_are_the_schema_default():
     assert build_scenario(cfg).disturbance.bands == BurrDisturbance().bands
 
 
+def test_band_unit_deg_leaves_default_bands_in_rad():
+    cfg = parse_config(MINIMAL_FMA + "\n[disturbance]\nkind = burr\nband_unit = deg\n")
+    assert cfg.disturbance["bands"] == BurrDisturbance().bands
+    assert cfg.disturbance["band_unit"] == "rad"
+
+
+def test_replace_values_converts_only_the_bands_it_is_given():
+    cfg = load_scenario("fma-paper-deburr")
+    assert replace_values(cfg, "disturbance", band_unit="deg") == cfg
+    cfg = replace_values(cfg, "disturbance", bands=((30.0, 60.0, 5.0),), band_unit="deg")
+    assert cfg.disturbance["bands"] == ((math.radians(30.0), math.radians(60.0), 5.0),)
+    assert cfg.disturbance["band_unit"] == "rad"
+
+
 @pytest.mark.parametrize("bands", ["1:inf:5", "nan:2:5", "1:2:nan"])
 def test_non_finite_band_is_named(bands):
     text = MINIMAL_FMA + f"\n[disturbance]\nkind = burr\nbands = {bands}\n"
@@ -175,6 +189,32 @@ def test_replace_values_revalidates():
         replace_values(cfg, "run", warp=1)
     with pytest.raises(ConfigError):
         replace_values(cfg, "reference", duration=-1.0)
+
+
+@pytest.mark.parametrize(
+    "section, updates, match",
+    [
+        ("controller", {"kp": float("nan")}, r"\[controller\] kp: expected a finite number"),
+        ("reference", {"q0": float("inf")}, r"\[reference\] q0: expected a finite number"),
+        ("reference", {"profile": "spline"}, r"\[reference\] profile: expected one of"),
+        ("disturbance", {"kind": "chatter"}, r"\[disturbance\] kind: expected one of"),
+        ("disturbance", {"bands": ((1.0, float("nan"), 5.0),)}, r"\[disturbance\] bands: expected a finite"),
+        ("disturbance", {"bands": ((1.0, 2.0),)}, r"\[disturbance\] bands: each band must be lo:hi:gain"),
+        ("run", {"seed": 7.5}, r"\[run\] seed: not a valid value"),
+        ("controller", {"kv": "fast"}, r"\[controller\] kv: not a valid value"),
+    ],
+)
+def test_replace_values_checks_each_value_as_parsing_does(section, updates, match):
+    with pytest.raises(ConfigError, match=match):
+        replace_values(load_scenario("fma-paper-deburr"), section, **updates)
+
+
+def test_replace_values_stores_checked_values():
+    cfg = replace_values(load_scenario("fma-paper-deburr"), "run", seed=np.int64(11))
+    assert type(cfg.run["seed"]) is int and cfg.run["seed"] == 11
+    cfg = replace_values(cfg, "controller", kp=np.float64(250.0))
+    assert type(cfg.controller["kp"]) is float
+    assert build_scenario(cfg).kp == 250.0
 
 
 def test_build_fma_scenario():

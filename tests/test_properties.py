@@ -1,4 +1,5 @@
 """Invariants checked over generated inputs with hypothesis."""
+import math
 from collections import deque
 from dataclasses import fields, is_dataclass, replace
 
@@ -27,8 +28,15 @@ from fmasim.dynamics import (
     inverse_dynamics,
 )
 from fmasim.errors import SimulationBlowUpError
-from fmasim.fixtures import fma_paper_plant
-from fmasim.fma import reduced_terms, stribeck_friction
+from fmasim.fixtures import fma_paper_design, fma_paper_plant, fma_paper_weighting
+from fmasim.fma import (
+    computed_torque_voltage,
+    reduced_dynamics,
+    reduced_terms,
+    stribeck_friction,
+    weighted_pseudo_inverse,
+    weighting,
+)
 from fmasim.force_control import ContactSurface, SignalConditioner, normal_force, window_mean
 from fmasim.kinematics import (
     DHRow,
@@ -41,7 +49,15 @@ from fmasim.kinematics import (
     g_function,
     h_function,
 )
-from fmasim.simulation import _rk4_reduced, rk4_step, run_fma_scenario
+from fmasim.simulation import (
+    BurrDisturbance,
+    FmaScenario,
+    _rk4_reduced,
+    burr_disturbance,
+    rk4_step,
+    run_fma_scenario,
+    trapezoidal_profile,
+)
 from fmasim.spatial import Wrench
 
 from oracles import fd_hessian, fd_jacobian, loop_frame_transforms, moving_average_outputs
@@ -382,7 +398,7 @@ def reduced_steps(draw):
 
 def _array_rk4(terms, drive, tau_ext, q, qd, t, dt):
     def deriv(_t, y):
-        return (y[1], terms.acceleration(y[0], y[1], drive, tau_ext))
+        return (y[1], terms.acceleration(y[1], math.sin(y[0]), stribeck_friction(y[1]), drive, tau_ext))
 
     return rk4_step(deriv, np.array([q, qd]), t, dt)
 
@@ -414,6 +430,92 @@ def test_float_rk4_blows_up_as_rk4_step(case, bad, data):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationBlowUpError) as from_arrays:
         _array_rk4(*case)
     assert str(from_floats.value) == str(from_arrays.value)
+
+
+@st.composite
+def short_fma_scenarios(draw):
+    """A run of 5-15 ticks of 1 ms, 1-5 substeps each, starting in or near
+    a burr band, with each of the runner's switches drawn."""
+    def model(base):
+        return replace(base, friction_model=draw(st.sampled_from(["stribeck", "none"])))
+
+    substeps = draw(st.integers(1, 5))
+    sigma = draw(st.sampled_from([2.0, None, 0.0]))  # None: no disturbance
+    # A threshold near zero, so that short runs switch weights both ways.
+    policy = replace(fma_paper_weighting(), torque_threshold=draw(st.floats(-1.0, 1.0)))
+    return FmaScenario(
+        plant=model(fma_paper_plant()),
+        controller_model=model(fma_paper_design()) if draw(st.booleans()) else None,
+        weighting=draw(st.sampled_from([None, policy])),
+        reference=draw(st.sampled_from(["trapezoid", "rest"])),
+        duration=draw(st.integers(5, 15)) * 1.0e-3,
+        omega_peak=draw(st.one_of(st.none(), st.floats(0.5, 20.0))),
+        disturbance=None if sigma is None else BurrDisturbance(noise_sigma=sigma),
+        timestep=1.0e-3 / substeps,
+        tau_filter_window=draw(st.integers(1, 16)),
+        seed=draw(st.integers(0, 2**32)),
+        q0=draw(st.floats(0.5, 4.5)),
+        qd0=draw(st.floats(-3.0, 3.0)),
+    )
+
+
+def _reference_fma_run(sc):
+    """run_fma_scenario as a plain loop over the public laws: one scalar
+    burr_disturbance draw and the weights from scratch every tick, and
+    reduced_dynamics stepped by rk4_step."""
+    plant = sc.plant
+    ctrl = sc.controller_model or plant
+    rng = np.random.default_rng(sc.seed)
+    history = deque([0.0] * sc.tau_filter_window, maxlen=sc.tau_filter_window)
+    n_ticks = round(sc.duration / sc.control_period)
+    rows, tau_out, filtered, disturbed = [], [], [], []
+    q, qd = sc.q0, sc.qd0
+    for k in range(n_ticks + 1):
+        t = k * sc.control_period
+        tau_ext = 0.0
+        if sc.disturbance is not None:
+            dist = sc.disturbance
+            tau_ext = burr_disturbance(q, qd, rng, dist.bands, dist.noise_sigma)
+        history.append(tau_ext)
+        filt = window_mean(history)
+        w = None if sc.weighting is None else weighting(sc.weighting, filt)
+        if sc.reference == "trapezoid":
+            q_ref, qd_ref, qdd_ref = trapezoidal_profile(t, sc.duration, sc.peak_speed)
+            q_ref = sc.q0 + q_ref
+        else:
+            q_ref, qd_ref, qdd_ref = sc.q0, 0.0, 0.0
+        v = computed_torque_voltage(ctrl, q, qd, q_ref, qd_ref, qdd_ref, sc.kp, sc.kv, w)
+        qdd = reduced_dynamics(plant, q, qd, v, tau_ext, w)
+        g_plus = weighted_pseudo_inverse(plant.g_row, w)
+        rows.append((t, q, q_ref, qd, qd_ref, g_plus[0] * qd, g_plus[1] * qd, v[0], v[1], tau_ext))
+        fric = stribeck_friction(qd) if plant.friction_model == "stribeck" else 0.0
+        tau_out.append(plant.output_inertia() * qdd + plant.output_gravity(q) + fric + tau_ext)
+        filtered.append(filt)
+        disturbed.append(w is not None and w is sc.weighting.disturbed)
+        if k == n_ticks:
+            break
+
+        def deriv(_t, y):
+            return (y[1], reduced_dynamics(plant, y[0], y[1], v, tau_ext, w))
+
+        y = np.array([q, qd])
+        for s in range(sc.substeps):
+            y = rk4_step(deriv, y, t + s * sc.timestep, sc.timestep)
+        q, qd = float(y[0]), float(y[1])
+    aux = {"tau_out": tau_out, "tau_filtered": filtered, "disturbed": disturbed}
+    return np.array(rows), {name: np.array(values) for name, values in aux.items()}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(short_fma_scenarios())
+def test_fma_runner_is_the_loop_over_the_public_laws(sc):
+    trace = run_fma_scenario(sc)
+    rows, aux = _reference_fma_run(sc)
+    assert _same_bits(trace.data, rows)
+    assert trace.aux.keys() == aux.keys()
+    for name, values in aux.items():
+        assert trace.aux[name].dtype == values.dtype
+        assert _same_bits(trace.aux[name], values), name
 
 
 # Values a key may take, by what it names: fixtures by their registries, a
