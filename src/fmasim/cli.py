@@ -123,7 +123,7 @@ def cmd_envelope(args) -> int:
         raise ConfigError(f"--parallel must be at least 1, got {args.parallel}")
 
     base_name = cfg.run["name"]
-    base_peak = cfg.reference["omega_peak"]
+    base_peak = config_mod.build_scenario(cfg).peak_speed
     variants = []
     for mult in multipliers:
         variant = config_mod.replace_values(cfg, "reference", omega_peak=base_peak * mult)

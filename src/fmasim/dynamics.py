@@ -27,6 +27,7 @@ import numpy as np
 from .errors import DegenerateConfigurationError
 from .kinematics import JointState, SerialChainModel, _g_of, _h_of, _target_g, frame_transforms
 from .spatial import Wrench
+from .units import GRAVITY
 
 CONDITION_LIMIT = 1.0e12
 
@@ -59,7 +60,7 @@ class DynamicsQuantities:
 
 
 def _gravity_vector(gravity) -> np.ndarray:
-    return np.array([0.0, 0.0, -9.81]) if gravity is None else np.asarray(gravity, dtype=float)
+    return np.array([0.0, 0.0, -GRAVITY]) if gravity is None else np.asarray(gravity, dtype=float)
 
 
 def _skew(v: np.ndarray) -> np.ndarray:

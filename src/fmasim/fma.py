@@ -378,10 +378,12 @@ def computed_torque_voltage(
 def electromagnetic_torques(
     model: DualActuatorModel, v: np.ndarray, qd_m: np.ndarray
 ) -> np.ndarray:
-    """Air-gap torques K_m (v - K_b qd_M) / R_a of both prime movers."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    qd_m = np.asarray(qd_m, dtype=float).reshape(-1)
-    out = np.empty(2)
-    for i, pm in enumerate((model.motion_pm, model.force_pm)):
-        out[i] = pm.torque_constant * (v[i] - pm.back_emf_constant * qd_m[i]) / pm.armature_resistance
-    return out
+    """Air-gap torques K_m (v - K_b qd_M) / R_a of both prime movers.
+
+    ``v`` and ``qd_m`` are (..., 2) arrays, (motion, force) on the last axis.
+    """
+    pms = (model.motion_pm, model.force_pm)
+    km, kb, ra = np.array(
+        [(pm.torque_constant, pm.back_emf_constant, pm.armature_resistance) for pm in pms]
+    ).T
+    return km * (np.asarray(v, dtype=float) - kb * np.asarray(qd_m, dtype=float)) / ra

@@ -43,14 +43,15 @@ DEFAULT_BURR_BANDS = ((1.0, 2.0, 5.0), (3.0, 4.0, 25.0))
 
 # Limits a scenario must keep, checked when it is built, before its runner
 # allocates or loops: the trace's bytes (rows x columns x 8), a filter
-# window's length in samples, and the integration steps (ticks x substeps).
+# window's length in samples, and both the integration steps (ticks x
+# substeps) and the filter's reads (ticks x window).
 MAX_TRACE_BYTES = 2**30
 MAX_FILTER_WINDOW = 2**20
 MAX_STEPS = 10**8
 
 
 def _check_run_size(ticks: float, substeps: int, columns: int, window_key: str, window: int):
-    """Raise ValueError when a run of ``ticks`` control ticks would pass a limit above."""
+    """Raise ValueError when a run of ``ticks`` control ticks would pass a limit above, or has no window."""
     if not math.isfinite(ticks):
         raise ValueError(f"the run would take {ticks} control ticks")
     rows = round(ticks) + 1
@@ -60,14 +61,20 @@ def _check_run_size(ticks: float, substeps: int, columns: int, window_key: str, 
             f"the trace would take {size:.3g} bytes ({rows} rows x {columns} columns x 8); "
             f"the limit is {MAX_TRACE_BYTES} bytes"
         )
+    if window < 1:
+        raise ValueError(f"{window_key} must be at least 1")
     if window > MAX_FILTER_WINDOW:
         raise ValueError(f"{window_key} = {window} samples; the limit is {MAX_FILTER_WINDOW}")
-    steps = (rows - 1) * substeps
-    if steps > MAX_STEPS:
-        raise ValueError(
-            f"the run would take {steps:.3g} integration steps ({rows - 1} ticks x {substeps} "
-            f"substeps); the limit is {MAX_STEPS:.0e}"
-        )
+    ticks = rows - 1
+    for work, what, per_tick in (
+        (ticks * substeps, "integration steps", f"{substeps} substeps"),
+        (ticks * window, "filter reads", f"{window} samples"),
+    ):
+        if work > MAX_STEPS:
+            raise ValueError(
+                f"the run would take {work:.3g} {what} ({ticks} ticks x {per_tick}); "
+                f"the limit is {MAX_STEPS:.0e}"
+            )
 
 
 def rk4_step(deriv, state, t: float, dt: float):
@@ -220,13 +227,13 @@ class FmaScenario:
     def __post_init__(self):
         if self.timestep <= 0.0 or self.duration <= 0.0:
             raise ValueError("timestep and duration must be positive")
+        if (self.omega_peak or 0.0) < 0.0 or self.seed < 0:
+            raise ValueError("omega_peak and seed must be nonnegative")
         if self.reference not in ("trapezoid", "rest"):
             raise ValueError(f"unknown reference profile {self.reference!r}")
         substeps = self.control_period / self.timestep
-        if substeps < 1.0 - 1e-9 or abs(substeps - round(substeps)) > 1e-9 * substeps:
+        if not 1.0 - 1e-9 <= substeps < math.inf or abs(substeps - round(substeps)) > 1e-9 * substeps:
             raise ValueError("control_period must be an integer multiple of timestep")
-        if self.tau_filter_window < 1:
-            raise ValueError("tau_filter_window must be at least 1")
         _check_run_size(
             self.duration / self.control_period,
             self.substeps,
@@ -285,8 +292,15 @@ class ForceControlScenario:
             raise ValueError(f"unknown force reference {self.reference!r}")
         if self.control_rate <= 0.0 or self.duration <= 0.0:
             raise ValueError("control_rate and duration must be positive")
-        if self.physics_timestep <= 0.0 or self.physics_timestep > 1.0 / self.control_rate + 1e-12:
+        period = 1.0 / self.control_rate
+        if self.physics_timestep <= 0.0 or self.physics_timestep > period + 1e-12:
             raise ValueError("physics_timestep must be positive and within a control period")
+        if not max(period * period, period / self.physics_timestep) < math.inf:
+            raise ValueError(f"control_rate = {self.control_rate:g} Hz: its period squared or in steps overflows")
+        if self.reference == "sine" and self.sine_period <= 0.0:
+            raise ValueError("sine_period must be positive")
+        if self.deadband < 0.0 or self.seed < 0:
+            raise ValueError("deadband and seed must be nonnegative")
         if self.approach_speed <= 0.0 or self.start_height < 0.0:
             raise ValueError("approach_speed must be positive, start_height nonnegative")
         if self.arm_lag < 0.0:
@@ -297,8 +311,6 @@ class ForceControlScenario:
             raise ValueError("home configuration length must match the chain")
         if not all(math.isfinite(x) for x in self.home):
             raise ValueError("home configuration must be finite")
-        if self.filter_window < 1:
-            raise ValueError("filter_window must be at least 1")
         _check_run_size(
             self.duration * self.control_rate,
             self.substeps,
@@ -383,8 +395,8 @@ def run_fma_scenario(scenario: FmaScenario) -> SimulationTrace:
     if scenario.reference == "trapezoid":
         w_pk, total, q0 = scenario.peak_speed, scenario.duration, scenario.q0
 
-        def ref(t):
-            q, qd, qdd = trapezoidal_profile(t, total, w_pk)
+        def ref(t):  # the last tick can pass the duration (0.3 s in 0.1 s ticks); hold the end
+            q, qd, qdd = trapezoidal_profile(min(t, total), total, w_pk)
             return q0 + q, qd, qdd
     else:
         ref = lambda t: (scenario.q0, 0.0, 0.0)
@@ -442,11 +454,7 @@ def run_fma_scenario(scenario: FmaScenario) -> SimulationTrace:
         "control_period": tick,
         "reference": scenario.reference,
         "omega_peak": scenario.peak_speed if scenario.reference == "trapezoid" else 0.0,
-        "rotor_inertias": (plant.motion_pm.rotor_inertia, plant.force_pm.rotor_inertia),
-        "motor_constants": tuple(
-            (pm.torque_constant, pm.back_emf_constant, pm.armature_resistance)
-            for pm in (plant.motion_pm, plant.force_pm)
-        ),
+        "plant": plant,
         "seed": scenario.seed,
     }
     aux = {"tau_out": tau_out, "tau_filtered": tau_filtered, "disturbed": disturbed_flag}
@@ -665,9 +673,8 @@ def _fma_metrics(trace: SimulationTrace) -> Metrics:
     qd_err = np.abs(trace.column("qd") - trace.column("qd_ref"))
     qm = np.column_stack([trace.column("qM1"), trace.column("qM2")])
     vs = np.column_stack([trace.column("v1"), trace.column("v2")])
-    i_m = trace.meta["rotor_inertias"]
-
-    energies = [0.5 * i_m[j] * float(np.mean(qm[:, j] ** 2)) for j in range(2)]
+    pms = (trace.meta["plant"].motion_pm, trace.meta["plant"].force_pm)
+    energies = [0.5 * pm.rotor_inertia * float(np.mean(qm[:, j] ** 2)) for j, pm in enumerate(pms)]
     total = energies[0] + energies[1]
     notes = []
     if total > 0.0:
@@ -677,9 +684,7 @@ def _fma_metrics(trace: SimulationTrace) -> Metrics:
         pvke = None
         notes.append("kinetic-energy partition undefined: rotors never moved")
 
-    torques = []
-    for j, (km, kb, ra) in enumerate(trace.meta["motor_constants"]):
-        torques.append(float(np.mean(np.abs(km * (vs[:, j] - kb * qm[:, j]) / ra))))
+    tau_m = fma.electromagnetic_torques(trace.meta["plant"], vs, qm)
 
     return Metrics(
         kind="fma",
@@ -689,7 +694,7 @@ def _fma_metrics(trace: SimulationTrace) -> Metrics:
         mean_velocity_error=float(np.mean(qd_err)),
         pvke_percent=pvke,
         mean_abs_speed=(float(np.mean(np.abs(qm[:, 0]))), float(np.mean(np.abs(qm[:, 1])))),
-        mean_abs_torque=tuple(torques),
+        mean_abs_torque=(float(np.mean(np.abs(tau_m[:, 0]))), float(np.mean(np.abs(tau_m[:, 1])))),
         notes=tuple(notes),
     )
 

@@ -6,6 +6,7 @@ import pytest
 
 from fmasim import cli, fixtures
 from fmasim.cli import main
+from fmasim.simulation import trapezoidal_profile
 
 REST_INI = """
 [plant]
@@ -76,12 +77,15 @@ def test_unknown_chain_fixture(capsys):
     assert "hexapod" in err
 
 
-def _builtin_variant(tmp_path, name, old, new):
-    """A copy of a built-in scenario file with one piece of its text replaced."""
+def _builtin_variant(tmp_path, name, *edits):
+    """A copy of a built-in scenario file with pieces of its text replaced:
+    edits alternate old, new."""
     text = resources.files("fmasim").joinpath("scenarios", f"{name}.ini").read_text(encoding="utf-8")
-    assert old in text
+    for old, new in zip(edits[::2], edits[1::2]):
+        assert old in text
+        text = text.replace(old, new, 1)
     path = tmp_path / f"{name}-variant.ini"
-    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -114,6 +118,12 @@ def test_unknown_surface_fixture(tmp_path, capsys):
             "seed = 20040815",
             "seed = 20040815\ntimestep = 1e-9 s\ncontrol_period = 1 s",
             "1e+10 integration steps (10 ticks x 1000000000 substeps)",
+        ),
+        (
+            "fma-paper-deburr",
+            "kv = 60",
+            "kv = 60\ntau_filter_window = 1048576",
+            "1.05e+10 filter reads (10000 ticks x 1048576 samples)",
         ),
     ],
 )
@@ -164,6 +174,53 @@ def test_non_finite_config_value_exits_2_naming_the_key(
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}: expected a finite number") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "name, edits, args, rule",
+    [
+        ("fma-paper-deburr", ("duration = 10 s", "duration = 0 s"), [], "duration must be positive"),
+        ("force-regulation", ("deadband = 0.25 lbf", "deadband = -1 N"), [], "deadband and seed must be"),
+        ("force-sine-tracking", ("period = 50 s", "period = 0 s"), [], "sine_period must be positive"),
+        (
+            "force-regulation",
+            ("control_rate = 15 Hz", "control_rate = 1e-300 Hz"),
+            [],
+            "control_rate = 1e-300 Hz: its period squared or in steps overflows",
+        ),
+        ("fma-paper-deburr", (), ["--seed", "-1"], "seed must be nonnegative"),
+        (
+            "force-regulation",
+            (
+                "control_rate = 15 Hz",
+                "control_rate = 1e-150 Hz",
+                "seed = 0",
+                "seed = 0\nphysics_timestep = 1e-200 s",
+            ),
+            [],
+            "control_rate = 1e-150 Hz: its period squared or in steps overflows",
+        ),
+        (
+            "fma-paper-deburr",
+            ("seed = 20040815", "seed = 20040815\ntimestep = 1e-10 s\ncontrol_period = 1e300 s"),
+            [],
+            "control_period must be an integer multiple of timestep",
+        ),
+    ],
+)
+def test_out_of_range_scenario_exits_2_when_built(tmp_path, monkeypatch, capsys, name, edits, args, rule):
+    # Each rule is the scenario's, checked when it is built. Without it the
+    # runner fails inside its loop, or the build divides by 0 or rounds inf.
+    def unreachable(scenario):
+        raise AssertionError("an out-of-range scenario reached its runner")
+
+    monkeypatch.setattr(cli, "run_fma_scenario", unreachable)
+    monkeypatch.setattr(cli, "run_force_control_scenario", unreachable)
+    cfg = _builtin_variant(tmp_path, name, *edits)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: inconsistent scenario: ") and err.count("\n") == 1
+    assert rule in err
 
 
 def test_key_error_inside_a_run_propagates(rest_config, tmp_path, monkeypatch):
@@ -317,6 +374,19 @@ def test_config_that_is_not_utf8(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "UTF-8" in err
     assert len(err.splitlines()) == 1
+
+
+def test_trapezoid_run_ending_past_its_duration_exits_0(tmp_path, capsys):
+    # Three 0.1 s ticks end at 0.30000000000000004 s, past the 0.3 s sweep,
+    # where the reference holds its end.
+    text = REST_INI.replace("profile = rest\nduration = 0.5 s", "profile = trapezoid\nduration = 0.3 s")
+    path = tmp_path / "sweep.ini"
+    path.write_text(text + "timestep = 0.1 s\ncontrol_period = 0.1 s\n")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    rows = np.loadtxt(tmp_path / "out" / "trace.csv", delimiter=",", skiprows=1)
+    assert rows[-1, 0] > 0.3
+    assert tuple(rows[-1, 2:5:2]) == trapezoidal_profile(0.3, 0.3, 2.0 * np.pi / 0.3)[:2]
 
 
 def test_wrist_singularity_exits_3(tmp_path, capsys):

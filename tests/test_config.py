@@ -52,8 +52,10 @@ def test_minimal_fma_parses_with_defaults():
     assert cfg.plant["controller_model"] == "fma-paper"
     assert cfg.controller["kp"] == 100.0
     assert cfg.run["timestep"] == 1.0e-3
-    # trapezoid peak speed defaults to one sweep over the duration
-    assert cfg.reference["omega_peak"] == pytest.approx(2.0 * math.pi / 10.0)
+    # trapezoid peak speed defaults to one sweep over the duration, a law
+    # of the scenario: the config keeps 0
+    assert cfg.reference["omega_peak"] == 0.0
+    assert build_scenario(cfg).peak_speed == 2.0 * math.pi / 10.0
 
 
 def test_minimal_force_parses_with_defaults():
@@ -76,7 +78,7 @@ def test_contact_defaults_are_the_law_defaults():
     # Every field a minimal config leaves unset is the dataclass default,
     # and each key sets the field of its own name (or its one rename).
     set_by_minimal = {
-        MINIMAL_FMA: {"plant", "controller_model", "reference", "duration", "omega_peak"},
+        MINIMAL_FMA: {"plant", "controller_model", "reference", "duration"},
         MINIMAL_FORCE: {"chain", "surface", "gains", "law", "reference", "duration"},
     }
     for text, given in set_by_minimal.items():
@@ -161,8 +163,8 @@ def test_non_finite_band_is_named(bands):
 
 def test_band_order_validated():
     text = MINIMAL_FMA + "\n[disturbance]\nkind = burr\nbands = 2:1:5\nband_unit = rad\n"
-    with pytest.raises(ConfigError):
-        parse_config(text)
+    with pytest.raises(ConfigError, match="hi > lo"):
+        build_scenario(parse_config(text))
 
 
 def test_round_trip_identity_for_builtins():
@@ -187,8 +189,11 @@ def test_replace_values_revalidates():
     assert cfg.run["seed"] == 0
     with pytest.raises(ConfigError):
         replace_values(cfg, "run", warp=1)
-    with pytest.raises(ConfigError):
-        replace_values(cfg, "reference", duration=-1.0)
+    with pytest.raises(ConfigError, match="finite"):
+        replace_values(cfg, "reference", duration=float("nan"))
+    # ranges are the scenario's rules, checked when the variant is built
+    with pytest.raises(ConfigError, match="duration must be positive"):
+        build_scenario(replace_values(cfg, "reference", duration=-1.0))
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,11 @@
 """Invariants checked over generated inputs with hypothesis."""
+import contextlib
+import io
 import math
+import tempfile
 from collections import deque
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fmasim import config, fixtures
+from fmasim import cli, config, fixtures
 from fmasim.config import (
     build_scenario,
     load_scenario,
@@ -598,3 +602,57 @@ def test_serialized_config_parses_back_to_itself(text):
     built, rebuilt = build_scenario(cfg), build_scenario(again)
     for f in fields(built):
         assert _same(getattr(rebuilt, f.name), getattr(built, f.name)), f.name
+
+
+# Values past a numeric key's bounds: 0 and -1 below most ranges, 1e-300
+# and 1e300 at the ends of the floats, nan and inf no numbers at all, and
+# "1.5 steps" a control period that is no whole number of timesteps.
+_PAST_BOUNDS = ("0", "-1", "1e-300", "1e300", "nan", "inf", "1.5 steps")
+
+
+@st.composite
+def configs_past_one_bound(draw):
+    """Variants of one config_texts() file: one per numeric key, with that
+    key set to a value past its bound and every other key left valid.
+
+    The durations are those of config_texts(), at most 100 control ticks,
+    so a variant that passes every check still runs in milliseconds.
+    """
+    lines = draw(config_texts()).splitlines()
+    cfg = parse_config("\n".join(lines))
+    schema, section, variants = config._SCHEMAS[cfg.kind], None, []
+    # Consecutive keys take consecutive values, so that every key meets
+    # every value over a few examples.
+    turn = draw(st.integers(0, len(_PAST_BOUNDS) - 1))
+    for i, line in enumerate(lines):
+        if line.startswith("["):
+            section = line[1:-1]
+            continue
+        key, _, value = line.partition(" = ")
+        spec = schema[section][key]
+        if spec.parse not in ("int", "quantity", "vector"):
+            continue
+        bad = _PAST_BOUNDS[(turn + len(variants)) % len(_PAST_BOUNDS)]
+        if bad == "1.5 steps":
+            bad = repr(1.5 * cfg.run.get("timestep", cfg.run.get("physics_timestep")))
+        if spec.parse == "vector":
+            angles = value.split()[:-1]
+            angles[draw(st.integers(0, len(angles) - 1))] = bad
+            bad = " ".join(angles)
+        variants.append("\n".join([*lines[:i], f"{key} = {bad} {spec.unit}".rstrip(), *lines[i + 1 :]]))
+    return variants
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(configs_past_one_bound())
+def test_simulate_exits_0_2_or_3_and_fails_in_one_line(variants):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.ini"
+        for text in variants:
+            path.write_text(text + "\n", encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(["simulate", "--config", str(path), "--out", tmp])
+            lines = err.getvalue().splitlines()
+            assert code in (0, 2, 3), text
+            assert code == 0 or (len(lines) == 1 and lines[0].startswith("error: ")), (lines, text)
