@@ -12,6 +12,7 @@ singular configuration).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -140,9 +141,9 @@ def cmd_envelope(args) -> int:
     points = envelope_points(traces)
 
     csv_path = out / "envelope.csv"
-    lines = ["torque,speed,tag"]
-    lines += [f"{p.torque:.17g},{p.speed:.17g},{p.tag}" for p in points]
-    csv_path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    with csv_path.open("w", encoding="utf-8", newline="") as f:  # a tag is quoted if it needs it
+        rows = [("torque", "speed", "tag")] + [(f"{p.torque:.17g}", f"{p.speed:.17g}", p.tag) for p in points]
+        csv.writer(f, lineterminator="\n").writerows(rows)
     written = [str(csv_path)]
     if args.svg:
         svg_path = out / "envelope.svg"

@@ -8,13 +8,15 @@ rather than ignored, so a typo cannot silently fall back to a default.
 
 A key left out takes the default of the scenario field it sets, in
 ``FmaScenario``, ``BurrDisturbance`` or ``ForceControlScenario``.
-Quantities carry a unit suffix ("0.25 lbf", "1 ms"), are converted to SI
-on parse and must be finite. Serialization writes canonical SI units, so
+A value carries one trailing unit ("0.25 lbf", "0 0.7 rad", "30:60:5 deg"
+for band edges), else is SI; it is converted to SI on parse and must be
+finite. Serialization writes canonical SI units, so
 ``parse_config(serialize_config(cfg)) == cfg`` for any parsed cfg.
 
 Parsing only turns text into values. Range rules, cross-key rules, the
-one-sweep peak speed and fixture names belong to the scenario classes and
-fixture registries, which check them when ``build_scenario`` builds one.
+one-sweep peak speed, the actuator as its own controller model and fixture
+names belong to the scenario classes and fixture registries, which check
+them when ``build_scenario`` builds one.
 """
 from __future__ import annotations
 
@@ -43,7 +45,7 @@ class _Key:
     """Schema entry: how to parse one key, which field it sets, how to write it back."""
 
     parse: str  # "str" | "int" | "quantity" | "vector" | "bands"
-    unit: str = ""  # canonical suffix used when serializing
+    unit: str = ""  # canonical suffix: written when serializing, read when a value has none
     choices: tuple = ()
     to: str = ""  # the scenario field the key sets as is
     default: object = _UNSET  # unset: the default of field ``to``, else required
@@ -65,13 +67,12 @@ def _field_defaults(keys: dict, scenario: type, **owners: type) -> dict:
 
 
 # Keys are materialized in schema order, defaults filled in, so a parsed
-# config is always fully explicit. band_unit is consumed during parsing
-# (band edges are converted to rad) and written back as "rad".
+# config is always fully explicit.
 _FMA_KEYS = {
     "plant": {
         "kind": _Key("str", choices=("fma", "chain")),
         "actuator": _Key("str"),
-        "controller_model": _Key("str", default=""),
+        "controller_model": _Key("str", default=""),  # "": the actuator
         "weighting": _Key("str", default="none"),
     },
     "controller": {
@@ -83,15 +84,14 @@ _FMA_KEYS = {
     "reference": {
         "profile": _Key("str", choices=("trapezoid", "rest"), to="reference", default=_REQUIRED),
         "duration": _Key("quantity", unit="s", to="duration", default=_REQUIRED),
-        "omega_peak": _Key("quantity", default=0.0, unit="rad/s"),  # 0: one sweep (peak_speed)
+        "omega_peak": _Key("quantity", unit="rad/s", to="omega_peak"),
         "q0": _Key("quantity", unit="rad", to="q0"),
         "qd0": _Key("quantity", unit="rad/s", to="qd0"),
     },
     "disturbance": {
         "kind": _Key("str", default="none", choices=("none", "burr")),
         "noise_sigma": _Key("quantity", unit="N*m", to="noise_sigma"),
-        "bands": _Key("bands", to="bands"),
-        "band_unit": _Key("str", default="rad", choices=("rad", "deg")),
+        "bands": _Key("bands", unit="rad", to="bands"),
     },
     "run": {
         "timestep": _Key("quantity", unit="s", to="timestep"),
@@ -180,13 +180,31 @@ def replace_values(cfg: ScenarioConfig, section: str, **updates) -> ScenarioConf
         except (TypeError, ValueError):
             raise ConfigError(f"[{section}] {key}: not a valid value: {value!r}") from None
         parts[section][key] = _parse_scalar(schema[key], section, key, text)
-    return _finalize(ScenarioConfig(**parts), bands_written=section == "disturbance" and "bands" in updates)
+    return ScenarioConfig(**parts)
 
 
-def _finite(where: str, x: float) -> float:
-    if not math.isfinite(x):
-        raise ConfigError(f"{where}: expected a finite number, got {x}")
-    return x
+def _quantities(where: str, tokens, unit: str) -> tuple:
+    """Each token read in unit, in SI; each must be finite."""
+    try:
+        values = [parse_quantity(f"{tok} {unit}".strip()) for tok in tokens]
+    except UnitError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    for x in values:
+        if not math.isfinite(x):
+            raise ConfigError(f"{where}: expected a finite number, got {x}")
+    return tuple(values)
+
+
+def _split_unit(text: str, default: str) -> tuple[str, str]:
+    """A value and its one trailing unit, default if it has none: the last
+    token, when that is neither a number nor a band."""
+    tokens = text.split()
+    if tokens and ":" not in tokens[-1]:
+        try:
+            float(tokens[-1])
+        except ValueError:
+            return " ".join(tokens[:-1]), tokens[-1]
+    return text, default
 
 
 def _parse_scalar(spec: _Key, section: str, key: str, text: str):
@@ -201,35 +219,18 @@ def _parse_scalar(spec: _Key, section: str, key: str, text: str):
             return int(text.strip())
         except ValueError:
             raise ConfigError(f"{where}: expected an integer, got {text!r}") from None
+    body, unit = _split_unit(text, spec.unit)
     if spec.parse == "quantity":
-        try:
-            return _finite(where, parse_quantity(text))
-        except UnitError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+        return _quantities(where, [body], unit)[0]
     if spec.parse == "vector":
-        tokens = text.split()
-        unit = ""
-        if tokens:
-            try:
-                float(tokens[-1])
-            except ValueError:
-                unit = tokens[-1]
-                tokens = tokens[:-1]
-        try:
-            return tuple(_finite(where, parse_quantity(f"{tok} {unit}".strip())) for tok in tokens)
-        except UnitError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-    if spec.parse == "bands":
+        return _quantities(where, body.split(), unit)
+    if spec.parse == "bands":  # the unit is the edges'; a gain is drag per speed
         out = []
-        for chunk in text.split(","):
+        for chunk in body.split(","):
             parts = chunk.split(":")
             if len(parts) != 3:
                 raise ConfigError(f"{where}: each band must be lo:hi:gain, got {chunk.strip()!r}")
-            try:
-                band = tuple(float(p) for p in parts)
-            except ValueError:
-                raise ConfigError(f"{where}: non-numeric band entry in {chunk.strip()!r}") from None
-            out.append(tuple(_finite(where, x) for x in band))
+            out.append(_quantities(where, parts[:2], unit) + _quantities(where, parts[2:], "N*m*s"))
         return tuple(out)
     raise AssertionError(f"unhandled value kind {spec.parse!r}")
 
@@ -244,7 +245,7 @@ def _format_scalar(spec: _Key, value) -> str:
     if spec.parse == "vector":
         return f"{' '.join(repr(float(x)) for x in value)} {spec.unit}".rstrip()
     if spec.parse == "bands":
-        return ", ".join(":".join(repr(float(x)) for x in band) for band in value)
+        return f"{', '.join(':'.join(repr(float(x)) for x in band) for band in value)} {spec.unit}"
     raise AssertionError(f"unhandled value kind {spec.parse!r}")
 
 
@@ -290,20 +291,7 @@ def parse_config(text: str) -> ScenarioConfig:
         raw = dict(parser.items(section)) if parser.has_section(section) else {}
         parts[section] = _materialize(schema[section], raw, section)
 
-    return _finalize(ScenarioConfig(**parts), bands_written=parser.has_option("disturbance", "bands"))
-
-
-def _finalize(cfg: ScenarioConfig, bands_written: bool) -> ScenarioConfig:
-    """Default the controller model to the actuator; put the bands in rad (written ones can be deg)."""
-    if cfg.kind == "fma":
-        if not cfg.plant["controller_model"]:
-            cfg.plant["controller_model"] = cfg.plant["actuator"]
-        dist = cfg.disturbance
-        if dist["band_unit"] == "deg" and bands_written:
-            rad = math.radians
-            dist["bands"] = tuple((rad(lo), rad(hi), gain) for lo, hi, gain in dist["bands"])
-        dist["band_unit"] = "rad"
-    return cfg
+    return ScenarioConfig(**parts)
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
@@ -340,13 +328,12 @@ def _copies(cfg: ScenarioConfig, *sections: str) -> dict:
 
 
 def _build_fma(cfg: ScenarioConfig) -> FmaScenario:
-    weighting = cfg.plant["weighting"]
+    model, weighting = cfg.plant["controller_model"], cfg.plant["weighting"]
     burr = cfg.disturbance["kind"] == "burr"
     return FmaScenario(
         plant=fixtures.actuator_fixture(cfg.plant["actuator"]),
-        controller_model=fixtures.actuator_fixture(cfg.plant["controller_model"]),
+        controller_model=fixtures.actuator_fixture(model) if model else None,
         weighting=None if weighting == "none" else fixtures.weighting_fixture(weighting),
-        omega_peak=cfg.reference["omega_peak"] or None,
         disturbance=BurrDisturbance(**_copies(cfg, "disturbance")) if burr else None,
         **_copies(cfg, "plant", "controller", "reference", "run"),
     )

@@ -214,7 +214,7 @@ class FmaScenario:
     kv: float = 20.0
     reference: str = "trapezoid"
     duration: float = 10.0
-    omega_peak: float | None = None
+    omega_peak: float = 0.0  # 0: one sweep over the duration (peak_speed)
     disturbance: BurrDisturbance | None = None
     timestep: float = 1.0e-3
     control_period: float = 1.0e-3
@@ -227,7 +227,7 @@ class FmaScenario:
     def __post_init__(self):
         if self.timestep <= 0.0 or self.duration <= 0.0:
             raise ValueError("timestep and duration must be positive")
-        if (self.omega_peak or 0.0) < 0.0 or self.seed < 0:
+        if self.omega_peak < 0.0 or self.seed < 0:
             raise ValueError("omega_peak and seed must be nonnegative")
         if self.reference not in ("trapezoid", "rest"):
             raise ValueError(f"unknown reference profile {self.reference!r}")
@@ -248,9 +248,7 @@ class FmaScenario:
 
     @property
     def peak_speed(self) -> float:
-        if self.omega_peak is not None:
-            return self.omega_peak
-        return 2.0 * math.pi / self.duration
+        return self.omega_peak or 2.0 * math.pi / self.duration
 
 
 @dataclass(frozen=True)
@@ -451,11 +449,7 @@ def run_fma_scenario(scenario: FmaScenario) -> SimulationTrace:
     meta = {
         "kind": "fma",
         "name": scenario.name,
-        "control_period": tick,
-        "reference": scenario.reference,
-        "omega_peak": scenario.peak_speed if scenario.reference == "trapezoid" else 0.0,
         "plant": plant,
-        "seed": scenario.seed,
     }
     aux = {"tau_out": tau_out, "tau_filtered": tau_filtered, "disturbed": disturbed_flag}
     return SimulationTrace(TRACE_COLUMNS, rows, meta, aux)
@@ -631,14 +625,12 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
     meta = {
         "kind": "force",
         "name": scenario.name,
-        "control_period": dt,
         "reference": scenario.reference,
         "force_target": -abs(scenario.force_target),
         "sine_amplitude": abs(scenario.sine_amplitude),
         "sine_period": scenario.sine_period,
         "deadband": scenario.deadband,
         "contact_time": contact_time,
-        "seed": scenario.seed,
     }
     aux = {"raw_force": raw_force, "phase": phase_code}
     return SimulationTrace(columns, rows, meta, aux)

@@ -34,6 +34,11 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return ticks
 
 
+def _escape(text: str) -> str:
+    """XML character data, as xml.sax.saxutils.escape, which imports urllib.request."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt(v: float) -> str:
     text = f"{v:.6g}"
     return text
@@ -106,17 +111,17 @@ def line_plot(
     if title:
         out.append(
             f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" '
-            f'font-size="14" font-weight="bold">{title}</text>'
+            f'font-size="14" font-weight="bold">{_escape(title)}</text>'
         )
     if xlabel:
         out.append(
             f'<text x="{_MARGIN_L + pw / 2:.0f}" y="{height - 10}" '
-            f'text-anchor="middle">{xlabel}</text>'
+            f'text-anchor="middle">{_escape(xlabel)}</text>'
         )
     if ylabel:
         out.append(
             f'<text x="16" y="{_MARGIN_T + ph / 2:.0f}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {_MARGIN_T + ph / 2:.0f})">{ylabel}</text>'
+            f'transform="rotate(-90 16 {_MARGIN_T + ph / 2:.0f})">{_escape(ylabel)}</text>'
         )
 
     for i, entry in enumerate(series):
@@ -134,7 +139,7 @@ def line_plot(
             f'<line x1="{_MARGIN_L + pw - 110}" y1="{ly - 4}" x2="{_MARGIN_L + pw - 86}" '
             f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>'
         )
-        out.append(f'<text x="{_MARGIN_L + pw - 80}" y="{ly}">{label}</text>')
+        out.append(f'<text x="{_MARGIN_L + pw - 80}" y="{ly}">{_escape(label)}</text>')
     out.append("</svg>")
     return "\n".join(out)
 

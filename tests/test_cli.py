@@ -1,5 +1,7 @@
+import csv
 import json
 from importlib import resources
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -292,6 +294,21 @@ def test_simulate_svg(rest_config, tmp_path, capsys):
     assert "</svg>" in text
 
 
+@pytest.mark.parametrize("name", ["reg <A&B>", "</text><script>alert(1)</script>"])
+def test_svg_text_is_escaped(name, tmp_path, capsys):
+    path = tmp_path / "named.ini"
+    path.write_text(REST_INI.replace("name = rest-hold", f"name = {name}"))
+    out = str(tmp_path / "runs")
+    assert main(["simulate", "--config", str(path), "--out", out, "--svg"]) == 0
+    assert main(["envelope", "--config", str(path), "--out", out, "--sweep", "1", "--svg"]) == 0
+    capsys.readouterr()
+    svg_ns = "{http://www.w3.org/2000/svg}"
+    for plot in ("trace.svg", "envelope.svg"):
+        root = ElementTree.parse(tmp_path / "runs" / plot).getroot()
+        assert any(name in el.text for el in root.iter(f"{svg_ns}text")), plot
+        assert not list(root.iter(f"{svg_ns}script")), plot
+
+
 def test_simulate_unknown_scenario(capsys):
     assert main(["simulate", "--config", "not-a-scenario"]) == 2
     err = capsys.readouterr().err
@@ -308,6 +325,25 @@ def test_envelope_outputs(rest_config, tmp_path, capsys):
     assert lines[0] == "torque,speed,tag"
     tags = {line.rsplit(",", 1)[1] for line in lines[1:]}
     assert tags == {"rest-hold@x0.5", "rest-hold@x1"}
+
+
+@pytest.mark.parametrize("name", ["deburr, pass 2", 'd\u00e9burr "2"'])
+def test_envelope_csv_quotes_a_tag_that_needs_it(name, tmp_path, capsys):
+    path = tmp_path / "named.ini"
+    path.write_text(REST_INI.replace("name = rest-hold", f"name = {name}"), encoding="utf-8")
+    assert main(["envelope", "--config", str(path), "--out", str(tmp_path), "--sweep", "0.5,1"]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "envelope.csv", newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["torque", "speed", "tag"]
+    assert {len(row) for row in rows} == {3}
+    assert {row[2] for row in rows[1:]} == {f"{name}@x0.5", f"{name}@x1"}
+
+
+def test_band_unit_key_exits_2_in_one_line(tmp_path, capsys):
+    cfg = _builtin_variant(tmp_path, "fma-paper-deburr", "3:4:25 rad", "3:4:25\nband_unit = deg")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: unknown key(s) in [disturbance]: ['band_unit']\n"
 
 
 def test_envelope_parallel_matches_serial(rest_config, tmp_path, capsys):

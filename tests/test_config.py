@@ -48,8 +48,10 @@ duration = 20 s
 def test_minimal_fma_parses_with_defaults():
     cfg = parse_config(MINIMAL_FMA)
     assert cfg.kind == "fma"
-    # absent controller model falls back to the actuator itself
-    assert cfg.plant["controller_model"] == "fma-paper"
+    # an absent controller model builds None, which the scenario reads as
+    # the actuator itself
+    assert cfg.plant["controller_model"] == ""
+    assert build_scenario(cfg).controller_model is None
     assert cfg.controller["kp"] == 100.0
     assert cfg.run["timestep"] == 1.0e-3
     # trapezoid peak speed defaults to one sweep over the duration, a law
@@ -78,7 +80,7 @@ def test_contact_defaults_are_the_law_defaults():
     # Every field a minimal config leaves unset is the dataclass default,
     # and each key sets the field of its own name (or its one rename).
     set_by_minimal = {
-        MINIMAL_FMA: {"plant", "controller_model", "reference", "duration"},
+        MINIMAL_FMA: {"plant", "reference", "duration"},
         MINIMAL_FORCE: {"chain", "surface", "gains", "law", "reference", "duration"},
     }
     for text, given in set_by_minimal.items():
@@ -122,36 +124,40 @@ def test_choice_validation():
 
 
 def test_band_unit_degrees_converted():
-    text = MINIMAL_FMA + "\n[disturbance]\nkind = burr\nbands = 30:60:5\nband_unit = deg\n"
+    # One trailing unit, as on a vector; it applies to the edges only.
+    text = MINIMAL_FMA + "\n[disturbance]\nkind = burr\nbands = 30:60:5 deg\n"
     cfg = parse_config(text)
     lo, hi, gain = cfg.disturbance["bands"][0]
     assert lo == pytest.approx(math.pi / 6.0)
     assert hi == pytest.approx(math.pi / 3.0)
     assert gain == 5.0
-    assert cfg.disturbance["band_unit"] == "rad"
+    assert "bands = 0.5235987755982988:1.0471975511965976:5.0 rad" in serialize_config(cfg)
 
 
 def test_default_bands_are_the_schema_default():
     # One source of truth: a burr section without bands gets the bands a
     # BurrDisturbance built in code gets, in rad.
     cfg = parse_config(MINIMAL_FMA + "\n[disturbance]\nkind = burr\n")
-    assert cfg.disturbance["band_unit"] == "rad"
     assert BurrDisturbance().bands == cfg.disturbance["bands"]
     assert build_scenario(cfg).disturbance.bands == BurrDisturbance().bands
 
 
-def test_band_unit_deg_leaves_default_bands_in_rad():
-    cfg = parse_config(MINIMAL_FMA + "\n[disturbance]\nkind = burr\nband_unit = deg\n")
-    assert cfg.disturbance["bands"] == BurrDisturbance().bands
-    assert cfg.disturbance["band_unit"] == "rad"
+def test_band_list_without_unit_is_in_rad():
+    cfg = parse_config(MINIMAL_FMA + "\n[disturbance]\nkind = burr\nbands = 30:60:5, 1:2:3\n")
+    assert cfg.disturbance["bands"] == ((30.0, 60.0, 5.0), (1.0, 2.0, 3.0))
+    assert cfg == parse_config(MINIMAL_FMA + "\n[disturbance]\nkind = burr\nbands = 30:60:5, 1:2:3 rad\n")
 
 
-def test_replace_values_converts_only_the_bands_it_is_given():
-    cfg = load_scenario("fma-paper-deburr")
-    assert replace_values(cfg, "disturbance", band_unit="deg") == cfg
-    cfg = replace_values(cfg, "disturbance", bands=((30.0, 60.0, 5.0),), band_unit="deg")
-    assert cfg.disturbance["bands"] == ((math.radians(30.0), math.radians(60.0), 5.0),)
-    assert cfg.disturbance["band_unit"] == "rad"
+def test_band_unit_key_is_gone():
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) in \[disturbance\]: \['band_unit'\]"):
+        parse_config(MINIMAL_FMA + "\n[disturbance]\nkind = burr\nband_unit = deg\n")
+    with pytest.raises(ConfigError, match="band_unit"):
+        replace_values(load_scenario("fma-paper-deburr"), "disturbance", band_unit="deg")
+
+
+def test_replace_values_stores_the_bands_it_is_given_in_rad():
+    cfg = replace_values(load_scenario("fma-paper-deburr"), "disturbance", bands=((30.0, 60.0, 5.0),))
+    assert cfg.disturbance["bands"] == ((30.0, 60.0, 5.0),)
 
 
 @pytest.mark.parametrize("bands", ["1:inf:5", "nan:2:5", "1:2:nan"])
@@ -162,7 +168,7 @@ def test_non_finite_band_is_named(bands):
 
 
 def test_band_order_validated():
-    text = MINIMAL_FMA + "\n[disturbance]\nkind = burr\nbands = 2:1:5\nband_unit = rad\n"
+    text = MINIMAL_FMA + "\n[disturbance]\nkind = burr\nbands = 2:1:5 rad\n"
     with pytest.raises(ConfigError, match="hi > lo"):
         build_scenario(parse_config(text))
 

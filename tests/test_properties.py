@@ -34,7 +34,9 @@ from fmasim.dynamics import (
 from fmasim.errors import SimulationBlowUpError
 from fmasim.fixtures import fma_paper_design, fma_paper_plant, fma_paper_weighting
 from fmasim.fma import (
+    allocate_velocities,
     computed_torque_voltage,
+    null_space_projector,
     reduced_dynamics,
     reduced_terms,
     stribeck_friction,
@@ -63,6 +65,7 @@ from fmasim.simulation import (
     trapezoidal_profile,
 )
 from fmasim.spatial import Wrench
+from fmasim.units import _UNIT_FACTORS, known_units, parse_quantity
 
 from oracles import fd_hessian, fd_jacobian, loop_frame_transforms, moving_average_outputs
 
@@ -437,6 +440,37 @@ def test_float_rk4_blows_up_as_rk4_step(case, bad, data):
 
 
 @st.composite
+def weights_and_gears(draw):
+    """For 1-4 prime movers: a symmetric positive definite weight of cond
+    below 400, a gear row of norm >= 0.1, an output speed and a seed."""
+    m = draw(st.integers(1, 4))
+    entries = _number(-10.0, 10.0)
+    a = draw(arrays(float, (m, m), elements=_number(-1.0, 1.0)))
+    w = a @ a.T + (m + 1) * np.eye(m) * draw(_number(0.01, 1.0))
+    g = draw(arrays(float, m, elements=entries).filter(lambda g: np.linalg.norm(g) >= 0.1))
+    return (w + w.T) / 2.0, g, draw(entries), draw(arrays(float, m, elements=entries))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(weights_and_gears())
+def test_weighted_pseudo_inverse_is_the_least_weighted_allocation(case):
+    # The paper's criterion: of all prime-mover speeds giving the output
+    # speed u, G+ u has the least qd^T W qd; the others add self-motion P s.
+    w, g, u, s = case
+    gp, p = weighted_pseudo_inverse(g, w), null_space_projector(g, w)
+    scale = np.linalg.norm(gp) * np.linalg.norm(g)
+    assert g @ gp == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(p @ p, p, rtol=0, atol=1e-12 * scale**2)
+    np.testing.assert_allclose(g @ p, 0.0, rtol=0, atol=1e-12 * scale * np.linalg.norm(g))
+    # G+ is W-orthogonal to every self-motion, so adding one never lowers the cost.
+    np.testing.assert_allclose(p.T @ w @ gp, 0.0, rtol=0, atol=1e-12 * scale * np.abs(w).sum())
+    best, other = allocate_velocities(g, u, w), allocate_velocities(g, u, w, qd_seed=s)
+    assert g @ other == pytest.approx(u, abs=1e-12 * scale * (abs(u) + np.abs(s).sum()))
+    cost = lambda qd: float(qd @ w @ qd)
+    assert cost(other) >= cost(best) - 1e-12 * (cost(best) + cost(other))
+
+
+@st.composite
 def short_fma_scenarios(draw):
     """A run of 5-15 ticks of 1 ms, 1-5 substeps each, starting in or near
     a burr band, with each of the runner's switches drawn."""
@@ -453,7 +487,7 @@ def short_fma_scenarios(draw):
         weighting=draw(st.sampled_from([None, policy])),
         reference=draw(st.sampled_from(["trapezoid", "rest"])),
         duration=draw(st.integers(5, 15)) * 1.0e-3,
-        omega_peak=draw(st.one_of(st.none(), st.floats(0.5, 20.0))),
+        omega_peak=draw(st.just(0.0) | st.floats(0.5, 20.0)),  # 0: one sweep
         disturbance=None if sigma is None else BurrDisturbance(noise_sigma=sigma),
         timestep=1.0e-3 / substeps,
         tau_filter_window=draw(st.integers(1, 16)),
@@ -566,7 +600,8 @@ def config_texts(draw):
                 value = draw(st.integers(0, 2**31) if key == "seed" else st.integers(1, 64))
             elif spec.parse == "bands":
                 bands = draw(st.lists(_band(), min_size=1, max_size=3))
-                value = ", ".join(":".join(map(repr, band)) for band in bands)
+                unit = draw(st.sampled_from(["", " rad", " deg"]))
+                value = ", ".join(":".join(map(repr, band)) for band in bands) + unit
             elif spec.parse == "vector":
                 angles = draw(st.lists(number, min_size=6, max_size=6))
                 value = " ".join([*map(repr, angles), spec.unit])
@@ -602,6 +637,29 @@ def test_serialized_config_parses_back_to_itself(text):
     built, rebuilt = build_scenario(cfg), build_scenario(again)
     for f in fields(built):
         assert _same(getattr(rebuilt, f.name), getattr(built, f.name)), f.name
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(allow_nan=False))
+def test_unit_suffix_scales_by_its_factor(x):
+    for unit in known_units():
+        expected = x if math.isinf(x) else x * _UNIT_FACTORS[unit]
+        assert _same_bits(parse_quantity(f"{x!r} {unit}"), expected), unit
+
+
+_EDGES = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_EDGES, _EDGES, _number(0.0, 100.0)), min_size=1, max_size=4))
+def test_band_edges_in_degrees_are_the_radians_of_each_edge(bands):
+    text = ", ".join(":".join(map(repr, band)) for band in bands)
+    cfg = parse_config(
+        "[plant]\nkind = fma\nactuator = fma-paper\n[reference]\nprofile = rest\nduration = 1 s\n"
+        f"[disturbance]\nbands = {text} deg\n"
+    )
+    expected = [(math.radians(lo), math.radians(hi), gain) for lo, hi, gain in bands]
+    assert _same_bits(np.array(cfg.disturbance["bands"]), np.array(expected))
 
 
 # Values past a numeric key's bounds: 0 and -1 below most ranges, 1e-300
