@@ -6,8 +6,8 @@ torque/speed samples), fk and jacobian (query a chain fixture), and
 fixtures (list everything runnable by name).
 
 Exit codes: 0 on success, 2 for configuration or usage errors, 3 when
-the run cannot continue (the integrator blows up or the chain reaches a
-singular configuration).
+the run cannot continue (the integrator blows up, the chain reaches a
+singular configuration, or a joint steps past pi/2 rad in one tick).
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -27,6 +28,7 @@ from . import fixtures, svg
 from .errors import ConfigError, DegenerateConfigurationError, SimulationBlowUpError
 from .kinematics import forward_kinematics, g_function
 from .simulation import (
+    ForceControlScenario,
     SimulationTrace,
     compute_metrics,
     envelope_points,
@@ -68,7 +70,7 @@ def _out_dir(path: str) -> Path:
 
 def _trace_plot(trace: SimulationTrace):
     t = trace.t
-    if trace.meta["kind"] == "force":
+    if isinstance(trace.scenario, ForceControlScenario):
         return [
             ("measured", t, trace.column("tau_ext")),
             ("reference", t, trace.column("f_ref")),
@@ -103,10 +105,10 @@ def cmd_simulate(args) -> int:
     if args.svg:
         series, ylabel = _trace_plot(trace)
         svg_path = out / "trace.svg"
-        svg.write_plot(svg_path, series, title=trace.meta["name"], xlabel="t [s]", ylabel=ylabel)
+        svg.write_plot(svg_path, series, title=trace.scenario.name, xlabel="t [s]", ylabel=ylabel)
         written.append(str(svg_path))
-    name, samples = trace.meta["name"], trace.n_samples
-    summary = {"name": name, "kind": trace.meta["kind"], "samples": samples, "metrics": metrics}
+    name, samples = trace.scenario.name, trace.n_samples
+    summary = {"name": name, "kind": metrics.kind, "samples": samples, "metrics": metrics}
     return _report(args, summary, f"{name}: {samples} samples\n{metrics_text(metrics)}", written)
 
 
@@ -209,8 +211,20 @@ def cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 in one `error:` line; -1e-05 and -inf are values, not options."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only -N and -N.N as numbers, and any other "-..." as an option.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fmasim", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="fmasim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run one scenario and write its trace")
@@ -254,19 +268,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
-    except ConfigError as exc:
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
+    except (ConfigError, SimulationBlowUpError, DegenerateConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SimulationBlowUpError, DegenerateConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
+        return EXIT_USAGE if isinstance(exc, ConfigError) else EXIT_BLOWUP
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import fma
-from .errors import SimulationBlowUpError
+from .errors import DegenerateConfigurationError, SimulationBlowUpError
 from .fma import DualActuatorModel, WeightingPolicy
 from .force_control import (
     DEFAULT_CONTACT_THRESHOLD,
@@ -48,6 +48,13 @@ DEFAULT_BURR_BANDS = ((1.0, 2.0, 5.0), (3.0, 4.0, 25.0))
 MAX_TRACE_BYTES = 2**30
 MAX_FILTER_WINDOW = 2**20
 MAX_STEPS = 10**8
+
+# The largest joint step a force run may command in one control tick. A
+# resolved-rate step is a move along the Jacobian, which holds only near
+# the pose it was taken at; a quarter turn in one tick comes from solving
+# a near-singular Jacobian, not from a force law. The built-in runs step
+# at most 0.0046 rad.
+MAX_JOINT_STEP = math.pi / 2.0
 
 
 def _check_run_size(ticks: float, substeps: int, columns: int, window_key: str, window: int):
@@ -327,14 +334,15 @@ class ForceControlScenario:
 class SimulationTrace:
     """Uniformly sampled run record.
 
-    ``data`` columns follow ``columns``; ``meta`` carries scenario facts
-    needed by the metrics, and ``aux`` carries extra per-sample arrays
-    that are not part of the trace file format.
+    ``data`` columns follow ``columns``; ``scenario`` is the scenario that
+    was run, and ``aux`` carries extra per-sample arrays that are not part
+    of the trace file format. A force trace's metrics take its contact row
+    from ``aux["phase"]``.
     """
 
     columns: tuple
     data: np.ndarray
-    meta: dict
+    scenario: FmaScenario | ForceControlScenario | None
     aux: dict
 
     def __post_init__(self):
@@ -446,13 +454,8 @@ def run_fma_scenario(scenario: FmaScenario) -> SimulationTrace:
         for s in range(substeps):
             q, qd = _rk4_reduced(pt, drive, tau_ext, q, qd, t + s * dt, dt, None if s else qdd_now)
 
-    meta = {
-        "kind": "fma",
-        "name": scenario.name,
-        "plant": plant,
-    }
     aux = {"tau_out": tau_out, "tau_filtered": tau_filtered, "disturbed": disturbed_flag}
-    return SimulationTrace(TRACE_COLUMNS, rows, meta, aux)
+    return SimulationTrace(TRACE_COLUMNS, rows, scenario, aux)
 
 
 _PHASE_CODES = {phase: code for code, phase in enumerate(ContactPhase)}
@@ -609,6 +612,12 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
             raise SimulationBlowUpError(
                 f"{scenario.name}: joint state diverged at t={(k + 1) * dt:.4f} s"
             )
+        step = np.abs(dtheta).max()
+        if step > MAX_JOINT_STEP:
+            raise DegenerateConfigurationError(
+                f"{scenario.name}: joint step of {step:.3g} rad at t={t:.4f} s "
+                f"passes the bound of {MAX_JOINT_STEP:.4g} rad per tick"
+            )
         act_key = theta_act.tobytes()
         act_rots, act_origins = frame_transforms(chain, theta_act)
         p_end = act_origins[-1].copy()
@@ -622,18 +631,8 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
         f_meas = float(conditioner.filter_batch(samples)[2])
         p_now = p_end
 
-    meta = {
-        "kind": "force",
-        "name": scenario.name,
-        "reference": scenario.reference,
-        "force_target": -abs(scenario.force_target),
-        "sine_amplitude": abs(scenario.sine_amplitude),
-        "sine_period": scenario.sine_period,
-        "deadband": scenario.deadband,
-        "contact_time": contact_time,
-    }
     aux = {"raw_force": raw_force, "phase": phase_code}
-    return SimulationTrace(columns, rows, meta, aux)
+    return SimulationTrace(columns, rows, scenario, aux)
 
 
 @dataclass(frozen=True)
@@ -665,7 +664,8 @@ def _fma_metrics(trace: SimulationTrace) -> Metrics:
     qd_err = np.abs(trace.column("qd") - trace.column("qd_ref"))
     qm = np.column_stack([trace.column("qM1"), trace.column("qM2")])
     vs = np.column_stack([trace.column("v1"), trace.column("v2")])
-    pms = (trace.meta["plant"].motion_pm, trace.meta["plant"].force_pm)
+    plant = trace.scenario.plant
+    pms = (plant.motion_pm, plant.force_pm)
     energies = [0.5 * pm.rotor_inertia * float(np.mean(qm[:, j] ** 2)) for j, pm in enumerate(pms)]
     total = energies[0] + energies[1]
     notes = []
@@ -676,7 +676,7 @@ def _fma_metrics(trace: SimulationTrace) -> Metrics:
         pvke = None
         notes.append("kinetic-energy partition undefined: rotors never moved")
 
-    tau_m = fma.electromagnetic_torques(trace.meta["plant"], vs, qm)
+    tau_m = fma.electromagnetic_torques(plant, vs, qm)
 
     return Metrics(
         kind="fma",
@@ -691,13 +691,19 @@ def _fma_metrics(trace: SimulationTrace) -> Metrics:
     )
 
 
+def _contact_row(trace: SimulationTrace) -> int | None:
+    """The first row past the approach, or None; the phase never returns to it."""
+    touched = np.flatnonzero(trace.aux["phase"] != _PHASE_CODES[ContactPhase.APPROACH])
+    return int(touched[0]) if touched.size else None
+
+
 def _impulse(trace: SimulationTrace) -> tuple[float | None, list]:
     if "raw_force" not in trace.aux:
         return None, ["impulse unavailable: trace carries no raw force record"]
     raw = trace.aux["raw_force"]
     t = trace.t
-    deadband = trace.meta["deadband"]
-    target = abs(trace.meta["force_target"])
+    deadband = trace.scenario.deadband
+    target = abs(trace.scenario.force_target)
     over = np.nonzero(np.abs(raw) > deadband)[0]
     if over.size == 0:
         return 0.0, ["no contact transient: force never exceeded the deadband"]
@@ -714,29 +720,26 @@ def _impulse(trace: SimulationTrace) -> tuple[float | None, list]:
 
 
 def _settling_time(trace: SimulationTrace) -> float | None:
-    if trace.meta["reference"] != "constant" or trace.meta["contact_time"] is None:
+    start = _contact_row(trace)
+    if trace.scenario.reference != "constant" or start is None:
         return None
     f = trace.column("tau_ext")
     ref = trace.column("f_ref")
     t = trace.t
-    start = int(np.searchsorted(t, trace.meta["contact_time"]))
-    tol = 0.02 * abs(trace.meta["force_target"])
+    tol = 0.02 * abs(trace.scenario.force_target)
     err = np.abs(f - ref)
     worst_after = np.maximum.accumulate(err[::-1])[::-1]
     inside = np.nonzero(worst_after[start:] <= tol)[0]
     if inside.size == 0:
         return None
-    return float(t[start + inside[0]] - trace.meta["contact_time"])
+    return float(t[start + inside[0]] - t[start])
 
 
 def _overshoot(trace: SimulationTrace) -> float | None:
-    if trace.meta["contact_time"] is None:
+    scenario = trace.scenario
+    if _contact_row(trace) is None:
         return None
-    target = (
-        abs(trace.meta["force_target"])
-        if trace.meta["reference"] == "constant"
-        else abs(trace.meta["sine_amplitude"])
-    )
+    target = abs(scenario.force_target if scenario.reference == "constant" else scenario.sine_amplitude)
     if target == 0.0:
         return None
     peak = float(np.max(np.abs(trace.column("tau_ext"))))
@@ -749,11 +752,11 @@ def _lag_percent(trace: SimulationTrace) -> float | None:
     # Phase delay of the response at the reference fundamental. The
     # rectified sine repeats every half command period, so that is the
     # frequency compared; the result is quoted against the full period.
-    if trace.meta["reference"] != "sine" or trace.meta["contact_time"] is None:
+    start = _contact_row(trace)
+    if trace.scenario.reference != "sine" or start is None:
         return None
     t = trace.t
-    period = trace.meta["sine_period"]
-    start = int(np.searchsorted(t, trace.meta["contact_time"]))
+    period = trace.scenario.sine_period
     x = trace.column("f_ref")[start:]
     y = trace.column("tau_ext")[start:]
     if x.size < 8:
@@ -785,11 +788,11 @@ def compute_metrics(trace: SimulationTrace) -> Metrics:
     """Summary figures for one trace; raises on an empty trace."""
     if trace.n_samples == 0:
         raise ValueError("cannot compute metrics of an empty trace")
-    if trace.meta.get("kind") == "fma":
+    if isinstance(trace.scenario, FmaScenario):
         return _fma_metrics(trace)
-    if trace.meta.get("kind") == "force":
+    if isinstance(trace.scenario, ForceControlScenario):
         return _force_metrics(trace)
-    raise ValueError(f"unknown trace kind {trace.meta.get('kind')!r}")
+    raise ValueError(f"unknown scenario type {type(trace.scenario).__name__}")
 
 
 @dataclass(frozen=True)
@@ -816,7 +819,7 @@ def envelope_points(traces) -> list:
             raise ValueError("trace carries no output-torque record")
         pairs = np.column_stack([trace.aux["tau_out"], trace.column("qd")])
         for torque, speed in np.unique(np.round(pairs, 9), axis=0):
-            points.append(EnvelopePoint(float(torque), float(speed), trace.meta["name"]))
+            points.append(EnvelopePoint(float(torque), float(speed), trace.scenario.name))
     return points
 
 

@@ -30,6 +30,7 @@ from fmasim.kinematics import DHRow, JointState, SerialChainModel, g_function, h
 from fmasim.dynamics import inverse_dynamics
 from fmasim.simulation import (
     SimulationTrace,
+    _contact_row,
     _lag_percent,
     compute_metrics,
     pcb_insertion_profile,
@@ -258,12 +259,12 @@ def test_criterion_06_sensor_axis_map():
 
 def test_criterion_07a_force_regulation(regulation_run):
     trace, metrics = regulation_run
-    target = abs(trace.meta["force_target"])
+    target = abs(trace.scenario.force_target)
     tol = 0.02 * target
     err = np.abs(trace.column("tau_ext") - trace.column("f_ref"))
     settled = metrics.settling_time is not None
     if settled:
-        t_settle = trace.meta["contact_time"] + metrics.settling_time
+        t_settle = trace.t[_contact_row(trace)] + metrics.settling_time
         after = trace.t >= t_settle
         holds = bool(np.all(err[after] <= tol))
     else:
@@ -301,11 +302,19 @@ def test_criterion_07b_compliant_overshoot_ordering(kp03_run, kp01_run):
 def test_criterion_07c_sine_tracking_lag_and_clamp(sine_run):
     trace, metrics = sine_run
     t = trace.t
-    start = int(np.searchsorted(t, trace.meta["contact_time"]))
-    half = trace.meta["sine_period"] / 2.0
+    start = _contact_row(trace)
+    half = trace.scenario.sine_period / 2.0
     k = int(round(half / (t[1] - t[0])))
-    w1 = SimulationTrace(trace.columns, trace.data[start : start + k], trace.meta, {})
-    w2 = SimulationTrace(trace.columns, trace.data[start + k : start + 2 * k], trace.meta, {})
+    phase = trace.aux["phase"]
+    w1 = SimulationTrace(
+        trace.columns, trace.data[start : start + k], trace.scenario, {"phase": phase[start : start + k]}
+    )
+    w2 = SimulationTrace(
+        trace.columns,
+        trace.data[start + k : start + 2 * k],
+        trace.scenario,
+        {"phase": phase[start + k : start + 2 * k]},
+    )
     lag1 = _lag_percent(w1)
     lag2 = _lag_percent(w2)
     constant = (
@@ -319,10 +328,10 @@ def test_criterion_07c_sine_tracking_lag_and_clamp(sine_run):
 
     f = trace.column("tau_ext")
     raw = trace.aux["raw_force"]
-    contact = t >= trace.meta["contact_time"]
+    contact = t >= t[start]
     nonzero = contact & (f != 0.0)
     floor = float(np.min(np.abs(f[nonzero])))
-    clamped = floor >= trace.meta["deadband"]
+    clamped = floor >= trace.scenario.deadband
     valley = contact & (np.abs(trace.column("f_ref")) <= 0.2)
     # at the reference valleys the display drops out entirely while the
     # tool is still pressing on the surface
@@ -334,7 +343,7 @@ def test_criterion_07c_sine_tracking_lag_and_clamp(sine_run):
         "sine tracking lag and deadband clamp",
         ok,
         f"lag halves {lag1:.4f}%/{lag2:.4f}%, nonzero floor {floor:.3f}N "
-        f">= deadband {trace.meta['deadband']:.3f}N",
+        f">= deadband {trace.scenario.deadband:.3f}N",
     )
     assert constant, f"lag not constant: {lag1} vs {lag2}"
     assert clamped, f"forces displayed below the deadband: {floor}"

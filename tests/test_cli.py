@@ -373,6 +373,32 @@ def test_usage_errors_return_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["fk", "powercube6", "0", "x", "0", "0", "0", "0"],
+        ["envelope", "--config", "fma-paper-deburr", "--sweep", "--"],
+        ["jacobian", "powercube6", "0", "-x", "0", "0", "0", "0"],
+    ],
+)
+def test_usage_error_exits_2_in_one_line(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+# argparse reads only -N and -N.N as negative numbers; any other token
+# that starts with "-" it takes for an unknown option.
+@pytest.mark.parametrize("command", ["fk", "jacobian"])
+@pytest.mark.parametrize("angle, decimal", [("-1e-05", "-0.00001"), ("-1.", "-1.0"), ("-1E+1", "-10")])
+def test_negative_angle_is_read_as_a_number(command, angle, decimal, capsys):
+    assert main([command, "powercube6", "0", angle, "0", "0", "0", "0", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert main([command, "powercube6", "0", decimal, "0", "0", "0", "0", "--json"]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_fixture_dir_override(tmp_path, monkeypatch, capsys):
     override = tmp_path / "fx"
     override.mkdir()
@@ -436,6 +462,29 @@ def test_wrist_singularity_exits_3(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+# The shoulder and elbow at 0 stretch the arm out: the first approach solve
+# commands a joint step of about 9e12 rad.
+@pytest.mark.parametrize("home", ["0 0 0 0 0.7 0", "0 1e-10 0 0 0.7 0"])
+def test_joint_step_past_a_quarter_turn_exits_3(home, tmp_path, capsys):
+    cfg = _builtin_variant(tmp_path, "force-regulation", "[plant]\n", f"[plant]\nhome = {home} rad\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: force-regulation: joint step of ")
+    assert err.endswith(" rad at t=0.0000 s passes the bound of 1.571 rad per tick\n")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "o" / "metrics.txt").exists()
+
+
+def test_near_singular_wrist_runs_as_the_built_in(tmp_path, capsys):
+    # cond(G) reaches about 4e9, yet every joint step is the built-in's.
+    cfg = _builtin_variant(tmp_path, "force-regulation", "[plant]\n", "[plant]\nhome = 0 -0.6 0.9 0 1e-9 0 rad\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "wrist")]) == 0
+    assert main(["simulate", "--config", "force-regulation", "--out", str(tmp_path / "built-in")]) == 0
+    capsys.readouterr()
+    metrics = (tmp_path / "wrist" / "metrics.txt").read_bytes()
+    assert metrics == (tmp_path / "built-in" / "metrics.txt").read_bytes()
+
+
 @pytest.mark.parametrize(
     "run, diverged_at",
     [
@@ -472,7 +521,7 @@ def test_non_finite_joint_command_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["fk", "jacobian"])
-@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_non_finite_joint_angles_exit_2(command, bad, capsys):
     assert main([command, "powercube6", "0", bad, "0", "0", "0", "0"]) == 2
     err = capsys.readouterr().err

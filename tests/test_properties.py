@@ -5,6 +5,7 @@ import math
 import tempfile
 from collections import deque
 from dataclasses import fields, is_dataclass, replace
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -701,6 +702,16 @@ def configs_past_one_bound(draw):
     return variants
 
 
+def _assert_cli_contract(argv, context):
+    """Run the CLI in-process: it exits 0, 2 or 3, and a failure prints one `error:` line."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3), context
+    assert code == 0 or (len(lines) == 1 and lines[0].startswith("error: ")), (lines, context)
+
+
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(configs_past_one_bound())
 def test_simulate_exits_0_2_or_3_and_fails_in_one_line(variants):
@@ -708,9 +719,72 @@ def test_simulate_exits_0_2_or_3_and_fails_in_one_line(variants):
         path = Path(tmp) / "scenario.ini"
         for text in variants:
             path.write_text(text + "\n", encoding="utf-8")
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = cli.main(["simulate", "--config", str(path), "--out", tmp])
-            lines = err.getvalue().splitlines()
-            assert code in (0, 2, 3), text
-            assert code == 0 or (len(lines) == 1 and lines[0].startswith("error: ")), (lines, text)
+            _assert_cli_contract(["simulate", "--config", str(path), "--out", tmp], text)
+
+
+# Tokens where a number is expected that repr() never writes: junk, option
+# look-alikes, and numbers spelt otherwise.
+_ODD_TOKENS = ["", " ", "-", "--", "x", "-x", "1,5", "1_0", "0x1p-3", "-.5", "+1", "1e999", "-Infinity", "NaN", "--json"]
+
+
+@st.composite
+def number_tokens(draw, numbers, sizes):
+    """Numbers as a command line passes them: each as Python writes it,
+    and in half the lists one of them replaced by an odd token."""
+    size = draw(sizes)
+    tokens = [repr(x) for x in draw(st.lists(numbers, min_size=size, max_size=size))]
+    if tokens and draw(st.booleans()):
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_ODD_TOKENS))
+    return tokens
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["fk", "jacobian"]),
+    st.sampled_from([*sorted(fixtures.CHAIN_FIXTURES), "nosuch"]),
+    number_tokens(st.floats(), st.just(6) | st.integers(0, 8)),
+    st.booleans(),
+)
+def test_fk_and_jacobian_exit_0_2_or_3_and_fail_in_one_line(command, chain, angles, as_json):
+    _assert_cli_contract([command, chain, *angles, *(["--json"] if as_json else [])], angles)
+
+
+_SHORT_SWEEP_INI = """
+[plant]
+kind = fma
+actuator = fma-paper
+[reference]
+profile = trapezoid
+duration = 0.2 s
+[disturbance]
+noise_sigma = 2
+"""
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(number_tokens(_number(0.0625, 4.0) | st.floats(), st.integers(0, 3)).map(",".join))
+def test_envelope_exits_0_2_or_3_and_fails_in_one_line(sweep):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.ini"
+        path.write_text(_SHORT_SWEEP_INI, encoding="utf-8")
+        argv = ["envelope", "--config", str(path), "--sweep", sweep, "--parallel", "1", "--out", tmp]
+        _assert_cli_contract(argv, sweep)
+
+
+# Each joint of a force run's home pose is the built-in's, or at or near 0:
+# the shoulder and elbow at 0 stretch the arm out, the wrist at 0 aligns
+# joints 4 and 6.
+_BUILT_IN_HOME = (0.0, -0.6, 0.9, 0.0, 0.7, 0.0)
+_NEAR_ZERO = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, -1e-10, 1e-9, 1e-6, -1e-3])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.tuples(*(st.just(x) | _NEAR_ZERO for x in _BUILT_IN_HOME)))
+def test_force_run_from_a_home_near_0_exits_0_2_or_3_and_fails_in_one_line(home):
+    text = resources.files("fmasim").joinpath("scenarios", "force-regulation.ini").read_text(encoding="utf-8")
+    text = text.replace("[plant]\n", f"[plant]\nhome = {' '.join(map(repr, home))} rad\n", 1)
+    text = text.replace("duration = 20 s\n", "duration = 3 s\n", 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "home.ini"
+        path.write_text(text, encoding="utf-8")
+        _assert_cli_contract(["simulate", "--config", str(path), "--out", tmp], home)

@@ -226,7 +226,7 @@ def test_fma_trace_structure_and_metrics():
     trace = run_fma_scenario(rest_scenario(0.2))
     assert trace.columns[:3] == ("t", "q", "q_ref")
     assert trace.n_samples == 201
-    assert trace.meta["kind"] == "fma"
+    assert isinstance(trace.scenario, FmaScenario)
     metrics = compute_metrics(trace)
     assert metrics.kind == "fma"
     assert metrics.max_position_error < 2.0e-4
@@ -265,12 +265,12 @@ def test_trace_csv_round_trips_floats():
 def test_simulation_trace_validation():
     cols = ("t", "q")
     with pytest.raises(ValueError):
-        SimulationTrace(cols, np.zeros((3, 3)), {}, {})
+        SimulationTrace(cols, np.zeros((3, 3)), None, {})
     with pytest.raises(ValueError):
-        SimulationTrace(cols, np.array([[0.0, 1.0], [0.0, 2.0]]), {}, {})
+        SimulationTrace(cols, np.array([[0.0, 1.0], [0.0, 2.0]]), None, {})
     with pytest.raises(ValueError):
-        SimulationTrace(cols, np.array([[0.0, 1.0], [1.0, 2.0], [1.5, 3.0]]), {}, {})
-    trace = SimulationTrace(cols, np.array([[0.0, 1.0], [1.0, 2.0]]), {}, {})
+        SimulationTrace(cols, np.array([[0.0, 1.0], [1.0, 2.0], [1.5, 3.0]]), None, {})
+    trace = SimulationTrace(cols, np.array([[0.0, 1.0], [1.0, 2.0]]), None, {})
     with pytest.raises(ValueError):
         trace.data[0, 0] = 5.0
     with pytest.raises(KeyError):
@@ -280,10 +280,10 @@ def test_simulation_trace_validation():
 def test_metrics_validation_and_dispatch():
     with pytest.raises(ValueError):
         Metrics(kind="fma", pvke_percent=(50.0, 60.0))
-    empty = SimulationTrace(("t",), np.zeros((0, 1)), {"kind": "fma"}, {})
+    empty = SimulationTrace(("t",), np.zeros((0, 1)), rest_scenario(), {})
     with pytest.raises(ValueError):
         compute_metrics(empty)
-    bogus = SimulationTrace(("t",), np.zeros((1, 1)), {"kind": "thermal"}, {})
+    bogus = SimulationTrace(("t",), np.zeros((1, 1)), None, {})
     with pytest.raises(ValueError):
         compute_metrics(bogus)
 
@@ -295,7 +295,7 @@ def test_envelope_points_pool_and_dedup():
     assert all(p.tag == "rest-hold" for p in points)
     # a perfect hover visits essentially one operating point
     assert len(points) < trace.n_samples
-    stripped = SimulationTrace(trace.columns, trace.data, trace.meta, {})
+    stripped = SimulationTrace(trace.columns, trace.data, trace.scenario, {})
     with pytest.raises(ValueError):
         envelope_points([stripped])
     with pytest.raises(ValueError):
@@ -315,8 +315,8 @@ def test_force_run_reaches_contact():
         name="contact-smoke",
     )
     trace = run_force_control_scenario(scenario)
-    assert trace.meta["kind"] == "force"
-    assert trace.meta["contact_time"] is not None
+    assert isinstance(trace.scenario, ForceControlScenario)
+    assert simulation._contact_row(trace) is not None
     assert trace.columns[-1] == "f_ref"
     # pushing down on the scale: sensed force goes negative
     assert trace.column("tau_ext").min() < -1.0
