@@ -5,9 +5,10 @@ envelope (sweep a motion scenario across peak speeds and pool the
 torque/speed samples), fk and jacobian (query a chain fixture), and
 fixtures (list everything runnable by name).
 
-Exit codes: 0 on success, 2 for configuration or usage errors, 3 when
-the run cannot continue (the integrator blows up, the chain reaches a
-singular configuration, or a joint steps past pi/2 rad in one tick).
+Exit codes: 0 on success, 2 for configuration or usage errors and for
+an output file that cannot be written, 3 when the run cannot continue
+(the integrator blows up, the chain reaches a singular configuration,
+or a joint steps past pi/2 rad in one tick).
 """
 from __future__ import annotations
 
@@ -61,10 +62,7 @@ def _load(args) -> config_mod.ScenarioConfig:
 def _out_dir(path: str) -> Path:
     """The output directory, created if missing."""
     out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot use --out {path!r} as a directory: {exc.strerror}") from None
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -273,6 +271,10 @@ def main(argv=None) -> int:
         return args.handler(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    except OSError as exc:  # e.g. --out, or an output file in it, cannot be written
+        path = "" if exc.filename is None else f": {exc.filename!r}"
+        print(f"error: {exc.strerror or exc}{path}", file=sys.stderr)
+        return EXIT_USAGE
     except (ConfigError, SimulationBlowUpError, DegenerateConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, ConfigError) else EXIT_BLOWUP

@@ -73,7 +73,6 @@ def fma_motion_prime_mover() -> PrimeMoverParams:
         torque_constant=0.039,
         back_emf_constant=0.04,
         armature_resistance=2.23,
-        transmission_ratio=136.0,
     )
 
 
@@ -85,7 +84,6 @@ def fma_force_prime_mover() -> PrimeMoverParams:
         torque_constant=0.36,
         back_emf_constant=0.36,
         armature_resistance=2.23,
-        transmission_ratio=9.89,
     )
 
 

@@ -170,7 +170,6 @@ class PrimeMoverParams:
     torque_constant: float
     back_emf_constant: float
     armature_resistance: float
-    transmission_ratio: float = 1.0
 
     def __post_init__(self):
         for name in (

@@ -269,7 +269,7 @@ class ForceControlScenario:
     """
 
     chain: SerialChainModel
-    surface: ContactSurface | None
+    surface: ContactSurface
     gains: GainSet
     law: str = "force-pid"
     control_rate: float = 15.0
@@ -485,13 +485,11 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
     p_now = act_origins[-1].copy()
     z0 = float(p_now[2])
 
-    surface = scenario.surface
-    if surface is not None:
-        surface = replace(
-            surface,
-            point=np.array([0.0, 0.0, z0 - scenario.start_height]),
-            normal=np.array([0.0, 0.0, 1.0]),
-        )
+    surface = replace(
+        scenario.surface,
+        point=np.array([0.0, 0.0, z0 - scenario.start_height]),
+        normal=np.array([0.0, 0.0, 1.0]),
+    )
 
     dt = 1.0 / scenario.control_rate
     n_ticks = round(scenario.duration * scenario.control_rate)
@@ -518,11 +516,6 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
     samples = np.zeros((weights.shape[0], 6))
     tick_points = np.empty((weights.shape[0] + 1, 3))
 
-    def raw_at(points):
-        if surface is None:
-            return np.zeros(len(points))
-        return -normal_force(surface, points)
-
     if scenario.law == "force-pid":
         # Per-period gains mapped onto the rate law: theta_dot * dt gives
         # kp*e + kv*de + ki*sum(e) meters of motion per tick.
@@ -541,7 +534,7 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
     columns = TRACE_COLUMNS + ("f_ref",)
     rows = np.empty((n_ticks + 1, len(columns)))
     raw_force = np.empty(n_ticks + 1)
-    raw_force[0] = raw_at(p_now)[0]
+    raw_force[0] = -normal_force(surface, p_now)[0]
     phase_code = np.empty(n_ticks + 1, dtype=int)
 
     for k in range(n_ticks + 1):
@@ -625,7 +618,7 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
         # call; the normal is the z axis, so each row is the one-point value.
         tick_points[:-1] = p_now + weights * (p_end - p_now)
         tick_points[-1] = p_end
-        forces = raw_at(tick_points)
+        forces = -normal_force(surface, tick_points)
         samples[:, 2] = forces[:-1]
         raw_force[k + 1] = forces[-1]
         f_meas = float(conditioner.filter_batch(samples)[2])

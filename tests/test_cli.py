@@ -429,6 +429,19 @@ def test_envelope_out_names_a_file(rest_config, tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "command, blocked",
+    [("simulate", "trace.csv"), ("simulate", "metrics.txt"), ("envelope", "envelope.csv")],
+)
+def test_output_file_that_is_a_directory_exits_2(rest_config, tmp_path, capsys, command, blocked):
+    (tmp_path / "out" / blocked).mkdir(parents=True)
+    args = [command, "--config", rest_config, "--out", str(tmp_path / "out")]
+    assert main(args + (["--sweep", "1"] if command == "envelope" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(tmp_path / "out" / blocked) in err
+    assert len(err.splitlines()) == 1
+
+
 def test_config_that_is_not_utf8(tmp_path, capsys):
     path = tmp_path / "latin1.ini"
     path.write_bytes(b"# caf\xe9 scenario\n" + REST_INI.encode("ascii"))

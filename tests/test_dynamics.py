@@ -1,4 +1,5 @@
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -192,8 +193,18 @@ def test_degenerate_inertia_raises():
         forward_dynamics(model, np.zeros(2), np.zeros(2), np.zeros(2))
 
 
-def test_import_does_not_load_scipy():
+def _run_fresh(code):
+    """Run `code` in a new interpreter that imports this fmasim."""
     src = str(Path(fmasim.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = 'import fmasim; import sys; assert "scipy" not in sys.modules'
     subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), check=True)
+
+
+def test_import_does_not_load_scipy():
+    submodules = [m.name for m in pkgutil.iter_modules(fmasim.__path__)]
+    imports = "".join(f"import fmasim.{name}; " for name in submodules)
+    _run_fresh(imports + 'import sys; assert "scipy" not in sys.modules')
+
+
+def test_cli_import_does_not_load_dynamics():
+    _run_fresh('import fmasim.cli; import sys; assert "fmasim.dynamics" not in sys.modules')
