@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateConfigurationError
-from .spatial import Wrench
+from .spatial import Wrench, frozen_array
 from .units import LBF_TO_N
 
 # Contact retention threshold and touchdown settle rate used when a
@@ -28,15 +28,11 @@ DEFAULT_SETTLE_RATE = 5.0
 
 
 def _diagonal_gain(matrix, name: str) -> np.ndarray:
-    m = np.asarray(matrix, dtype=float)
-    if m.shape != (6, 6):
-        raise ValueError(f"{name} must be 6x6")
+    m = frozen_array(matrix, name, (6, 6))
     if np.any(m != np.diag(np.diagonal(m))):
         raise ValueError(f"{name} must be diagonal")
-    if np.any(np.diagonal(m) < 0.0) or not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} entries must be finite and nonnegative")
-    m = m.copy()
-    m.flags.writeable = False
+    if np.any(np.diagonal(m) < 0.0):
+        raise ValueError(f"{name} entries must be nonnegative")
     return m
 
 
@@ -88,16 +84,12 @@ class ContactSurface:
                 raise ValueError(f"{name} must be positive")
         if self.damping < 0.0:
             raise ValueError("damping must be nonnegative")
-        point = np.asarray(self.point, dtype=float).reshape(3).copy()
-        normal = np.asarray(self.normal, dtype=float).reshape(3).copy()
+        object.__setattr__(self, "point", frozen_array(self.point, "point", (3,)))
+        normal = frozen_array(self.normal, "normal", (3,))
         norm = np.linalg.norm(normal)
         if norm < 1.0e-12:
             raise ValueError("surface normal must be nonzero")
-        normal /= norm
-        point.flags.writeable = False
-        normal.flags.writeable = False
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "normal", frozen_array(normal / norm, "normal", (3,)))
 
     @cached_property
     def effective(self) -> float:

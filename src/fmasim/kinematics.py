@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spatial import Pose, Rotation, Twist, Wrench
+from .spatial import Pose, Rotation, Twist, Wrench, frozen_array
 
 
 @dataclass(frozen=True)
@@ -30,14 +30,11 @@ class DHRow:
     a_prev: float = 0.0
     d: float = 0.0
     theta_offset: float = 0.0
-    joint_kind: str = "rotary"
 
     def __post_init__(self):
         for name in ("alpha_prev", "a_prev", "d", "theta_offset"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.joint_kind != "rotary":
-            raise ValueError("only rotary joints are supported")
 
 
 @dataclass(frozen=True)
@@ -59,28 +56,15 @@ class SerialChainModel:
         n = len(self.dh)
         if n < 1:
             raise ValueError("chain needs at least one joint")
-        masses = np.asarray(self.masses, dtype=float)
-        coms = np.asarray(self.coms, dtype=float)
-        inertias = np.asarray(self.inertias, dtype=float)
-        if masses.shape != (n,):
-            raise ValueError(f"expected {n} masses, got shape {masses.shape}")
-        if np.any(masses <= 0.0):
+        for name, shape in (("masses", (n,)), ("coms", (n, 3)), ("inertias", (n, 3, 3))):
+            object.__setattr__(self, name, frozen_array(getattr(self, name), name, shape))
+        if np.any(self.masses <= 0.0):
             raise ValueError("masses must be positive")
-        if coms.shape != (n, 3):
-            raise ValueError(f"expected coms shape ({n}, 3)")
-        if inertias.shape != (n, 3, 3):
-            raise ValueError(f"expected inertias shape ({n}, 3, 3)")
-        for j in range(n):
-            ine = inertias[j]
+        for j, ine in enumerate(self.inertias):
             if np.max(np.abs(ine - ine.T)) > 1.0e-9:
                 raise ValueError(f"inertia {j} is not symmetric")
             if np.min(np.linalg.eigvalsh(ine)) < -1.0e-12:
                 raise ValueError(f"inertia {j} is not positive semidefinite")
-        for arr in (masses, coms, inertias):
-            arr.flags.writeable = False
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "coms", coms)
-        object.__setattr__(self, "inertias", inertias)
 
     @property
     def dof(self) -> int:
@@ -106,20 +90,10 @@ class JointState:
     theta_ddot: np.ndarray | None = None
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        n = theta.shape[0]
-        dot = np.zeros(n) if self.theta_dot is None else np.asarray(self.theta_dot, dtype=float)
-        ddot = np.zeros(n) if self.theta_ddot is None else np.asarray(self.theta_ddot, dtype=float)
-        for name, arr in (("theta", theta), ("theta_dot", dot), ("theta_ddot", ddot)):
-            if arr.shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},)")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-        for arr in (theta, dot, ddot):
-            arr.flags.writeable = False
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "theta_dot", dot)
-        object.__setattr__(self, "theta_ddot", ddot)
+        n = np.size(self.theta)
+        for name in ("theta", "theta_dot", "theta_ddot"):
+            value = np.zeros(n) if getattr(self, name) is None else getattr(self, name)
+            object.__setattr__(self, name, frozen_array(value, name, (n,)))
 
 
 @dataclass(frozen=True)
@@ -130,15 +104,9 @@ class GKICSet:
     H: np.ndarray
 
     def __post_init__(self):
-        G = np.asarray(self.G, dtype=float)
-        H = np.asarray(self.H, dtype=float)
-        m, n = G.shape
-        if H.shape != (n, m, n):
-            raise ValueError(f"H shape {H.shape} does not match G shape {G.shape}")
-        G.flags.writeable = False
-        H.flags.writeable = False
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "H", H)
+        m, n = np.shape(self.G)
+        object.__setattr__(self, "G", frozen_array(self.G, "G", (m, n)))
+        object.__setattr__(self, "H", frozen_array(self.H, "H", (n, m, n)))
 
 
 # The base frame every chain product starts from; read-only, as all calls share it.
@@ -178,7 +146,7 @@ def _check_theta(model: SerialChainModel, theta: np.ndarray) -> np.ndarray:
 def forward_kinematics(model: SerialChainModel, theta: np.ndarray) -> Pose:
     """Pose of the last link frame."""
     rots, origins = frame_transforms(model, theta)
-    return Pose(origins[-1].copy(), Rotation(rots[-1].copy()).as_fixed_euler())
+    return Pose(origins[-1], Rotation(rots[-1]).as_fixed_euler())
 
 
 def com_positions(model: SerialChainModel, theta: np.ndarray) -> np.ndarray:
@@ -297,7 +265,7 @@ def _h_of(zs, g) -> np.ndarray:
 def ee_velocity(g: np.ndarray, theta_dot: np.ndarray) -> Twist:
     """Task-space twist from joint rates."""
     rate = np.asarray(g, dtype=float) @ np.asarray(theta_dot, dtype=float)
-    return Twist(rate[:3].copy(), rate[3:].copy())
+    return Twist(rate[:3], rate[3:])
 
 
 def ee_acceleration(

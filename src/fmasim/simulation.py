@@ -816,22 +816,15 @@ def envelope_points(traces) -> list:
     return points
 
 
-def _trace_csv_lines(trace: SimulationTrace):
-    """Header, then one line per sample, each value as ``%.17g``."""
-    yield ",".join(trace.columns) + "\n"
-    row_format = ",".join(["%.17g"] * len(trace.columns)) + "\n"
-    for row in trace.data:
-        yield row_format % tuple(row.tolist())
-
-
-def trace_csv_text(trace: SimulationTrace) -> str:
-    return "".join(_trace_csv_lines(trace))
-
-
 def write_trace_csv(trace: SimulationTrace, path) -> None:
-    """Write the trace CSV line by line, without building the whole text."""
+    """Write the header, then one line per sample with each value as ``%.17g``.
+
+    Lines are written as they are formatted, without building the whole text.
+    """
+    row_format = ",".join(["%.17g"] * len(trace.columns)) + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(_trace_csv_lines(trace))
+        fh.write(",".join(trace.columns) + "\n")
+        fh.writelines(row_format % tuple(row.tolist()) for row in trace.data)
 
 
 def metrics_text(metrics: Metrics) -> str:

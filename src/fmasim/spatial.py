@@ -24,31 +24,34 @@ def skew(v: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def _check_finite(a: np.ndarray, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} must be finite, got {a}")
-    return a
+def frozen_array(a, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Read-only float copy of ``a``, refused unless it has ``shape`` and is finite.
+
+    Every value class takes its arrays through this, so a value never
+    shares memory with, nor freezes, the array its caller passed in.
+    """
+    out = np.array(a, dtype=float)
+    if out.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {out.shape}")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} must be finite, got {out}")
+    out.flags.writeable = False
+    return out
 
 
+@dataclass(frozen=True, eq=False)
 class Rotation:
     """Proper orthonormal 3x3 rotation matrix."""
 
-    __slots__ = ("matrix",)
+    matrix: np.ndarray
 
-    def __init__(self, matrix: np.ndarray):
-        m = _check_finite(matrix, "rotation matrix")
-        if m.shape != (3, 3):
-            raise ValueError(f"rotation matrix must be 3x3, got {m.shape}")
+    def __post_init__(self):
+        m = frozen_array(self.matrix, "rotation matrix", (3, 3))
         if np.max(np.abs(m.T @ m - np.eye(3))) > 1.0e-9:
             raise ValueError("matrix is not orthonormal")
         if abs(np.linalg.det(m) - 1.0) > 1.0e-9:
             raise ValueError("matrix determinant is not +1")
-        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-
-    def __setattr__(self, *args):  # immutable
-        raise AttributeError("Rotation is immutable")
 
     @staticmethod
     def identity() -> "Rotation":
@@ -61,7 +64,7 @@ class Rotation:
         return self.matrix @ np.asarray(v, dtype=float)
 
     def inverse(self) -> "Rotation":
-        return Rotation(self.matrix.T.copy())
+        return Rotation(self.matrix.T)
 
     def as_fixed_euler(self) -> np.ndarray:
         """Extract fixed-axis X-Y-Z angles (ex, ey, ez), each in (-pi, pi]."""
@@ -75,9 +78,6 @@ class Rotation:
             ex = np.arctan2(m[2, 1], m[2, 2])
             ez = np.arctan2(m[1, 0], m[0, 0])
         return np.array([_wrap_angle(ex), _wrap_angle(ey), _wrap_angle(ez)])
-
-    def __repr__(self) -> str:
-        return f"Rotation({self.matrix.tolist()})"
 
 
 def _wrap_angle(a: float) -> float:
@@ -114,15 +114,9 @@ class Pose:
     euler: np.ndarray
 
     def __post_init__(self):
-        p = _check_finite(self.position, "position")
-        e = _check_finite(self.euler, "euler")
-        if p.shape != (3,) or e.shape != (3,):
-            raise ValueError("position and euler must be 3-vectors")
-        e = np.array([_wrap_angle(a) for a in e])
-        p.flags.writeable = False
-        e.flags.writeable = False
-        object.__setattr__(self, "position", p)
-        object.__setattr__(self, "euler", e)
+        object.__setattr__(self, "position", frozen_array(self.position, "position", (3,)))
+        e = frozen_array(self.euler, "euler", (3,))
+        object.__setattr__(self, "euler", frozen_array([_wrap_angle(a) for a in e], "euler", (3,)))
 
     def rotation(self) -> Rotation:
         return rotation_from_fixed_euler(*self.euler)
@@ -139,21 +133,13 @@ class Wrench:
     moment: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        f = _check_finite(self.force, "force")
-        m = _check_finite(self.moment, "moment")
-        if f.shape != (3,) or m.shape != (3,):
-            raise ValueError("force and moment must be 3-vectors")
-        f.flags.writeable = False
-        m.flags.writeable = False
-        object.__setattr__(self, "force", f)
-        object.__setattr__(self, "moment", m)
+        object.__setattr__(self, "force", frozen_array(self.force, "force", (3,)))
+        object.__setattr__(self, "moment", frozen_array(self.moment, "moment", (3,)))
 
     @staticmethod
     def from_array(a: np.ndarray) -> "Wrench":
-        a = np.asarray(a, dtype=float)
-        if a.shape != (6,):
-            raise ValueError("wrench array must have 6 components")
-        return Wrench(a[:3].copy(), a[3:].copy())
+        a = frozen_array(a, "wrench array", (6,))
+        return Wrench(a[:3], a[3:])
 
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.force, self.moment])
@@ -167,41 +153,27 @@ class Twist:
     angular: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        v = _check_finite(self.linear, "linear velocity")
-        w = _check_finite(self.angular, "angular velocity")
-        if v.shape != (3,) or w.shape != (3,):
-            raise ValueError("linear and angular must be 3-vectors")
-        v.flags.writeable = False
-        w.flags.writeable = False
-        object.__setattr__(self, "linear", v)
-        object.__setattr__(self, "angular", w)
+        object.__setattr__(self, "linear", frozen_array(self.linear, "linear velocity", (3,)))
+        object.__setattr__(self, "angular", frozen_array(self.angular, "angular velocity", (3,)))
 
     @staticmethod
     def from_array(a: np.ndarray) -> "Twist":
-        a = np.asarray(a, dtype=float)
-        if a.shape != (6,):
-            raise ValueError("twist array must have 6 components")
-        return Twist(a[:3].copy(), a[3:].copy())
+        a = frozen_array(a, "twist array", (6,))
+        return Twist(a[:3], a[3:])
 
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.linear, self.angular])
 
 
+@dataclass(frozen=True, eq=False)
 class SpatialTransform:
     """6x6 wrench transform between frames of a rigid assembly."""
 
-    __slots__ = ("rotation", "translation")
+    rotation: Rotation
+    translation: np.ndarray
 
-    def __init__(self, rotation: Rotation, translation: np.ndarray):
-        t = _check_finite(translation, "translation")
-        if t.shape != (3,):
-            raise ValueError("translation must be a 3-vector")
-        t.flags.writeable = False
-        object.__setattr__(self, "rotation", rotation)
-        object.__setattr__(self, "translation", t)
-
-    def __setattr__(self, *args):
-        raise AttributeError("SpatialTransform is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "translation", frozen_array(self.translation, "translation", (3,)))
 
     @staticmethod
     def identity() -> "SpatialTransform":
@@ -217,22 +189,10 @@ class SpatialTransform:
         return out
 
     def apply(self, w: Wrench) -> Wrench:
+        """Express a wrench measured in the source frame in the target frame."""
         f = self.rotation.matrix @ w.force
         m = self.rotation.matrix @ w.moment + np.cross(self.translation, f)
         return Wrench(f, m)
-
-    def __repr__(self) -> str:
-        return f"SpatialTransform(R={self.rotation.matrix.tolist()}, p={self.translation.tolist()})"
-
-
-def spatial_force_transform(rotation: Rotation, translation: np.ndarray) -> SpatialTransform:
-    """Build the wrench transform for a frame at ``translation`` with ``rotation``."""
-    return SpatialTransform(rotation, np.asarray(translation, dtype=float).copy())
-
-
-def transform_wrench(x: SpatialTransform, w: Wrench) -> Wrench:
-    """Express a wrench measured in the source frame in the target frame."""
-    return x.apply(w)
 
 
 def compose(a: SpatialTransform, b: SpatialTransform) -> SpatialTransform:

@@ -66,6 +66,10 @@ def test_surface_normalizes_and_validates():
         ContactSurface(stiffness=1000.0, normal=np.zeros(3))
     with pytest.raises(ValueError):
         ContactSurface(stiffness=1000.0, damping=-1.0)
+    with pytest.raises(ValueError, match="point must be finite"):
+        ContactSurface(stiffness=1000.0, point=np.array([0.0, np.nan, 0.0]))
+    with pytest.raises(ValueError, match="normal must be finite"):
+        ContactSurface(stiffness=1000.0, normal=np.array([0.0, 0.0, np.nan]))
 
 
 def test_effective_stiffness_series():

@@ -32,8 +32,6 @@ def planar_two_link(length1=0.4, length2=0.3):
 def test_dhrow_validation():
     with pytest.raises(ValueError):
         DHRow(alpha_prev=np.inf)
-    with pytest.raises(ValueError):
-        DHRow(joint_kind="prismatic")
 
 
 def test_chain_model_validation():
@@ -43,6 +41,12 @@ def test_chain_model_validation():
         SerialChainModel(dh, np.array([1.0]), np.zeros((2, 3)), good)
     with pytest.raises(ValueError):
         SerialChainModel(dh, np.array([1.0, -1.0]), np.zeros((2, 3)), good)
+    with pytest.raises(ValueError, match="masses must be finite"):
+        SerialChainModel(dh, np.array([1.0, np.nan]), np.zeros((2, 3)), good)
+    nan_com = np.zeros((2, 3))
+    nan_com[1, 1] = np.nan
+    with pytest.raises(ValueError, match="coms must be finite"):
+        SerialChainModel(dh, np.array([1.0, 1.0]), nan_com, good)
     bad = good.copy()
     bad[0, 0, 1] = 5.0  # asymmetric
     with pytest.raises(ValueError):

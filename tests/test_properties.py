@@ -44,9 +44,16 @@ from fmasim.fma import (
     weighted_pseudo_inverse,
     weighting,
 )
-from fmasim.force_control import ContactSurface, SignalConditioner, normal_force, window_mean
+from fmasim.force_control import (
+    ContactSurface,
+    GainSet,
+    SignalConditioner,
+    normal_force,
+    window_mean,
+)
 from fmasim.kinematics import (
     DHRow,
+    GKICSet,
     JointState,
     SerialChainModel,
     _cross,
@@ -65,7 +72,14 @@ from fmasim.simulation import (
     run_fma_scenario,
     trapezoidal_profile,
 )
-from fmasim.spatial import Wrench
+from fmasim.spatial import (
+    Pose,
+    Rotation,
+    SpatialTransform,
+    Twist,
+    Wrench,
+    rotation_from_fixed_euler,
+)
 from fmasim.units import _UNIT_FACTORS, known_units, parse_quantity
 
 from oracles import fd_hessian, fd_jacobian, loop_frame_transforms, moving_average_outputs
@@ -228,6 +242,79 @@ def test_cross_is_np_cross(operands):
     got, expected = _cross(a, b), np.cross(a, b)
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def value_inputs(draw, cls):
+    """The arrays to build a value of ``cls`` from, and its other arguments.
+
+    Every array is finite and passes the class's own checks. Euler angles
+    are ``b - pi`` for b in [pi/2, 2 pi), which Sterbenz's lemma makes
+    exact, so wrapping them to (-pi, pi] gives back the same bits; surface
+    normals are unit axes, so normalizing them does too. Every array field
+    should then hold its input bit for bit.
+    """
+
+    def vec(shape, elements=_finite):
+        return draw(arrays(np.float64, shape, elements=elements))
+
+    def rotation():
+        return rotation_from_fixed_euler(*vec(3, st.floats(-np.pi, np.pi)))
+
+    def unit_axis():
+        normal = np.zeros(3)
+        normal[draw(st.integers(0, 2))] = draw(st.sampled_from([1.0, -1.0]))
+        return normal
+
+    def exactly_wrapped_angles():
+        return vec(3, st.floats(np.pi / 2, 2 * np.pi, exclude_max=True)) - np.pi
+
+    n = draw(st.integers(1, 7))
+    builders = {
+        Rotation: lambda: ({"matrix": rotation().matrix.copy()}, {}),
+        Pose: lambda: ({"position": vec(3), "euler": exactly_wrapped_angles()}, {}),
+        Wrench: lambda: ({"force": vec(3), "moment": vec(3)}, {}),
+        Twist: lambda: ({"linear": vec(3), "angular": vec(3)}, {}),
+        SpatialTransform: lambda: ({"translation": vec(3)}, {"rotation": rotation()}),
+        SerialChainModel: lambda: (
+            {
+                "masses": vec(n, st.floats(1.0e-3, 1.0e3)),
+                "coms": vec((n, 3)),
+                "inertias": np.array([np.diag(vec(3, st.floats(0.0, 1.0e3))) for _ in range(n)]),
+            },
+            {"dh": (DHRow(),) * n},
+        ),
+        JointState: lambda: ({"theta": vec(n), "theta_dot": vec(n), "theta_ddot": vec(n)}, {}),
+        GKICSet: lambda: ({"G": vec((6, n)), "H": vec((n, 6, n))}, {}),
+        GainSet: lambda: (
+            {name: np.diag(vec(6, st.floats(0.0, 1.0e6))) for name in ("k", "kp", "kv", "ki")},
+            {},
+        ),
+        ContactSurface: lambda: ({"point": vec(3), "normal": unit_axis()}, {"stiffness": 1000.0}),
+    }
+    return builders[cls]()
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [Rotation, Pose, Wrench, Twist, SpatialTransform]
+    + [SerialChainModel, JointState, GKICSet, GainSet, ContactSurface],
+    ids=lambda cls: cls.__name__,
+)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_values_copy_and_freeze_the_arrays_they_are_given(cls, data):
+    inputs, others = data.draw(value_inputs(cls))
+    value = cls(**inputs, **others)
+    for name, given_array in inputs.items():
+        held = getattr(value, name)
+        assert held.shape == given_array.shape and held.tobytes() == given_array.tobytes(), name
+        assert not np.shares_memory(held, given_array), name
+        assert not held.flags.writeable, name
+        given_array[...] = 1.0  # raises if the value froze its caller's array
 
 
 _components = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-50.0, 50.0))

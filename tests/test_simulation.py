@@ -30,8 +30,8 @@ from fmasim.simulation import (
     run_fma_scenario,
     run_force_control_scenario,
     sinusoidal_force_reference,
-    trace_csv_text,
     trapezoidal_profile,
+    write_trace_csv,
 )
 from fmasim.units import MM_PER_LBF_TO_M_PER_N
 
@@ -253,9 +253,10 @@ def test_deburr_voltages_are_the_computed_torque_law():
         assert v.tobytes() == np.array([v1, v2]).tobytes()
 
 
-def test_trace_csv_round_trips_floats():
+def test_trace_csv_round_trips_floats(tmp_path):
     trace = run_fma_scenario(rest_scenario(0.05))
-    text = trace_csv_text(trace)
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    text = (tmp_path / "trace.csv").read_bytes().decode("ascii")
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(trace.columns)
     parsed = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
@@ -322,7 +323,7 @@ def test_force_run_reaches_contact():
     assert trace.column("tau_ext").min() < -1.0
 
 
-def _counted_run(monkeypatch, name):
+def _counted_run(monkeypatch, tmp_path, name):
     """Run a built-in force scenario; return its transform count and tick count."""
     transform = simulation.frame_transforms
     calls = []
@@ -334,20 +335,21 @@ def _counted_run(monkeypatch, name):
     monkeypatch.setattr(simulation, "frame_transforms", counting)
     scenario = build_scenario(load_scenario(name))
     trace = run_force_control_scenario(scenario)
-    digest = hashlib.sha256(trace_csv_text(trace).encode("ascii")).hexdigest()
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN[name]
     return len(calls), round(scenario.duration * scenario.control_rate)
 
 
-def test_rigid_arm_transforms_each_pose_once(monkeypatch):
+def test_rigid_arm_transforms_each_pose_once(monkeypatch, tmp_path):
     # The arm lands on the command every tick, so the command transform
     # reuses the actual one: one transform per tick plus the home pose.
-    calls, n_ticks = _counted_run(monkeypatch, "force-regulation")
+    calls, n_ticks = _counted_run(monkeypatch, tmp_path, "force-regulation")
     assert calls <= n_ticks + 2
 
 
-def test_lagging_arm_transforms_command_and_actual_each_tick(monkeypatch):
+def test_lagging_arm_transforms_command_and_actual_each_tick(monkeypatch, tmp_path):
     # The actual pose trails the command, so each tick transforms both;
     # only the home pose and the contact handover share one transform.
-    calls, n_ticks = _counted_run(monkeypatch, "compliant-kp03")
+    calls, n_ticks = _counted_run(monkeypatch, tmp_path, "compliant-kp03")
     assert calls == 2 * n_ticks

@@ -10,8 +10,6 @@ from fmasim.spatial import (
     compose,
     rotation_from_fixed_euler,
     skew,
-    spatial_force_transform,
-    transform_wrench,
 )
 
 RNG = np.random.default_rng(1)
@@ -108,7 +106,7 @@ def test_wrench_twist_array_round_trip():
 def test_spatial_transform_matrix_structure():
     r = random_rotation(RNG)
     p = RNG.normal(size=3)
-    x = spatial_force_transform(r, p)
+    x = SpatialTransform(r, p)
     m = x.matrix
     assert np.allclose(m[:3, :3], r.matrix)
     assert np.allclose(m[3:, 3:], r.matrix)
@@ -118,14 +116,14 @@ def test_spatial_transform_matrix_structure():
 
 def test_transform_wrench_agrees_with_matrix():
     for _ in range(10):
-        x = spatial_force_transform(random_rotation(RNG), RNG.normal(size=3))
+        x = SpatialTransform(random_rotation(RNG), RNG.normal(size=3))
         w = Wrench(RNG.normal(size=3), RNG.normal(size=3))
-        assert np.allclose(transform_wrench(x, w).as_array(), x.matrix @ w.as_array())
+        assert np.allclose(x.apply(w).as_array(), x.matrix @ w.as_array())
 
 
 def test_compose_matches_sequential_application():
-    a = spatial_force_transform(random_rotation(RNG), RNG.normal(size=3))
-    b = spatial_force_transform(random_rotation(RNG), RNG.normal(size=3))
+    a = SpatialTransform(random_rotation(RNG), RNG.normal(size=3))
+    b = SpatialTransform(random_rotation(RNG), RNG.normal(size=3))
     w = Wrench(RNG.normal(size=3), RNG.normal(size=3))
     lhs = compose(a, b).apply(w).as_array()
     rhs = a.apply(b.apply(w)).as_array()
