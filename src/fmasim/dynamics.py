@@ -1,4 +1,4 @@
-"""Chain dynamics assembled from influence coefficients.
+"""Chain dynamics of serial chains.
 
 The joint-space model is
 
@@ -10,30 +10,41 @@ torque, tau_g the torque needed to hold the chain against gravity, and
 each external wrench w_k enters through the coefficient matrix of its
 application point.
 
-Forward and inverse dynamics take the velocity-product torque in the
-Jacobian-transpose Newton-Euler form over the same link-COM G that the
-inertia needs, sum_l G_l^T [m_l a_l ; Pi_l alpha_l + w_l x Pi_l w_l]
-with the link accelerations the joint rates alone give, so they build
-neither H nor P*. P* stays the paper's array for the public API:
-``compute_dynamics`` and ``inertia_power_matrix`` return it, and
-``coriolis_torque`` contracts it.
+I*, tau_g and the bias torque (the joint torque at qdd = 0) come from one
+kernel in world-frame spatial vectors about the base origin (Featherstone,
+*Rigid Body Dynamics Algorithms*, 2008). Joint j moves along s_j =
+(z_j; o_j x z_j) and link l has the spatial inertia I_l about the origin.
+Composite rigid bodies give I*_ij = s_i . Ic_k s_j, k = max(i, j), with
+Ic_k = sum_{l>=k} I_l. The bias is one Newton-Euler sweep at qdd = 0:
+velocities v_l = sum_{j<=l} s_j qd_j, accelerations a_l = sum_{j<=l}
+v_j x s_j qd_j over the base acceleration (0; -g), link forces
+I_l a_l + v_l x* I_l v_l plus each external wrench as the spatial force
+(n + p x f; f) on its link, and bias_j = s_j . sum_{l>=j} of the forces.
+``compute_dynamics`` builds the paper's P* from the link-COM G/H.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegenerateConfigurationError
-from .kinematics import JointState, SerialChainModel, _g_of, _h_of, _target_g, frame_transforms
-from .spatial import Wrench
+from .kinematics import _EYE3, JointState, SerialChainModel, _g_of, _h_of, _resolve_target, frame_transforms
+from .spatial import Wrench, frozen_array
 from .units import GRAVITY
 
 CONDITION_LIMIT = 1.0e12
 
 # Row j is the cross-product matrix [e_j]x, flattened; [v]x = sum_j v_j [e_j]x.
 _SKEW_BASIS = np.array([np.cross(e, np.eye(3)).T.ravel() for e in np.eye(3)])
+# Row k is the spatial cross matrix of unit motion vector k, flattened:
+# (w; u) x = [[w]x, 0; [u]x, [w]x] = I2 (x) [w]x + [[0, 0], [1, 0]] (x) [u]x.
+_MOTION_CROSS_BASIS = np.array([
+    np.kron(b, s).ravel() for b in (np.eye(2), np.eye(2, k=-1)) for s in _SKEW_BASIS.reshape(3, 3, 3)
+])
 _SKEW_BASIS.flags.writeable = False
+_MOTION_CROSS_BASIS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -50,7 +61,7 @@ class ExternalLoad:
         return (self.at, self.link)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DynamicsQuantities:
     """Configuration-dependent terms of the joint-space model."""
 
@@ -68,86 +79,74 @@ def _skew(v: np.ndarray) -> np.ndarray:
     return (v @ _SKEW_BASIS).reshape(v.shape + (3,))
 
 
-def _link_terms(model: SerialChainModel, theta: np.ndarray):
-    """Link frames, COM offsets from the link origins, the link-COM G and Pi.
-
-    Returns ``rots`` (n,3,3), ``origins`` (n,3), ``rc`` (n,3), G (n,6,n)
-    of every link COM and the world inertias ``pi`` (n,3,3), all from one
-    pose transform.
-    """
-    rots, origins = frame_transforms(model, theta)
-    rc = np.einsum("lij,lj->li", rots, model.coms)
-    g = _g_of(rots, origins, origins + rc, np.arange(model.dof))
-    pi = np.einsum("lij,ljk,lmk->lim", rots, model.inertias, rots)
-    return rots, origins, rc, g, pi
+@lru_cache(maxsize=None)
+def _upper_ones(n: int) -> np.ndarray:
+    """(n, n) ones on and above the diagonal: row j of ``U @ x`` sums x_l over l >= j."""
+    return frozen_array(np.triu(np.ones((n, n))), "upper", (n, n))
 
 
-def _inertia(m: np.ndarray, g: np.ndarray, pig: np.ndarray) -> np.ndarray:
-    """I* = sum_l m_l Gc_l^T Gc_l + Gw_l^T Pi_l Gw_l, with ``pig`` = Pi_l Gw_l."""
-    gc, gw = g[:, :3], g[:, 3:]
-    return np.einsum("l,lki,lkj->ij", m, gc, gc) + np.einsum("lki,lkj->ij", gw, pig)
+def _link_masses(model: SerialChainModel, rots: np.ndarray, origins: np.ndarray):
+    """World COM positions (n,3) and world inertias about the COMs (n,3,3)."""
+    coms = origins + (rots @ model.coms[:, :, None])[:, :, 0]
+    return coms, rots @ model.inertias @ rots.transpose(0, 2, 1)
+
+
+def _composite_terms(model, rots, origins, coms, pi, g_vec):
+    """Joint axes s (n,6), link spatial inertias (n,6,6), I* and tau_g."""
+    n = model.dof
+    upper = _upper_ones(n)
+    zs = rots[:, :, 2]
+    axes = np.concatenate([zs, (_skew(origins) @ zs[:, :, None])[:, :, 0]], axis=1)
+    cx = _skew(coms)
+    mcx = model.masses[:, None, None] * cx
+    inert = np.empty((n, 6, 6))
+    inert[:, :3, :3] = pi - mcx @ cx
+    inert[:, :3, 3:], inert[:, 3:, :3] = mcx, -mcx
+    np.multiply(model.masses[:, None, None], _EYE3, out=inert[:, 3:, 3:])
+    # axial_j = Ic_j s_j, so s_i . axial_j is I*_ij for i <= j. Every link shares
+    # the base acceleration (0; -g), so its forces on joint j sum to Ic_j (0; -g).
+    axial = ((upper @ inert.reshape(n, 36)).reshape(n, 6, 6) @ axes[:, :, None])[:, :, 0]
+    cols = axes @ axial.T
+    return axes, inert, np.where(upper > 0.0, cols, cols.T), -axial[:, 3:] @ g_vec
 
 
 def compute_dynamics(
     model: SerialChainModel, theta: np.ndarray, gravity: np.ndarray | None = None
 ) -> DynamicsQuantities:
-    """Inertia, power array, and gravity torque from the G/H of every link COM."""
-    g_vec = _gravity_vector(gravity)
-    rots, _, _, g, pi = _link_terms(model, theta)
+    """Inertia and gravity torque from the spatial kernel, the power array from the link-COM G/H."""
+    rots, origins = frame_transforms(model, theta)
+    coms, pi = _link_masses(model, rots, origins)
+    _, _, inertia, grav = _composite_terms(model, rots, origins, coms, pi, _gravity_vector(gravity))
+    g = _g_of(rots, origins, coms, np.arange(model.dof))
     h = _h_of(rots[:, :, 2], g)
-    gc, gw = g[:, :3], g[:, 3:]
-    hc, hw = h[:, :, :3], h[:, :, 3:]
-    m = model.masses
-    pig = pi @ gw
-    inertia = _inertia(m, g, pig)
-    # dI*/dtheta_i = T_i + T_i^T. The rotation rows also carry the spin of
-    # link l's world inertia, dPi/dtheta_i = [z_i]Pi - Pi[z_i] for i <= l;
-    # as z_i x z_b = hw[i, :, b] - hw[b, :, i] on those links, that term
-    # turns hw[l, i, :, b] into hw[l, b, :, i].
-    term = np.einsum("l,likb,lkc->ibc", m, hc, gc) + np.einsum("lbki,lkc->ibc", hw, pig)
+    # dI*/dtheta_i = T_i + T_i^T with I* = sum_l m_l Gc_l^T Gc_l + Gw_l^T Pi_l Gw_l.
+    # The rotation rows also carry the spin of link l's world inertia,
+    # dPi/dtheta_i = [z_i]Pi - Pi[z_i] for i <= l; as z_i x z_b = hw[i, :, b]
+    # - hw[b, :, i] on those links, it turns hw[l, i, :, b] into hw[l, b, :, i].
+    term = np.einsum("l,likb,lkc->ibc", model.masses, h[:, :, :3], g[:, :3])
+    term += np.einsum("lbki,lkc->ibc", h[:, :, 3:], pi @ g[:, 3:])
     grad = term + term.transpose(0, 2, 1)
     power = grad - 0.5 * np.transpose(grad, (1, 0, 2))
-    grav = -np.einsum("l,lki,k->i", m, gc, g_vec)
     return DynamicsQuantities(inertia=inertia, power=power, gravity=grav)
 
 
 def _joint_terms(model, theta, theta_dot, gravity, loads, viscous) -> tuple[np.ndarray, np.ndarray]:
-    """Inertia I* and bias torque, the joint torque of ``theta_dot`` at zero qdd.
-
-    The bias is the Newton-Euler sum over the link COMs of
-    G_l^T [m_l (a_l - g) ; Pi_l alpha_l + w_l x Pi_l w_l], where w_l,
-    alpha_l and a_l are the angular velocity, angular acceleration and
-    COM acceleration the joint rates give with qdd = 0, plus the load
-    and viscous torques.
-    """
-    rots, origins, rc, g, pi = _link_terms(model, theta)
-    n = model.dof
-    m = model.masses
-    inertia = _inertia(m, g, pi @ g[:, 3:])
-    # Columns w_l = sum_{j<=l} qd_j z_j and alpha_l = sum_{j<=l} w_{j-1} x qd_j z_j.
-    rates = np.empty((n, 3, 2))
-    zq = rots[:, :, 2] * theta_dot[:, None]
-    w = np.cumsum(zq, axis=0, out=rates[:, :, 1])
-    skew_w = _skew(w)
-    turn = np.zeros((n, 3))
-    turn[1:] = (skew_w[:-1] @ zq[1:, :, None])[:, :, 0]
-    alpha = np.cumsum(turn, axis=0, out=rates[:, :, 0])
-    # A point fixed in link l at r from its origin accelerates by K_l r
-    # relative to it, K_l = [alpha_l] + [w_l]^2. The points are the COM
-    # and the next link's origin, so link 1's fixed origin starts a sum.
-    lever = np.zeros((n, 3, 2))
-    lever[:, :, 0] = rc
-    lever[:-1, :, 1] = np.diff(origins, axis=0)
-    rel = (_skew(alpha) + skew_w @ skew_w) @ lever
-    acc = rel[:, :, 0]
-    acc[1:] += np.cumsum(rel[:-1, :, 1], axis=0)
-    spin = pi @ rates
-    wrench = np.empty((n, 6))
-    wrench[:, :3] = m[:, None] * (acc - _gravity_vector(gravity))
-    wrench[:, 3:] = spin[:, :, 0] + (skew_w @ spin[:, :, 1:])[:, :, 0]
-    bias = wrench.reshape(-1) @ g.reshape(-1, n)
+    """I* and the bias: the velocity-product, gravity, load and viscous torques at zero qdd."""
+    rots, origins = frame_transforms(model, theta)
+    coms, pi = _link_masses(model, rots, origins)
+    axes, inert, inertia, bias = _composite_terms(model, rots, origins, coms, pi, _gravity_vector(gravity))
+    upper = _upper_ones(model.dof)
+    rate = axes * theta_dot[:, None]
+    vel = upper.T @ rate
+    cross = (vel @ _MOTION_CROSS_BASIS).reshape(-1, 6, 6)
+    acc = upper.T @ (cross @ rate[:, :, None])[:, :, 0]
+    # Link forces I a + v x* I v, with v x* f = -(v x)^T f.
+    force = (inert @ acc[:, :, None] - cross.transpose(0, 2, 1) @ (inert @ vel[:, :, None]))[:, :, 0]
     for load in loads:
-        bias += _target_g(model, rots, origins, load.target())[0].T @ load.wrench.as_array()
+        link, point = _resolve_target(model, rots, origins, load.target())
+        force[link, :3] += load.wrench.moment + _skew(point) @ load.wrench.force
+        force[link, 3:] += load.wrench.force
+    bias += (axes[:, None, :] @ (upper @ force)[:, :, None])[:, 0, 0]
     if viscous is not None:
         bias += np.asarray(viscous, dtype=float) * theta_dot
     return inertia, bias

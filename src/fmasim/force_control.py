@@ -36,7 +36,7 @@ def _diagonal_gain(matrix, name: str) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GainSet:
     """Diagonal gain matrices for the force-control laws.
 
@@ -62,7 +62,7 @@ def diagonal_gain(fx, fy, fz, mx=0.0, my=0.0, mz=0.0) -> np.ndarray:
     return np.diag([fx, fy, fz, mx, my, mz]).astype(float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContactSurface:
     """Planar penalty-spring environment touched through a sensor and tool.
 

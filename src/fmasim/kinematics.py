@@ -37,7 +37,7 @@ class DHRow:
                 raise ValueError(f"{name} must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SerialChainModel:
     """Open serial chain with per-link mass properties.
 
@@ -81,7 +81,7 @@ class SerialChainModel:
         return offsets, ca, sa, p_rel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointState:
     """Joint positions, rates, and accelerations."""
 
@@ -96,7 +96,7 @@ class JointState:
             object.__setattr__(self, name, frozen_array(value, name, (n,)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GKICSet:
     """First- and second-order influence coefficients for one target."""
 

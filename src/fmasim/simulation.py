@@ -57,6 +57,13 @@ MAX_STEPS = 10**8
 MAX_JOINT_STEP = math.pi / 2.0
 
 
+def _check_finite_floats(scenario):
+    """Raise ValueError naming the first float field of ``scenario`` that is not finite."""
+    for f in fields(scenario):
+        if f.type == "float" and not math.isfinite(getattr(scenario, f.name)):
+            raise ValueError(f"{f.name} must be finite")
+
+
 def _check_run_size(ticks: float, substeps: int, columns: int, window_key: str, window: int):
     """Raise ValueError when a run of ``ticks`` control ticks would pass a limit above, or has no window."""
     if not math.isfinite(ticks):
@@ -232,6 +239,7 @@ class FmaScenario:
     name: str = "fma"
 
     def __post_init__(self):
+        _check_finite_floats(self)
         if self.timestep <= 0.0 or self.duration <= 0.0:
             raise ValueError("timestep and duration must be positive")
         if self.omega_peak < 0.0 or self.seed < 0:
@@ -291,6 +299,7 @@ class ForceControlScenario:
     name: str = "force"
 
     def __post_init__(self):
+        _check_finite_floats(self)
         if self.law not in ("force-pid", "compliant"):
             raise ValueError(f"unknown control law {self.law!r}")
         if self.reference not in ("constant", "sine"):

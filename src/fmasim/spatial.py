@@ -106,7 +106,7 @@ def rotation_from_fixed_euler(ex: float, ey: float, ez: float) -> Rotation:
     return Rotation(m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pose:
     """Position (m) plus fixed-axis X-Y-Z Euler orientation (rad)."""
 
@@ -125,7 +125,7 @@ class Pose:
         return np.concatenate([self.position, self.euler])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Wrench:
     """Force (N) and moment (N*m) stacked as one 6-vector."""
 
@@ -145,7 +145,7 @@ class Wrench:
         return np.concatenate([self.force, self.moment])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Twist:
     """Linear (m/s) and angular (rad/s) velocity stacked as one 6-vector."""
 

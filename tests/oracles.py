@@ -153,6 +153,37 @@ def rnea_torques(model, theta, theta_dot, theta_ddot, gravity):
     return tau
 
 
+def link_com_g_form(model, theta, gravity, loads):
+    """I*, tau_g and the load torque from the influence coefficients of every link COM.
+
+    I* = sum_l m_l Gc_l^T Gc_l + Gw_l^T Pi_l Gw_l, tau_g = -sum_l m_l Gc_l^T g
+    and the load torque sum_k G_k^T w_k, from one ``g_function`` call per
+    link COM and per load target. Returns a (value, scale) pair per array;
+    the scale is the largest sum of the terms' magnitudes, so it bounds the
+    rounding also where the terms cancel.
+    """
+    rots, _ = frame_transforms(model, theta)
+    g_vec = np.asarray(gravity, dtype=float)
+    n = len(theta)
+    inertia, inertia_terms = np.zeros((n, n)), np.zeros((n, n))
+    grav, grav_terms = np.zeros(n), np.zeros(n)
+    for link, (m, local) in enumerate(zip(model.masses, model.inertias)):
+        g = g_function(model, theta, ("com", link + 1))
+        gc, gw = g[:3], g[3:]
+        pi = rots[link] @ local @ rots[link].T
+        inertia += m * gc.T @ gc + gw.T @ pi @ gw
+        inertia_terms += m * abs(gc).T @ abs(gc) + abs(gw).T @ abs(pi) @ abs(gw)
+        grav -= m * gc.T @ g_vec
+        grav_terms += m * abs(gc).T @ abs(g_vec)
+    load, load_terms = np.zeros(n), np.zeros(n)
+    for item in loads:
+        g = g_function(model, theta, item.target())
+        w = item.wrench.as_array()
+        load += g.T @ w
+        load_terms += abs(g).T @ abs(w)
+    return [(inertia, np.max(inertia_terms)), (grav, np.max(grav_terms)), (load, np.max(load_terms))]
+
+
 def fd_fk_position(model, theta):
     return forward_kinematics(model, theta).position
 

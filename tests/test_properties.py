@@ -25,6 +25,7 @@ from fmasim.config import (
     serialize_config,
 )
 from fmasim.dynamics import (
+    DynamicsQuantities,
     ExternalLoad,
     _joint_terms,
     compute_dynamics,
@@ -82,7 +83,13 @@ from fmasim.spatial import (
 )
 from fmasim.units import _UNIT_FACTORS, known_units, parse_quantity
 
-from oracles import fd_hessian, fd_jacobian, loop_frame_transforms, moving_average_outputs
+from oracles import (
+    fd_hessian,
+    fd_jacobian,
+    link_com_g_form,
+    loop_frame_transforms,
+    moving_average_outputs,
+)
 
 _angles = st.floats(-np.pi, np.pi)
 _lengths = st.floats(-0.5, 0.5)
@@ -174,6 +181,22 @@ def test_forward_and_inverse_dynamics_round_trip(case):
     inertia, bias = _joint_terms(model, theta, qd, gravity, loads, viscous)
     scale = max(np.max(np.abs(inertia) @ np.abs(qdd)), np.max(np.abs(bias)))
     assert np.max(np.abs(back - tau)) <= 1.0e-14 * scale
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dynamic_states())
+def test_spatial_kernel_is_the_link_com_g_form(case):
+    # The G-form is the formula the spatial kernel replaced; both give I*
+    # from one kernel, and at rest with no gravity the bias is the load torque.
+    model, theta, _, _, gravity, loads, _ = case
+    n = model.dof
+    inertia, load_torque = _joint_terms(model, theta, np.zeros(n), np.zeros(3), loads, None)
+    quant = compute_dynamics(model, theta, gravity)
+    assert quant.inertia.tobytes() == inertia.tobytes()
+    kernel = (inertia, quant.gravity, load_torque)
+    oracle = link_com_g_form(model, theta, gravity, loads)
+    for name, got, (want, scale) in zip(("inertia", "gravity", "loads"), kernel, oracle):
+        assert np.max(np.abs(got - want)) <= 1.0e-12 * scale, name
 
 
 # Signed zeros reach the sign bits of -sin(alpha) * d and of the products.
@@ -294,6 +317,10 @@ def value_inputs(draw, cls):
             {},
         ),
         ContactSurface: lambda: ({"point": vec(3), "normal": unit_axis()}, {"stiffness": 1000.0}),
+        DynamicsQuantities: lambda: (
+            {"inertia": vec((n, n)), "power": vec((n, n, n)), "gravity": vec(n)},
+            {},
+        ),
     }
     return builders[cls]()
 
@@ -315,6 +342,22 @@ def test_values_copy_and_freeze_the_arrays_they_are_given(cls, data):
         assert not np.shares_memory(held, given_array), name
         assert not held.flags.writeable, name
         given_array[...] = 1.0  # raises if the value froze its caller's array
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [Rotation, Pose, Wrench, Twist, SpatialTransform]
+    + [SerialChainModel, JointState, GKICSet, GainSet, ContactSurface, DynamicsQuantities],
+    ids=lambda cls: cls.__name__,
+)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_values_compare_and_hash_by_identity(cls, data):
+    inputs, others = data.draw(value_inputs(cls))
+    value, twin = cls(**inputs, **others), cls(**inputs, **others)
+    assert value == value and not value != value
+    assert value != twin and not value == twin
+    assert hash(value) == hash(value) and len({value, twin}) == 2
 
 
 _components = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-50.0, 50.0))

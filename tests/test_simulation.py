@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -180,6 +181,22 @@ def test_fma_scenario_validation():
         FmaScenario(plant, duration=-1.0)
     assert FmaScenario(plant, duration=4.0).peak_speed == pytest.approx(2.0 * math.pi / 4.0)
     assert FmaScenario(plant, omega_peak=0.9).peak_speed == 0.9
+
+
+BUILT_IN = {FmaScenario: "fma-paper-deburr", ForceControlScenario: "force-regulation"}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "cls, name",
+    [(cls, f.name) for cls in BUILT_IN for f in fields(cls) if f.type == "float"],
+    ids=lambda x: getattr(x, "__name__", x),
+)
+def test_scenario_float_fields_must_be_finite(cls, name, value):
+    scenario = build_scenario(load_scenario(BUILT_IN[cls]))
+    assert isinstance(scenario, cls)
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        replace(scenario, **{name: value})
 
 
 def test_force_scenario_validation():
