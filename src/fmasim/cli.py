@@ -18,14 +18,13 @@ import json
 import math
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import config as config_mod
-from . import fixtures, svg
+from . import fixtures
 from .errors import ConfigError, DegenerateConfigurationError, SimulationBlowUpError
 from .kinematics import forward_kinematics, g_function
 from .simulation import (
@@ -101,6 +100,8 @@ def cmd_simulate(args) -> int:
     write_metrics(metrics, metrics_path)
     written = [str(trace_path), str(metrics_path)]
     if args.svg:
+        from . import svg
+
         series, ylabel = _trace_plot(trace)
         svg_path = out / "trace.svg"
         svg.write_plot(svg_path, series, title=trace.scenario.name, xlabel="t [s]", ylabel=ylabel)
@@ -134,6 +135,8 @@ def cmd_envelope(args) -> int:
     # A pool starts all its workers at the first submit; never more than runs.
     workers = min(args.parallel, len(variants))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(_run_config, variants))
     else:
@@ -146,6 +149,8 @@ def cmd_envelope(args) -> int:
         csv.writer(f, lineterminator="\n").writerows(rows)
     written = [str(csv_path)]
     if args.svg:
+        from . import svg
+
         svg_path = out / "envelope.svg"
         speeds = [p.speed for p in points]
         torques = [p.torque for p in points]

@@ -20,7 +20,13 @@ velocities v_l = sum_{j<=l} s_j qd_j, accelerations a_l = sum_{j<=l}
 v_j x s_j qd_j over the base acceleration (0; -g), link forces
 I_l a_l + v_l x* I_l v_l plus each external wrench as the spatial force
 (n + p x f; f) on its link, and bias_j = s_j . sum_{l>=j} of the forces.
-``compute_dynamics`` builds the paper's P* from the link-COM G/H.
+
+P* comes from the same composite inertias (Garofalo, Ott and
+Albu-Schaeffer, IROS 2013). Joint i turns every axis and link beyond it
+rigidly, so s_j . Ic_m s_k changes with q_i only where its factors
+straddle joint i. With T[i,j,k] = (s_j x s_i) . Ic_max(i,k) s_k for
+j < i and 0 otherwise, dI*_jk/dq_i = T[i,j,k] + T[i,k,j], and
+P*[i,l,j] = dI*_lj/dq_i - dI*_ij/dq_l / 2.
 """
 from __future__ import annotations
 
@@ -30,20 +36,17 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateConfigurationError
-from .kinematics import _EYE3, JointState, SerialChainModel, _g_of, _h_of, _resolve_target, frame_transforms
-from .spatial import Wrench, frozen_array
+from .kinematics import _EYE3, JointState, SerialChainModel, _resolve_target, frame_transforms
+from .spatial import Wrench, frozen_array, skew
 from .units import GRAVITY
 
 CONDITION_LIMIT = 1.0e12
 
-# Row j is the cross-product matrix [e_j]x, flattened; [v]x = sum_j v_j [e_j]x.
-_SKEW_BASIS = np.array([np.cross(e, np.eye(3)).T.ravel() for e in np.eye(3)])
 # Row k is the spatial cross matrix of unit motion vector k, flattened:
 # (w; u) x = [[w]x, 0; [u]x, [w]x] = I2 (x) [w]x + [[0, 0], [1, 0]] (x) [u]x.
 _MOTION_CROSS_BASIS = np.array([
-    np.kron(b, s).ravel() for b in (np.eye(2), np.eye(2, k=-1)) for s in _SKEW_BASIS.reshape(3, 3, 3)
+    np.kron(b, s).ravel() for b in (np.eye(2), np.eye(2, k=-1)) for s in skew(np.eye(3))
 ])
-_SKEW_BASIS.flags.writeable = False
 _MOTION_CROSS_BASIS.flags.writeable = False
 
 
@@ -74,11 +77,6 @@ def _gravity_vector(gravity) -> np.ndarray:
     return np.array([0.0, 0.0, -GRAVITY]) if gravity is None else np.asarray(gravity, dtype=float)
 
 
-def _skew(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrices [v]x (..., 3, 3) of vectors (..., 3): [v]x r = v x r."""
-    return (v @ _SKEW_BASIS).reshape(v.shape + (3,))
-
-
 @lru_cache(maxsize=None)
 def _upper_ones(n: int) -> np.ndarray:
     """(n, n) ones on and above the diagonal: row j of ``U @ x`` sums x_l over l >= j."""
@@ -92,12 +90,12 @@ def _link_masses(model: SerialChainModel, rots: np.ndarray, origins: np.ndarray)
 
 
 def _composite_terms(model, rots, origins, coms, pi, g_vec):
-    """Joint axes s (n,6), link spatial inertias (n,6,6), I* and tau_g."""
+    """Joint axes s (n,6), link and composite spatial inertias (n,6,6), I* and tau_g."""
     n = model.dof
     upper = _upper_ones(n)
     zs = rots[:, :, 2]
-    axes = np.concatenate([zs, (_skew(origins) @ zs[:, :, None])[:, :, 0]], axis=1)
-    cx = _skew(coms)
+    axes = np.concatenate([zs, (skew(origins) @ zs[:, :, None])[:, :, 0]], axis=1)
+    cx = skew(coms)
     mcx = model.masses[:, None, None] * cx
     inert = np.empty((n, 6, 6))
     inert[:, :3, :3] = pi - mcx @ cx
@@ -105,26 +103,27 @@ def _composite_terms(model, rots, origins, coms, pi, g_vec):
     np.multiply(model.masses[:, None, None], _EYE3, out=inert[:, 3:, 3:])
     # axial_j = Ic_j s_j, so s_i . axial_j is I*_ij for i <= j. Every link shares
     # the base acceleration (0; -g), so its forces on joint j sum to Ic_j (0; -g).
-    axial = ((upper @ inert.reshape(n, 36)).reshape(n, 6, 6) @ axes[:, :, None])[:, :, 0]
+    composite = (upper @ inert.reshape(n, 36)).reshape(n, 6, 6)
+    axial = (composite @ axes[:, :, None])[:, :, 0]
     cols = axes @ axial.T
-    return axes, inert, np.where(upper > 0.0, cols, cols.T), -axial[:, 3:] @ g_vec
+    return axes, inert, composite, np.where(upper > 0.0, cols, cols.T), -axial[:, 3:] @ g_vec
 
 
 def compute_dynamics(
     model: SerialChainModel, theta: np.ndarray, gravity: np.ndarray | None = None
 ) -> DynamicsQuantities:
-    """Inertia and gravity torque from the spatial kernel, the power array from the link-COM G/H."""
+    """I*, P* and tau_g from the composite rigid bodies."""
     rots, origins = frame_transforms(model, theta)
     coms, pi = _link_masses(model, rots, origins)
-    _, _, inertia, grav = _composite_terms(model, rots, origins, coms, pi, _gravity_vector(gravity))
-    g = _g_of(rots, origins, coms, np.arange(model.dof))
-    h = _h_of(rots[:, :, 2], g)
-    # dI*/dtheta_i = T_i + T_i^T with I* = sum_l m_l Gc_l^T Gc_l + Gw_l^T Pi_l Gw_l.
-    # The rotation rows also carry the spin of link l's world inertia,
-    # dPi/dtheta_i = [z_i]Pi - Pi[z_i] for i <= l; as z_i x z_b = hw[i, :, b]
-    # - hw[b, :, i] on those links, it turns hw[l, i, :, b] into hw[l, b, :, i].
-    term = np.einsum("l,likb,lkc->ibc", model.masses, h[:, :, :3], g[:, :3])
-    term += np.einsum("lbki,lkc->ibc", h[:, :, 3:], pi @ g[:, 3:])
+    axes, _, composite, inertia, grav = _composite_terms(
+        model, rots, origins, coms, pi, _gravity_vector(gravity)
+    )
+    n = model.dof
+    idx = np.arange(n)
+    # reach[i, k] = Ic_max(i,k) s_k and turn[j, :, i] = s_j x s_i.
+    reach = (composite @ axes.T)[np.maximum.outer(idx, idx), :, idx]
+    turn = (axes @ _MOTION_CROSS_BASIS).reshape(n, 6, 6) @ axes.T
+    term = np.einsum("jai,ika->ijk", turn, reach) * (1.0 - _upper_ones(n))[:, :, None]
     grad = term + term.transpose(0, 2, 1)
     power = grad - 0.5 * np.transpose(grad, (1, 0, 2))
     return DynamicsQuantities(inertia=inertia, power=power, gravity=grav)
@@ -134,7 +133,7 @@ def _joint_terms(model, theta, theta_dot, gravity, loads, viscous) -> tuple[np.n
     """I* and the bias: the velocity-product, gravity, load and viscous torques at zero qdd."""
     rots, origins = frame_transforms(model, theta)
     coms, pi = _link_masses(model, rots, origins)
-    axes, inert, inertia, bias = _composite_terms(model, rots, origins, coms, pi, _gravity_vector(gravity))
+    axes, inert, _, inertia, bias = _composite_terms(model, rots, origins, coms, pi, _gravity_vector(gravity))
     upper = _upper_ones(model.dof)
     rate = axes * theta_dot[:, None]
     vel = upper.T @ rate
@@ -144,29 +143,12 @@ def _joint_terms(model, theta, theta_dot, gravity, loads, viscous) -> tuple[np.n
     force = (inert @ acc[:, :, None] - cross.transpose(0, 2, 1) @ (inert @ vel[:, :, None]))[:, :, 0]
     for load in loads:
         link, point = _resolve_target(model, rots, origins, load.target())
-        force[link, :3] += load.wrench.moment + _skew(point) @ load.wrench.force
+        force[link, :3] += load.wrench.moment + skew(point) @ load.wrench.force
         force[link, 3:] += load.wrench.force
     bias += (axes[:, None, :] @ (upper @ force)[:, :, None])[:, 0, 0]
     if viscous is not None:
         bias += np.asarray(viscous, dtype=float) * theta_dot
     return inertia, bias
-
-
-def effective_inertia(model: SerialChainModel, theta: np.ndarray) -> np.ndarray:
-    """Joint-space inertia matrix I*(q); kinetic energy is qd^T I* qd / 2."""
-    return compute_dynamics(model, theta).inertia
-
-
-def inertia_power_matrix(model: SerialChainModel, theta: np.ndarray) -> np.ndarray:
-    """Power array P* (n,n,n); Coriolis torque component l is qd . P*[:, l, :] . qd."""
-    return compute_dynamics(model, theta).power
-
-
-def gravity_torque(
-    model: SerialChainModel, theta: np.ndarray, gravity: np.ndarray | None = None
-) -> np.ndarray:
-    """Joint torque that statically balances gravity."""
-    return compute_dynamics(model, theta, gravity).gravity
 
 
 def coriolis_torque(power: np.ndarray, theta_dot: np.ndarray) -> np.ndarray:

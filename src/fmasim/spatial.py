@@ -8,6 +8,8 @@ Conventions used throughout:
   stacks linear over angular velocity.
 * The spatial force transform of a frame whose rotation is R and whose
   origin sits at p in the target frame is ``[[R, 0], [skew(p) @ R, R]]``.
+* ``skew`` is batched: it maps vectors (..., 3) to their cross-product
+  matrices (..., 3, 3) in one product with a constant basis.
 """
 from __future__ import annotations
 
@@ -18,10 +20,15 @@ import numpy as np
 ORTHONORMAL_TOL = 1.0e-12
 
 
+# Row j is the cross-product matrix [e_j]x, flattened; [v]x = sum_j v_j [e_j]x.
+_SKEW_BASIS = np.array([np.cross(e, np.eye(3)).T.ravel() for e in np.eye(3)])
+_SKEW_BASIS.flags.writeable = False
+
+
 def skew(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrix: skew(v) @ u == np.cross(v, u)."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Cross-product matrices (..., 3, 3) of vectors (..., 3): skew(v) @ u == np.cross(v, u)."""
+    v = np.asarray(v, dtype=float)
+    return (v @ _SKEW_BASIS).reshape(v.shape + (3,))
 
 
 def frozen_array(a, name: str, shape: tuple[int, ...]) -> np.ndarray:

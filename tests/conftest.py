@@ -39,7 +39,7 @@ def pendulum_energy_drift() -> float:
     One rotary joint swings in the x-y plane with gravity along -y, so it
     does work against gravity, from rest at 2 rad.
     """
-    from fmasim.dynamics import effective_inertia, forward_dynamics
+    from fmasim.dynamics import compute_dynamics, forward_dynamics
     from fmasim.kinematics import DHRow, SerialChainModel, com_positions
     from fmasim.simulation import rk4_step
 
@@ -51,7 +51,7 @@ def pendulum_energy_drift() -> float:
         name="pendulum",
     )
     gravity = np.array([0.0, -9.81, 0.0])
-    i_eff = float(effective_inertia(model, np.zeros(1))[0, 0])
+    i_eff = float(compute_dynamics(model, np.zeros(1)).inertia[0, 0])
 
     def energy(q, qd):
         com = com_positions(model, np.array([q]))[0]

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from fmasim.kinematics import forward_kinematics, frame_transforms, g_function
+from fmasim.kinematics import forward_kinematics, frame_transforms, g_function, h_function
 
 
 def loop_frame_transforms(model, theta):
@@ -154,34 +154,51 @@ def rnea_torques(model, theta, theta_dot, theta_ddot, gravity):
 
 
 def link_com_g_form(model, theta, gravity, loads):
-    """I*, tau_g and the load torque from the influence coefficients of every link COM.
+    """I*, tau_g, the load torque and P* from the influence coefficients of every link COM.
 
     I* = sum_l m_l Gc_l^T Gc_l + Gw_l^T Pi_l Gw_l, tau_g = -sum_l m_l Gc_l^T g
     and the load torque sum_k G_k^T w_k, from one ``g_function`` call per
-    link COM and per load target. Returns a (value, scale) pair per array;
-    the scale is the largest sum of the terms' magnitudes, so it bounds the
-    rounding also where the terms cancel.
+    link COM and per load target. P* comes from dI*/dtheta_i = T_i + T_i^T
+    over each COM's ``h_function``: the rotation rows also carry the spin
+    of link l's world inertia, dPi/dtheta_i = [z_i]Pi - Pi[z_i] for i <= l,
+    which turns hw[i, :, b] into hw[b, :, i]. Returns a (value, scale) pair
+    per array; the scale is the largest sum of the terms' magnitudes, so it
+    bounds the rounding also where the terms cancel.
     """
     rots, _ = frame_transforms(model, theta)
     g_vec = np.asarray(gravity, dtype=float)
     n = len(theta)
     inertia, inertia_terms = np.zeros((n, n)), np.zeros((n, n))
     grav, grav_terms = np.zeros(n), np.zeros(n)
+    term, term_sizes = np.zeros((n, n, n)), np.zeros((n, n, n))
     for link, (m, local) in enumerate(zip(model.masses, model.inertias)):
-        g = g_function(model, theta, ("com", link + 1))
+        target = ("com", link + 1)
+        g, h = g_function(model, theta, target), h_function(model, theta, target)
         gc, gw = g[:3], g[3:]
         pi = rots[link] @ local @ rots[link].T
         inertia += m * gc.T @ gc + gw.T @ pi @ gw
         inertia_terms += m * abs(gc).T @ abs(gc) + abs(gw).T @ abs(pi) @ abs(gw)
         grav -= m * gc.T @ g_vec
         grav_terms += m * abs(gc).T @ abs(g_vec)
+        term += m * np.einsum("ikb,kc->ibc", h[:, :3], gc) + np.einsum("bki,kc->ibc", h[:, 3:], pi @ gw)
+        term_sizes += m * np.einsum("ikb,kc->ibc", abs(h[:, :3]), abs(gc))
+        term_sizes += np.einsum("bki,kc->ibc", abs(h[:, 3:]), abs(pi) @ abs(gw))
     load, load_terms = np.zeros(n), np.zeros(n)
     for item in loads:
         g = g_function(model, theta, item.target())
         w = item.wrench.as_array()
         load += g.T @ w
         load_terms += abs(g).T @ abs(w)
-    return [(inertia, np.max(inertia_terms)), (grav, np.max(grav_terms)), (load, np.max(load_terms))]
+    grad = term + term.transpose(0, 2, 1)
+    grad_sizes = term_sizes + term_sizes.transpose(0, 2, 1)
+    power = grad - 0.5 * grad.transpose(1, 0, 2)
+    power_terms = grad_sizes + 0.5 * grad_sizes.transpose(1, 0, 2)
+    return [
+        (inertia, np.max(inertia_terms)),
+        (grav, np.max(grav_terms)),
+        (load, np.max(load_terms)),
+        (power, np.max(power_terms)),
+    ]
 
 
 def fd_fk_position(model, theta):

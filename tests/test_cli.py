@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 from importlib import resources
@@ -576,7 +577,7 @@ class _RecordingPool:
 def test_envelope_parallel_is_capped_at_the_runs(
     rest_config, sweep, parallel, workers, tmp_path, monkeypatch, capsys
 ):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "created", [])
     args = ["envelope", "--config", rest_config, "--sweep", sweep, "--parallel", parallel]
     assert main(args + ["--out", str(tmp_path)]) == 0
@@ -586,7 +587,7 @@ def test_envelope_parallel_is_capped_at_the_runs(
 
 @pytest.mark.parametrize("parallel", ["0", "-3"])
 def test_envelope_parallel_below_one_exits_2(rest_config, parallel, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "created", [])
     args = ["envelope", "--config", rest_config, "--parallel", parallel, "--out", str(tmp_path)]
     assert main(args) == 2

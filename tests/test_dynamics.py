@@ -13,9 +13,7 @@ from fmasim.dynamics import (
     ExternalLoad,
     compute_dynamics,
     coriolis_torque,
-    effective_inertia,
     forward_dynamics,
-    gravity_torque,
     inverse_dynamics,
 )
 from fmasim.fixtures import powercube6
@@ -119,7 +117,7 @@ def test_gravity_torque_is_potential_gradient():
         coms = com_positions(model, theta)
         return sum(m * 9.81 * c[2] for m, c in zip(model.masses, coms))
 
-    g_tau = gravity_torque(model, q)
+    g_tau = compute_dynamics(model, q).gravity
     h = 1.0e-6
     for i in range(6):
         dq = np.zeros(6)
@@ -134,9 +132,36 @@ def test_effective_inertia_is_spd():
     rng = np.random.default_rng(13)
     for _ in range(4):
         q = rng.uniform(-np.pi, np.pi, 6)
-        m = effective_inertia(model, q)
+        m = compute_dynamics(model, q).inertia
         assert np.allclose(m, m.T, atol=1e-10)
         assert np.all(np.linalg.eigvalsh(m) > 0.0)
+
+
+def test_power_array_is_the_inertia_derivative():
+    # The quadratic forms see only the part of P* symmetric in (i, j);
+    # central differences of I* see all of it.
+    model = powercube6()
+    rng = np.random.default_rng(14)
+    h = 1.0e-6
+    for _ in range(20):
+        q = rng.uniform(-np.pi, np.pi, 6)
+        grad = np.empty((6, 6, 6))
+        for i in range(6):
+            dq = np.zeros(6)
+            dq[i] = h
+            plus, minus = compute_dynamics(model, q + dq), compute_dynamics(model, q - dq)
+            grad[i] = (plus.inertia - minus.inertia) / (2.0 * h)
+        power = compute_dynamics(model, q).power
+        fd = grad - 0.5 * grad.transpose(1, 0, 2)
+        assert np.max(np.abs(power - fd)) <= 1.0e-6 * np.max(np.abs(power))
+
+
+def test_one_joint_power_array_is_zero():
+    # One joint turns the whole chain rigidly, so I* does not depend on it.
+    rng = np.random.default_rng(15)
+    model = random_spatial_chain(rng, dof=1)
+    for q in rng.uniform(-np.pi, np.pi, (5, 1)):
+        assert not compute_dynamics(model, q).power.any()
 
 
 def test_coriolis_vanishes_at_rest():
@@ -207,4 +232,7 @@ def test_import_does_not_load_scipy():
 
 
 def test_cli_import_does_not_load_dynamics():
-    _run_fresh('import fmasim.cli; import sys; assert "fmasim.dynamics" not in sys.modules')
+    # Nor the process pool, which only envelope --parallel uses, nor the
+    # plot writer, which only --svg uses.
+    unused = ("fmasim.dynamics", "concurrent.futures.process", "fmasim.svg")
+    _run_fresh(f"import fmasim.cli, sys; loaded = set({unused}) & set(sys.modules); assert not loaded, loaded")

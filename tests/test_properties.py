@@ -193,9 +193,9 @@ def test_spatial_kernel_is_the_link_com_g_form(case):
     inertia, load_torque = _joint_terms(model, theta, np.zeros(n), np.zeros(3), loads, None)
     quant = compute_dynamics(model, theta, gravity)
     assert quant.inertia.tobytes() == inertia.tobytes()
-    kernel = (inertia, quant.gravity, load_torque)
+    kernel = (inertia, quant.gravity, load_torque, quant.power)
     oracle = link_com_g_form(model, theta, gravity, loads)
-    for name, got, (want, scale) in zip(("inertia", "gravity", "loads"), kernel, oracle):
+    for name, got, (want, scale) in zip(("inertia", "gravity", "loads", "power"), kernel, oracle):
         assert np.max(np.abs(got - want)) <= 1.0e-12 * scale, name
 
 
