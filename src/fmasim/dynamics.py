@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateConfigurationError
-from .kinematics import _EYE3, JointState, SerialChainModel, _resolve_target, frame_transforms
+from .kinematics import JointState, SerialChainModel, _resolve_target, frame_transforms
 from .spatial import Wrench, frozen_array, skew
 from .units import GRAVITY
 
@@ -100,7 +100,7 @@ def _composite_terms(model, rots, origins, coms, pi, g_vec):
     inert = np.empty((n, 6, 6))
     inert[:, :3, :3] = pi - mcx @ cx
     inert[:, :3, 3:], inert[:, 3:, :3] = mcx, -mcx
-    np.multiply(model.masses[:, None, None], _EYE3, out=inert[:, 3:, 3:])
+    np.multiply(model.masses[:, None, None], np.eye(3), out=inert[:, 3:, 3:])
     # axial_j = Ic_j s_j, so s_i . axial_j is I*_ij for i <= j. Every link shares
     # the base acceleration (0; -g), so its forces on joint j sum to Ic_j (0; -g).
     composite = (upper @ inert.reshape(n, 36)).reshape(n, 6, 6)

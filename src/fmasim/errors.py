@@ -10,4 +10,4 @@ class DegenerateConfigurationError(ValueError):
 
 
 class SimulationBlowUpError(RuntimeError):
-    """State or derivative became non-finite during integration."""
+    """A run diverged: its state or derivative became non-finite or left a bound."""

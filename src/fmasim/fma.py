@@ -96,16 +96,30 @@ def _check_weight(weight: np.ndarray | None, m: int) -> np.ndarray:
 def weighted_pseudo_inverse(g_row: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
     """Right inverse of a 1 x m speed map minimizing qd^T W qd.
 
-    Returns the column ``W^-1 g^T (g W^-1 g^T)^-1`` as a 1-D array.
+    Returns the column ``W^-1 g^T (g W^-1 g^T)^-1`` as a 1-D array,
+    computed in Python floats with each sum in index order. W^-1 g^T comes
+    from Gaussian elimination without pivoting, which a positive definite
+    W does not need; a diagonal W gives g_i / W_ii.
     """
     g = np.asarray(g_row, dtype=float).reshape(-1)
-    m = g.shape[0]
-    w = _check_weight(weight, m)
-    winv_gt = np.linalg.solve(w, g)
-    denom = float(g @ winv_gt)
-    if denom <= 0.0 or not np.isfinite(denom):
+    w = _check_weight(weight, g.shape[0]).tolist()
+    x, m = g.tolist(), len(w)
+    for k in range(m):
+        for i in range(k + 1, m):
+            f = w[i][k] / w[k][k]
+            for j in range(k + 1, m):
+                w[i][j] -= f * w[k][j]
+            x[i] -= f * x[k]
+    for k in reversed(range(m)):
+        for j in range(k + 1, m):
+            x[k] -= w[k][j] * x[j]
+        x[k] /= w[k][k]
+    denom = 0.0
+    for gi, xi in zip(g.tolist(), x):
+        denom += gi * xi
+    if denom <= 0.0 or not math.isfinite(denom):
         raise ValueError("speed map is degenerate: g W^-1 g^T is not positive")
-    return winv_gt / denom
+    return np.array([xi / denom for xi in x])
 
 
 def null_space_projector(g_row: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
@@ -134,9 +148,12 @@ def allocate_velocities(
 
 
 def _friction_magnitude(mag, knee):
-    # knee = np.exp(-FRICTION_KNEE_RATE * mag), not math.exp: the two differ
-    # in the last bit on some platforms, and both paths must agree.
+    # knee = math.exp(-FRICTION_KNEE_RATE * mag) on both paths: np.exp may
+    # take a SIMD kernel that differs from libm in the last bit.
     return FRICTION_STATIC + FRICTION_VISCOUS * mag - FRICTION_KNEE_GAIN * (1.0 - knee)
+
+
+_exp = np.vectorize(math.exp, otypes=[float])
 
 
 def stribeck_friction(qd):
@@ -149,11 +166,11 @@ def stribeck_friction(qd):
     if isinstance(qd, float) or np.isscalar(qd):
         q = float(qd)
         mag = abs(q)
-        f = _friction_magnitude(mag, float(np.exp(-FRICTION_KNEE_RATE * mag)))
+        f = _friction_magnitude(mag, math.exp(-FRICTION_KNEE_RATE * mag))
         return -f if q < 0.0 else f
     q = np.asarray(qd, dtype=float)
     mag = np.abs(q)
-    f = _friction_magnitude(mag, np.exp(-FRICTION_KNEE_RATE * mag))
+    f = _friction_magnitude(mag, _exp(-FRICTION_KNEE_RATE * mag))
     return np.where(q < 0.0, -f, f)
 
 
@@ -290,11 +307,11 @@ class _ReducedTerms:
     computed once by the caller; a frictionless model ignores fric.
     """
 
-    g_plus: np.ndarray
+    g_plus: tuple[float, float]
     inertia: float
     damping: float
-    voltage_row: np.ndarray
-    volts_per_torque: np.ndarray  # K_M^-1 g^T
+    voltage_row: tuple[float, float]  # g+ K_M
+    volts_per_torque: tuple[float, float]  # K_M^-1 g^T
     gravity_arm: float
     link_inertia: float
     stribeck: bool
@@ -302,15 +319,21 @@ class _ReducedTerms:
     def voltages(
         self, q: float, qd: float, sin_q: float, fric: float,
         q_ref: float, qd_ref: float, qdd_ref: float, kp: float, kv: float,
-    ) -> np.ndarray:
+    ) -> tuple[float, float]:
         """Armature voltages of the inverse-model law, PD servo inside its bracket."""
         accel = qdd_ref + kv * (qd_ref - qd) + kp * (q_ref - q)
         f = fric if self.stribeck else 0.0
         tau = self.inertia * accel + self.damping * qd + f + self.gravity_arm * sin_q
-        return self.volts_per_torque * tau
+        r0, r1 = self.volts_per_torque
+        return r0 * tau, r1 * tau
+
+    def drive(self, v) -> float:
+        """Drive torque ``voltage_row @ v`` of two voltages, summed in index order."""
+        r0, r1 = self.voltage_row
+        return r0 * v[0] + r1 * v[1]
 
     def acceleration(self, qd: float, sin_q: float, fric: float, drive: float, tau_ext: float) -> float:
-        """Output acceleration under the drive torque ``voltage_row @ v``."""
+        """Output acceleration under the drive torque ``self.drive(v)``."""
         f = fric if self.stribeck else 0.0
         return (drive - tau_ext - self.damping * qd - f - self.gravity_arm * sin_q) / self.inertia
 
@@ -322,15 +345,16 @@ class _ReducedTerms:
 
 def reduced_terms(model: DualActuatorModel, weight: np.ndarray | None = None) -> _ReducedTerms:
     """Reflect the prime-mover pair onto the output shaft under a weight."""
-    gp = weighted_pseudo_inverse(model.g_row, weight)
-    i_m, b_m, k_m = motor_dynamics_matrices(model)
-    inertia = model.output_inertia() + float(gp @ i_m @ gp)
-    damping = float(gp @ b_m @ gp)
+    g0, g1 = gear_ratios(model.geometry)
+    p0, p1 = weighted_pseudo_inverse((g0, g1), weight).tolist()
+    # The diagonals of I_M, B_M and K_M; the products are the matrix forms'
+    # with their zero terms dropped.
+    (i0, i1), (b0, b1), (k0, k1) = (np.diag(m).tolist() for m in motor_dynamics_matrices(model))
+    inertia = model.output_inertia() + (p0 * i0 * p0 + p1 * i1 * p1)
     if inertia <= 0.0:
         raise ValueError("reduced inertia must be positive")
-    volts_per_torque = np.linalg.solve(k_m, model.g_row)
     return _ReducedTerms(
-        gp, inertia, damping, gp @ k_m, volts_per_torque,
+        (p0, p1), inertia, p0 * b0 * p0 + p1 * b1 * p1, (p0 * k0, p1 * k1), (g0 / k0, g1 / k1),
         model.gravity_arm, model.output_inertia(), model.friction_model == "stribeck",
     )
 
@@ -351,7 +375,7 @@ def reduced_dynamics(
     if v.shape != (2,):
         raise ValueError("v must hold two armature voltages")
     terms = reduced_terms(model, weight)
-    return terms.acceleration(qd, math.sin(q), stribeck_friction(qd), float(terms.voltage_row @ v), tau_ext)
+    return terms.acceleration(qd, math.sin(q), stribeck_friction(qd), terms.drive(v.tolist()), tau_ext)
 
 
 def computed_torque_voltage(
@@ -371,7 +395,7 @@ def computed_torque_voltage(
     recovers the pure feedforward law.
     """
     terms = reduced_terms(model, weight)
-    return terms.voltages(q, qd, math.sin(q), stribeck_friction(qd), q_ref, qd_ref, qdd_ref, kp, kv)
+    return np.array(terms.voltages(q, qd, math.sin(q), stribeck_friction(qd), q_ref, qd_ref, qdd_ref, kp, kv))
 
 
 def electromagnetic_torques(

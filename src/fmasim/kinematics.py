@@ -14,6 +14,7 @@ task acceleration is ``G @ qdd + qd . H . qd``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -71,14 +72,13 @@ class SerialChainModel:
         return len(self.dh)
 
     @cached_property
-    def _dh_constants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Theta offsets, cos and sin of alpha_prev, and each link's origin offset (n,3)."""
-        offsets = np.array([row.theta_offset for row in self.dh])
-        ca = np.array([np.cos(row.alpha_prev) for row in self.dh])
-        sa = np.array([np.sin(row.alpha_prev) for row in self.dh])
-        d = np.array([row.d for row in self.dh])
-        p_rel = np.stack([[row.a_prev for row in self.dh], -sa * d, ca * d], axis=-1)
-        return offsets, ca, sa, p_rel
+    def _dh_rows(self) -> tuple[tuple[float, ...], ...]:
+        """Per row, in floats: theta offset, cos and sin of alpha_prev, and the origin offset (3)."""
+        rows = []
+        for row in self.dh:
+            ca, sa = math.cos(row.alpha_prev), math.sin(row.alpha_prev)
+            rows.append((row.theta_offset, ca, sa, row.a_prev, -sa * row.d, ca * row.d))
+        return tuple(rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,29 +109,45 @@ class GKICSet:
         object.__setattr__(self, "H", frozen_array(self.H, "H", (n, m, n)))
 
 
-# The base frame every chain product starts from; read-only, as all calls share it.
-_EYE3 = np.eye(3)
-_ZERO3 = np.zeros(3)
-_EYE3.flags.writeable = False
-_ZERO3.flags.writeable = False
-
-
 def frame_transforms(model: SerialChainModel, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotations (n,3,3) and origins (n,3) of every link frame in base coordinates."""
+    """Rotations (n,3,3) and origins (n,3) of every link frame in base coordinates.
+
+    The chain runs in Python floats: ``math.cos``/``math.sin`` and each
+    3x3 product written out, from the identity. Each sum starts at 0.0
+    and adds its terms in index order, the relative rotation's zero
+    entry included, as a BLAS product without fused multiply-adds does.
+    So no result, signed zeros included, depends on a BLAS or SIMD kernel.
+    """
     theta = _check_theta(model, theta)
-    offsets, ca, sa, p_rel = model._dh_constants
-    th = theta + offsets
-    ct, st = np.cos(th), np.sin(th)
+    cos, sin = math.cos, math.sin
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
+    px = py = pz = 0.0
+    rots, origins = [], []
+    for th, (offset, ca, sa, ax, ay, az) in zip(theta.tolist(), model._dh_rows):
+        th += offset
+        ct, st = cos(th), sin(th)
+        # Relative rotation [[ct, -st, 0], [st ca, ct ca, -sa], [st sa, ct sa, ca]].
+        b00, b01, b02 = ct, -st, 0.0
+        b10, b11, b12 = st * ca, ct * ca, -sa
+        b20, b21, b22 = st * sa, ct * sa, ca
+        px += 0.0 + r00 * ax + r01 * ay + r02 * az
+        py += 0.0 + r10 * ax + r11 * ay + r12 * az
+        pz += 0.0 + r20 * ax + r21 * ay + r22 * az
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = (
+            0.0 + r00 * b00 + r01 * b10 + r02 * b20,
+            0.0 + r00 * b01 + r01 * b11 + r02 * b21,
+            0.0 + r00 * b02 + r01 * b12 + r02 * b22,
+            0.0 + r10 * b00 + r11 * b10 + r12 * b20,
+            0.0 + r10 * b01 + r11 * b11 + r12 * b21,
+            0.0 + r10 * b02 + r11 * b12 + r12 * b22,
+            0.0 + r20 * b00 + r21 * b10 + r22 * b20,
+            0.0 + r20 * b01 + r21 * b11 + r22 * b21,
+            0.0 + r20 * b02 + r21 * b12 + r22 * b22,
+        )
+        rots += (r00, r01, r02, r10, r11, r12, r20, r21, r22)
+        origins += (px, py, pz)
     n = model.dof
-    r_rel = np.array([ct, -st, np.zeros(n), st * ca, ct * ca, -sa, st * sa, ct * sa, ca])
-    r_rel = r_rel.T.reshape(n, 3, 3)
-    rots = np.empty((n, 3, 3))
-    origins = np.empty((n, 3))
-    r, p = _EYE3, _ZERO3
-    for i in range(n):
-        p = np.add(p, np.matmul(r, p_rel[i]), out=origins[i])
-        r = np.matmul(r, r_rel[i], out=rots[i])
-    return rots, origins
+    return np.array(rots).reshape(n, 3, 3), np.array(origins).reshape(n, 3)
 
 
 def _check_theta(model: SerialChainModel, theta: np.ndarray) -> np.ndarray:

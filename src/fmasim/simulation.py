@@ -56,6 +56,14 @@ MAX_STEPS = 10**8
 # at most 0.0046 rad.
 MAX_JOINT_STEP = math.pi / 2.0
 
+# The largest tracking error |q - q_ref| an FMA run may reach. Half a turn
+# of the output link is no tracking at all. A loop made unstable by its
+# held voltages (a control period near or past 2/kv) passes this bound
+# seconds before its state overflows, and would otherwise exit 0 with
+# nonsense metrics. The built-in stays within 0.0142 rad, and its
+# envelope sweep at peak-speed multipliers up to 64 within 0.181 rad.
+MAX_TRACKING_ERROR = math.pi
+
 
 def _check_finite_floats(scenario):
     """Raise ValueError naming the first float field of ``scenario`` that is not finite."""
@@ -405,7 +413,6 @@ def run_fma_scenario(scenario: FmaScenario) -> SimulationTrace:
     weights = (policy.quiet, policy.disturbed) if policy else (None,)
     plant_terms = [fma.reduced_terms(plant, w) for w in weights]
     ctrl_terms = [fma.reduced_terms(ctrl, w) for w in weights]
-    g_plus = [pt.g_plus.tolist() for pt in plant_terms]
 
     if scenario.reference == "trapezoid":
         w_pk, total, q0 = scenario.peak_speed, scenario.duration, scenario.q0
@@ -448,12 +455,18 @@ def run_fma_scenario(scenario: FmaScenario) -> SimulationTrace:
         pt, ct = plant_terms[disturbed], ctrl_terms[disturbed]
 
         q_ref, qd_ref, qdd_ref = ref(t)
+        error = abs(q - q_ref)
+        if error > MAX_TRACKING_ERROR:
+            raise SimulationBlowUpError(
+                f"{scenario.name}: tracking error of {error:.3g} rad at t={t:.4f} s "
+                f"passes the bound of {MAX_TRACKING_ERROR:.4g} rad"
+            )
         sin_q, fric = math.sin(q), fma.stribeck_friction(qd)
         v = ct.voltages(q, qd, sin_q, fric, q_ref, qd_ref, qdd_ref, scenario.kp, scenario.kv)
-        drive = float(pt.voltage_row @ v)
+        drive = pt.drive(v)
         qdd_now = pt.acceleration(qd, sin_q, fric, drive, tau_ext)
-        g1, g2 = g_plus[disturbed]
-        rows[k] = (t, q, q_ref, qd, qd_ref, g1 * qd, g2 * qd, *v.tolist(), tau_ext)
+        g1, g2 = pt.g_plus
+        rows[k] = (t, q, q_ref, qd, qd_ref, g1 * qd, g2 * qd, *v, tau_ext)
         tau_out[k] = pt.output_torque(sin_q, fric, qdd_now, tau_ext)
         tau_filtered[k] = filt
         disturbed_flag[k] = disturbed

@@ -3,6 +3,7 @@
 Everything here is derived from first principles (finite differences,
 a symbolic Lagrangian), never from the code under test.
 """
+import math
 from collections import deque
 from functools import lru_cache
 
@@ -16,8 +17,10 @@ def loop_frame_transforms(model, theta):
 
     The per-row form of ``frame_transforms``: each row's cos/sin and
     relative transform come from scalar calls, then the same sequential
-    products from the identity. The arithmetic is the same, so the
-    results must be equal to the bit.
+    products from the identity, as numpy elementwise products summed in
+    index order from 0.0, the order of a matrix product without fused
+    multiply-adds. The arithmetic is the same, so the results must be
+    equal to the bit.
     """
     theta = np.asarray(theta, dtype=float)
     n = len(model.dh)
@@ -27,12 +30,12 @@ def loop_frame_transforms(model, theta):
     p = np.zeros(3)
     for i, row in enumerate(model.dh):
         th = theta[i] + row.theta_offset
-        ca, sa = np.cos(row.alpha_prev), np.sin(row.alpha_prev)
-        ct, st = np.cos(th), np.sin(th)
+        ca, sa = math.cos(row.alpha_prev), math.sin(row.alpha_prev)
+        ct, st = math.cos(th), math.sin(th)
         r_rel = np.array([[ct, -st, 0.0], [st * ca, ct * ca, -sa], [st * sa, ct * sa, ca]])
         p_rel = np.array([row.a_prev, -sa * row.d, ca * row.d])
-        p = p + r @ p_rel
-        r = r @ r_rel
+        p = p + (0.0 + r[:, 0] * p_rel[0] + r[:, 1] * p_rel[1] + r[:, 2] * p_rel[2])
+        r = 0.0 + r[:, 0:1] * r_rel[0] + r[:, 1:2] * r_rel[1] + r[:, 2:3] * r_rel[2]
         rots[i] = r
         origins[i] = p
     return rots, origins

@@ -500,23 +500,37 @@ def test_near_singular_wrist_runs_as_the_built_in(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "run, diverged_at",
+    "controller, run, failure",
     [
-        ("", "0.0050"),
+        # A stiff servo: the error passes half a turn a tick before the state overflows.
+        ("kp = 1e9\nkv = 1e6\n", "", "tracking error of 3.46e+03 rad at t=0.0040 s passes the bound of 3.142 rad"),
         # twenty RK4 substeps per control tick
-        ("timestep = 0.02 s\ncontrol_period = 1 s\n", "3.0000"),
+        (
+            "kp = 1e9\nkv = 1e6\n",
+            "timestep = 0.02 s\ncontrol_period = 1 s\n",
+            "tracking error of 5.17e+06 rad at t=2.0000 s passes the bound of 3.142 rad",
+        ),
+        # The built-in gains with voltages held past the sampled loop's edge, 2/kv = 33 ms.
+        ("", "timestep = 40 ms\ncontrol_period = 40 ms\n", "tracking error of 3.32 rad at t=4.0000 s passes the bound of 3.142 rad"),
+        ("", "timestep = 1 ms\ncontrol_period = 40 ms\n", "tracking error of 3.54 rad at t=4.0000 s passes the bound of 3.142 rad"),
+        # A speed past 1e9 rad/s with the error still inside the bound.
+        ("", "", "state diverged at t=0.0000 s"),
     ],
+    ids=["stiff", "stiff-substeps", "held-40ms", "held-40ms-substeps", "overspeed"],
 )
-def test_fma_divergence_exits_3(run, diverged_at, tmp_path, capsys):
+def test_fma_divergence_exits_3(controller, run, failure, tmp_path, capsys):
     text = resources.files("fmasim").joinpath("scenarios", "fma-paper-deburr.ini").read_text()
-    text = text.replace("kp = 900\nkv = 60\n", "kp = 1e9\nkv = 1e6\n", 1)
+    if controller:
+        text = text.replace("kp = 900\nkv = 60\n", controller, 1)
+    if failure.startswith("state"):
+        text = text.replace("[reference]\n", "[reference]\nqd0 = 1e10 rad/s\n", 1)
     text = text.replace("[run]\n", "[run]\n" + run, 1)
-    path = tmp_path / "stiff.ini"
+    path = tmp_path / "diverging.ini"
     path.write_text(text)
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
-    assert err == f"error: fma-paper-deburr: state diverged at t={diverged_at} s\n"
-    assert "Traceback" not in err
+    assert err == f"error: fma-paper-deburr: {failure}\n"
+    assert not (tmp_path / "o" / "metrics.txt").exists()
 
 
 # Warnings are errors here: pytest would otherwise capture a numpy

@@ -19,21 +19,21 @@ from fmasim.cli import main
 from fmasim.config import load_scenario, replace_values, serialize_config
 
 GOLDEN = {
-    "fma-paper-deburr": "7bd519595b47a796a743ce3fa5b2a511856e053e1c54caacab84cee91752480d",
-    "force-regulation": "b515c1b336cc47b16eee72d7836d834e69f6ab966545d55205998ac028259ba2",
-    "compliant-kp03": "2eabc415088b709cc34029d778ad7779c700edf2b4b320625a5f6ea4cf526b45",
-    "compliant-kp01": "2c5ce941e72c774dac8b59ecce6e181a3fd12e716ac7831d0d8837d1013fdaf5",
-    "force-sine-tracking": "ee3af04d68be158a647b361b9571f067ea4eb715ee330a6c83cdf953bb9f9bb6",
+    "fma-paper-deburr": "3b58bcafa472e6b324f466f6caf2367217f042bbdbc6ffd0136a9a3c35bd68da",
+    "force-regulation": "17c156654e078b9a6742519f002f3ce4a7fc859129c06d10a6e6544d9d1ad990",
+    "compliant-kp03": "1cf73a967e1a8ad6f67e28192508e777581e59a6008e83509d5321a996a58da5",
+    "compliant-kp01": "4577bf484be237f6864a8550e30b3d7ab948f0154e90158e2f4207b2805b9f39",
+    "force-sine-tracking": "9b124b24ad7b644c826bfdefff498424bac059eb9afdadbefbeb4913ccc5ef8f",
 }
 
 VARIANTS = {
     "control_rate=200Hz": (
         {"control_rate": 200.0},
-        "b12f2d20d74396d7f16e48c7fcc6b16d9598d5507f20a38dcd17180869c5f021",
+        "7fc7f09f1e9b4056778165fc1e757522a4c1c2a0bfc6adabdc1a37b854286bb8",
     ),
     "deadband=0": (
         {"deadband": 0.0},
-        "c4410c0d1a0d816b5ffc7fffab7935a66433882725afc0288b37d9aa2b556b65",
+        "e1b49f27b3294c8392ca8b90f0e47061190fca5bd3dd2e4232aaa7e0276374b7",
     ),
 }
 
@@ -41,27 +41,27 @@ FMA_VARIANTS = {
     "controller_model=fma-paper": (
         "plant",
         {"controller_model": "fma-paper"},
-        "8d05f250565d44e02a3cb4f932b0d5217d1043141ad9c0b8f8b68d6918763ac3",
+        "79e72045c949267dcfb77edb28347bc13d2f90dee1fbf6d28d82bf58ef162b88",
     ),
     "weighting=none": (
         "plant",
         {"weighting": "none"},
-        "f7cad0496f86ef75ee493df0cd2cb8280ec70f3cfbc2338f43e674a8f259131e",
+        "e1d2bfb7edf5f4d0a8a200b06ecad198b74fed32dd38c20cbc01e71eece38b6c",
     ),
     "profile=rest": (
         "reference",
         {"profile": "rest"},
-        "f96b769f691954c756af3b727d4caff884e0f8809b47f23d3d755a0dc6803c17",
+        "aeb6fa9736c9d9e4863486a14c6f337ef12fef6729a38167ff6cc16f9e3a1ad2",
     ),
     "control_period=5ms": (
         "run",
         {"control_period": 5.0e-3},
-        "1d41b6ee015a618498afe195f2b7b680d6d3087a14f8508bf4d330ad506a9e1c",
+        "7f0bc156ae246457b741b4674b1cf928c5e8801344f47c98226f6cd349b2e17e",
     ),
     "noise_sigma=0": (
         "disturbance",
         {"noise_sigma": 0.0},
-        "2ff9e7852c0486e57c19d8750b7c3954bd11a7a44697477d933b87f1139f5e32",
+        "7a01cbaf67c7d4c4a3ae9db7cba1e464e8cc253550c86024b05656d75e0c9291",
     ),
 }
 

@@ -91,6 +91,11 @@ from oracles import (
     moving_average_outputs,
 )
 
+# An absolute floor under the relative bounds: below the smallest normal
+# float a rounding error is a whole subnormal step, which a bound such as
+# 1e-12 * scale cannot cover once it underflows to 0.
+_FLOOR = np.finfo(float).tiny
+
 _angles = st.floats(-np.pi, np.pi)
 _lengths = st.floats(-0.5, 0.5)
 
@@ -196,7 +201,7 @@ def test_spatial_kernel_is_the_link_com_g_form(case):
     kernel = (inertia, quant.gravity, load_torque, quant.power)
     oracle = link_com_g_form(model, theta, gravity, loads)
     for name, got, (want, scale) in zip(("inertia", "gravity", "loads", "power"), kernel, oracle):
-        assert np.max(np.abs(got - want)) <= 1.0e-12 * scale, name
+        assert np.max(np.abs(got - want)) <= 1.0e-12 * scale + _FLOOR, name
 
 
 # Signed zeros reach the sign bits of -sin(alpha) * d and of the products.
@@ -591,14 +596,14 @@ def test_weighted_pseudo_inverse_is_the_least_weighted_allocation(case):
     gp, p = weighted_pseudo_inverse(g, w), null_space_projector(g, w)
     scale = np.linalg.norm(gp) * np.linalg.norm(g)
     assert g @ gp == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(p @ p, p, rtol=0, atol=1e-12 * scale**2)
-    np.testing.assert_allclose(g @ p, 0.0, rtol=0, atol=1e-12 * scale * np.linalg.norm(g))
+    np.testing.assert_allclose(p @ p, p, rtol=0, atol=1e-12 * scale**2 + _FLOOR)
+    np.testing.assert_allclose(g @ p, 0.0, rtol=0, atol=1e-12 * scale * np.linalg.norm(g) + _FLOOR)
     # G+ is W-orthogonal to every self-motion, so adding one never lowers the cost.
-    np.testing.assert_allclose(p.T @ w @ gp, 0.0, rtol=0, atol=1e-12 * scale * np.abs(w).sum())
+    np.testing.assert_allclose(p.T @ w @ gp, 0.0, rtol=0, atol=1e-12 * scale * np.abs(w).sum() + _FLOOR)
     best, other = allocate_velocities(g, u, w), allocate_velocities(g, u, w, qd_seed=s)
-    assert g @ other == pytest.approx(u, abs=1e-12 * scale * (abs(u) + np.abs(s).sum()))
+    assert g @ other == pytest.approx(u, abs=1e-12 * scale * (abs(u) + np.abs(s).sum()) + _FLOOR)
     cost = lambda qd: float(qd @ w @ qd)
-    assert cost(other) >= cost(best) - 1e-12 * (cost(best) + cost(other))
+    assert cost(other) >= cost(best) - 1e-12 * (cost(best) + cost(other)) - _FLOOR
 
 
 @st.composite
@@ -740,7 +745,11 @@ def config_texts(draw):
                 if key == "omega_peak":
                     number = st.just(0.0) | number  # 0: one sweep over the duration
                 elif key == "control_period":
-                    number = st.integers(1, 4).map(lambda k: k * numbers["timestep"])
+                    step = numbers["timestep"]
+                    number = st.integers(1, 4).map(lambda k: k * step)
+                    if kind == "fma":  # also whole steps near 2/kv, where the held-voltage loop turns unstable
+                        edge = 2.0 / numbers["kv"] / step
+                        number |= st.floats(0.8, 1.25).map(lambda r: max(1, round(r * edge)) * step)
                 numbers[key] = draw(number)
                 value = f"{numbers[key]!r} {spec.unit}".strip()
             lines.append(f"{key} = {value}")
