@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import re
@@ -226,6 +227,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # parse_args keeps no state on the parser, so one tree serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fmasim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

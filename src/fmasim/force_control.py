@@ -11,6 +11,7 @@ machine sequences approach, touchdown, constrained contact, and departure.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -97,24 +98,34 @@ class ContactSurface:
 
 
 def window_mean(history):
-    """Mean of a window of samples along its first axis.
+    """Mean of a window of samples, oldest first.
 
     The sum starts at 0.0 and adds the samples oldest to newest, one at a
     time, so its bits depend on neither the Python version (3.12 made
     ``sum`` of floats compensated) nor numpy's summation strategy. It
-    matches ``sum`` before 3.12. A two-dimensional array, such as the
-    conditioner's (window, 6) block, is summed by one axis-0
-    ``np.add.reduce``, which adds whole rows in order; ``initial=0.0``
-    keeps the leading ``0.0 +``, which turns an all ``-0.0`` column into
-    ``+0.0``. A one-dimensional ``np.mean`` sums pairwise and does not
-    match, so do not swap it in.
+    matches ``sum`` before 3.12, and per column an axis-0
+    ``np.add.reduce(..., initial=0.0)``; the leading ``0.0 +`` turns an
+    all ``-0.0`` window into ``+0.0``. ``np.mean`` sums pairwise and
+    does not match, so do not swap it in.
     """
-    if isinstance(history, np.ndarray) and history.ndim == 2:
-        return np.add.reduce(history, axis=0, initial=0.0) / len(history)
     acc = 0.0
     for sample in history:
         acc = acc + sample
     return acc / len(history)
+
+
+def _condition_axis(history: deque, samples, bias: float, deadband: float) -> float:
+    """One conditioner axis: append the bias-removed samples, then the deadbanded window mean.
+
+    ``history`` is the axis's zero-primed window, a deque with ``maxlen``
+    set, and keeps the samples. The value is zeroed when its magnitude is
+    strictly below ``deadband``; 0.0 lets every value through.
+    """
+    if not all(map(math.isfinite, samples)):
+        raise ValueError(f"wrench samples must be finite, got {samples}")
+    history.extend([x - bias for x in samples])
+    value = window_mean(history)
+    return 0.0 if abs(value) < deadband else value
 
 
 class SignalConditioner:
@@ -123,16 +134,16 @@ class SignalConditioner:
     The average is taken over a fixed-length window primed with zeros, so
     a step input ramps linearly and reaches its full value only once the
     window has filled. The deadband zeroes individual force components
-    strictly below the threshold; moments pass through.
+    strictly below the threshold; moments pass through. Each of the six
+    axes runs ``_condition_axis`` on its own window.
 
     There are two entry points. ``filter_batch`` takes an (m, 6) block of
     raw samples, forces first and oldest first, and returns the (6,)
     array after the last of them: the same value, bit for bit, as m
-    successive ``step`` calls, because the history is kept as a
-    (window, 6) array and averaged with one ``window_mean`` either way.
-    Samples that leave the window inside the block never reach the
-    output, so a caller may pass only the last ``window`` of a longer
-    stream. ``step`` is the m = 1 case, with a ``Wrench`` in and out.
+    successive ``step`` calls. Samples that leave the window inside the
+    block never reach the output, so a caller may pass only the last
+    ``window`` of a longer stream. ``step`` is the m = 1 case, with a
+    ``Wrench`` in and out.
     """
 
     def __init__(self, bias: Wrench | None = None, window: int = 16, deadband: float = 0.0):
@@ -141,13 +152,13 @@ class SignalConditioner:
         if deadband < 0.0:
             raise ValueError("deadband must be nonnegative")
         self.bias = bias if bias is not None else Wrench(np.zeros(3), np.zeros(3))
-        self._bias = self.bias.as_array()
         self.window = int(window)
         self.deadband = float(deadband)
+        self._axes = tuple(zip(self.bias.as_array().tolist(), (self.deadband,) * 3 + (0.0,) * 3))
         self.reset()
 
     def reset(self):
-        self._history = np.zeros((self.window, 6))
+        self._history = [deque([0.0] * self.window, maxlen=self.window) for _ in range(6)]
 
     def step(self, raw: Wrench) -> Wrench:
         out = self.filter_batch(raw.as_array()[np.newaxis])
@@ -158,17 +169,15 @@ class SignalConditioner:
         block = np.asarray(samples, dtype=float)
         if block.ndim != 2 or block.shape[1] != 6:
             raise ValueError("samples must be an (m, 6) array")
-        if not np.isfinite(block).all():
+        if not np.isfinite(block).all():  # checked whole, so a rejected block leaves every axis as it was
             raise ValueError(f"wrench samples must be finite, got {block}")
-        block = block - self._bias
-        kept = self.window - block.shape[0]
-        if kept > 0:
-            block = np.concatenate([self._history[-kept:], block])
-        self._history = block[-self.window :]
-        out = window_mean(self._history)
-        force = out[:3]
-        force[np.abs(force) < self.deadband] = 0.0
-        return out
+        columns = block[-self.window :].T.tolist()
+        return np.array(
+            [
+                _condition_axis(history, column, bias, deadband)
+                for history, column, (bias, deadband) in zip(self._history, columns, self._axes)
+            ]
+        )
 
 
 class ContactPhase(Enum):
@@ -307,26 +316,42 @@ def effective_stiffness(k_sensor: float, k_tool: float, k_env: float) -> float:
     return math.inf if total == 0.0 else 1.0 / total
 
 
+def _penalty(surface: ContactSurface, depth: float, speed: float | None = None) -> float:
+    """Penalty-law normal force magnitude at a penetration depth and normal speed.
+
+    Zero unless the depth is positive; then the effective stiffness times
+    the depth, less the damping times the speed when one is given, and
+    never tensile. A NaN depth gives NaN. With the normal along +z the
+    depth is ``point_z - p_z`` exactly.
+    """
+    if depth <= 0.0:
+        return 0.0
+    magnitude = surface.effective * depth
+    if speed is not None and surface.damping > 0.0:
+        magnitude -= surface.damping * speed
+    return 0.0 if magnitude < 0.0 else magnitude
+
+
 def normal_force(surface: ContactSurface, positions, velocities=None) -> np.ndarray:
     """Penalty-contact normal force magnitudes at m tool points, shape (m,).
 
     Zero above the plane; while penetrating, the force is proportional to
     the penetration depth (less an optional viscous term on the normal
     velocity) and pushes the tool back out. Never tensile. A non-finite
-    point gives a non-finite force rather than zero. With the normal along
-    a coordinate axis each row equals the one-point call bit for bit, so
-    a caller may evaluate unrelated points in one call; otherwise the
-    batched dot product may round differently in the last place.
+    point gives a non-finite force rather than zero. Depth and normal
+    speed are dot products with the normal in floats, summed in index
+    order from 0.0, so each row equals the one-point call bit for bit.
     """
     p = np.asarray(positions, dtype=float).reshape(-1, 3)
-    depth = (surface.point - p) @ surface.normal
-    pressing = ~(depth <= 0.0)
-    magnitude = np.zeros(depth.shape)
-    magnitude[pressing] = surface.effective * depth[pressing]
-    if surface.damping > 0.0 and velocities is not None:
-        v = np.asarray(velocities, dtype=float).reshape(p.shape)
-        magnitude[pressing] -= surface.damping * (v[pressing] @ surface.normal)
-    return np.maximum(magnitude, 0.0)
+    n0, n1, n2 = surface.normal.tolist()
+    q0, q1, q2 = surface.point.tolist()
+    depths = [0.0 + (q0 - x) * n0 + (q1 - y) * n1 + (q2 - z) * n2 for x, y, z in p.tolist()]
+    if velocities is None:
+        return np.array([_penalty(surface, depth) for depth in depths])
+    v = np.asarray(velocities, dtype=float).reshape(p.shape).tolist()
+    return np.array(
+        [_penalty(surface, depth, 0.0 + a * n0 + b * n1 + c * n2) for depth, (a, b, c) in zip(depths, v)]
+    )
 
 
 def contact_wrench(surface: ContactSurface, ee_position, ee_velocity=None) -> Wrench:
@@ -335,9 +360,7 @@ def contact_wrench(surface: ContactSurface, ee_position, ee_velocity=None) -> Wr
     The one-point case of ``normal_force``, directed along the surface
     normal.
     """
-    p = np.asarray(ee_position, dtype=float).reshape(1, 3)
-    v = None if ee_velocity is None else np.asarray(ee_velocity, dtype=float).reshape(1, 3)
-    magnitude = normal_force(surface, p, v)[0]
+    magnitude = normal_force(surface, np.reshape(ee_position, (1, 3)), ee_velocity)[0]
     force = np.zeros(3) if magnitude == 0.0 else magnitude * surface.normal
     return Wrench(force, np.zeros(3))
 

@@ -109,21 +109,21 @@ class GKICSet:
         object.__setattr__(self, "H", frozen_array(self.H, "H", (n, m, n)))
 
 
-def frame_transforms(model: SerialChainModel, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotations (n,3,3) and origins (n,3) of every link frame in base coordinates.
+def frame_floats(model: SerialChainModel, values) -> tuple[list[float], list[float]]:
+    """Rotations (9 floats a link, row-major) and origins (3 a link) of every link frame.
 
     The chain runs in Python floats: ``math.cos``/``math.sin`` and each
     3x3 product written out, from the identity. Each sum starts at 0.0
     and adds its terms in index order, the relative rotation's zero
     entry included, as a BLAS product without fused multiply-adds does.
     So no result, signed zeros included, depends on a BLAS or SIMD kernel.
+    ``values`` holds one float a joint and is not checked.
     """
-    theta = _check_theta(model, theta)
     cos, sin = math.cos, math.sin
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
     px = py = pz = 0.0
     rots, origins = [], []
-    for th, (offset, ca, sa, ax, ay, az) in zip(theta.tolist(), model._dh_rows):
+    for th, (offset, ca, sa, ax, ay, az) in zip(values, model._dh_rows):
         th += offset
         ct, st = cos(th), sin(th)
         # Relative rotation [[ct, -st, 0], [st ca, ct ca, -sa], [st sa, ct sa, ca]].
@@ -146,17 +146,27 @@ def frame_transforms(model: SerialChainModel, theta: np.ndarray) -> tuple[np.nda
         )
         rots += (r00, r01, r02, r10, r11, r12, r20, r21, r22)
         origins += (px, py, pz)
+    return rots, origins
+
+
+def frame_transforms(model: SerialChainModel, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations (n,3,3) and origins (n,3) of every link frame in base coordinates.
+
+    ``frame_floats`` on the checked joint values, as arrays.
+    """
+    rots, origins = frame_floats(model, _check_theta(model, theta))
     n = model.dof
     return np.array(rots).reshape(n, 3, 3), np.array(origins).reshape(n, 3)
 
 
-def _check_theta(model: SerialChainModel, theta: np.ndarray) -> np.ndarray:
+def _check_theta(model: SerialChainModel, theta: np.ndarray) -> list[float]:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.dof,):
         raise ValueError(f"expected {model.dof} joint values, got shape {theta.shape}")
-    if not np.isfinite(theta).all():
+    values = theta.tolist()
+    if not all(map(math.isfinite, values)):
         raise ValueError("joint values must be finite")
-    return theta
+    return values
 
 
 def forward_kinematics(model: SerialChainModel, theta: np.ndarray) -> Pose:
@@ -216,26 +226,33 @@ def compute_gkic(model: SerialChainModel, theta: np.ndarray, target="ee") -> GKI
 
 def _target_g(model, rots, origins, target) -> np.ndarray:
     if target == "ee":
-        return _ee_g(rots, origins)[None]
+        return _ee_g(rots.ravel().tolist(), origins.ravel().tolist())[None]
     last, point = _resolve_target(model, rots, origins, target)
     return _g_of(rots, origins, point[None], np.array([last]))
 
 
 def _ee_g(rots, origins) -> np.ndarray:
-    """G (6, n) of the tool point, the origin of the last frame.
+    """G (6, n) of the tool point, the origin of the last frame, from ``frame_floats``'s lists.
 
     Every joint moves it, so no column is masked: ``_g_of``'s rows for
-    ``origins[-1]``, with ``_cross``'s operations in the same order.
+    the last origin, with ``_cross``'s operations in the same order, in
+    floats.
     """
-    zs = rots[:, :, 2].T
-    z0, z1, z2 = zs
-    d0, d1, d2 = (origins[-1] - origins).T
-    g = np.empty((6, len(origins)))
-    g[0] = z1 * d2 - z2 * d1
-    g[1] = z2 * d0 - z0 * d2
-    g[2] = z0 * d1 - z1 * d0
-    g[3:] = zs
-    return g
+    z0, z1, z2 = rots[2::9], rots[5::9], rots[8::9]
+    ox, oy, oz = origins[-3:]
+    d0 = [ox - x for x in origins[0::3]]
+    d1 = [oy - y for y in origins[1::3]]
+    d2 = [oz - z for z in origins[2::3]]
+    return np.array(
+        [
+            [a * b - c * d for a, b, c, d in zip(z1, d2, z2, d1)],
+            [a * b - c * d for a, b, c, d in zip(z2, d0, z0, d2)],
+            [a * b - c * d for a, b, c, d in zip(z0, d1, z1, d0)],
+            z0,
+            z1,
+            z2,
+        ]
+    )
 
 
 def _g_of(rots, origins, points, lasts) -> np.ndarray:

@@ -10,8 +10,9 @@ bit-identical traces.
 from __future__ import annotations
 
 import math
+import struct
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,15 +25,15 @@ from .force_control import (
     ContactPhase,
     ContactSurface,
     GainSet,
-    SignalConditioner,
+    _condition_axis,
+    _penalty,
     _solve_jacobian,
     compliant_control_step,
     contact_state_step,
-    normal_force,
     pure_force_control_step,
     window_mean,
 )
-from .kinematics import SerialChainModel, _ee_g, frame_transforms
+from .kinematics import SerialChainModel, _ee_g, frame_floats
 from .units import LBF_TO_N
 
 TRACE_COLUMNS = ("t", "q", "q_ref", "qd", "qd_ref", "qM1", "qM2", "v1", "v2", "tau_ext")
@@ -496,22 +497,19 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
     home tool point by the configured start height.
     """
     chain = scenario.chain
-    theta_cmd = np.array(scenario.home, dtype=float)
-    theta_act = theta_cmd.copy()
+    theta_cmd = theta_act = list(scenario.home)
     # The last transform of the actual pose, keyed by its bytes. A rigid
     # arm (fade == 0) ends each tick on the command, and contact handover
     # commands the actual pose, so the next command transform reuses it;
     # equal bytes make the reuse bit-exact, -0.0 included.
-    act_key = theta_act.tobytes()
-    act_rots, act_origins = frame_transforms(chain, theta_act)
-    p_now = act_origins[-1].copy()
-    z0 = float(p_now[2])
-
-    surface = replace(
-        scenario.surface,
-        point=np.array([0.0, 0.0, z0 - scenario.start_height]),
-        normal=np.array([0.0, 0.0, 1.0]),
-    )
+    key = struct.Struct(f"{chain.dof}d").pack
+    act_key = key(*theta_act)
+    act_rots, act_origins = frame_floats(chain, theta_act)
+    z_now = z0 = act_origins[-1]
+    # The plane's height; the runner reads the tool height only, so the
+    # penalty depth along +z is the height difference.
+    surface = scenario.surface
+    z_surface = z0 - scenario.start_height
 
     dt = 1.0 / scenario.control_rate
     n_ticks = round(scenario.duration * scenario.control_rate)
@@ -520,23 +518,20 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
     # keeps no state and the filter keeps only its last `window` samples,
     # so a sample that leaves the window before the tick ends never
     # reaches the law. Each tick therefore senses only its last
-    # min(window, substeps) substeps and feeds them to the conditioner as
-    # one block, which gives the same bits as sensing every substep.
+    # min(window, substeps) substeps and feeds them to the conditioner's
+    # normal axis, the only one the law reads, which gives the same bits
+    # as sensing every substep into a SignalConditioner.
     substeps = scenario.substeps
     gamma = 0.0 if scenario.arm_lag == 0.0 else math.exp(-dt / (substeps * scenario.arm_lag))
-    conditioner = SignalConditioner(window=scenario.filter_window, deadband=scenario.deadband)
+    history = deque([0.0] * scenario.filter_window, maxlen=scenario.filter_window)
     # Interpolation weights of the sensed substeps along each tick's
     # segment; they depend only on gamma and substeps.
     fade = gamma**substeps
     denom = 1.0 - fade
-    weights = np.array(
-        [
-            (s / substeps) if denom < 1e-15 else (1.0 - gamma**s) / denom
-            for s in range(max(1, substeps - scenario.filter_window + 1), substeps + 1)
-        ]
-    )[:, np.newaxis]
-    samples = np.zeros((weights.shape[0], 6))
-    tick_points = np.empty((weights.shape[0] + 1, 3))
+    weights = [
+        (s / substeps) if denom < 1e-15 else (1.0 - gamma**s) / denom
+        for s in range(max(1, substeps - scenario.filter_window + 1), substeps + 1)
+    ]
 
     if scenario.law == "force-pid":
         # Per-period gains mapped onto the rate law: theta_dot * dt gives
@@ -545,23 +540,26 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
             kp=scenario.gains.kp / dt, kv=scenario.gains.kv, ki=scenario.gains.ki / dt**2
         )
 
+    def along_z(value):  # a task vector; the law acts on the normal force only
+        return np.array((0.0, 0.0, value, 0.0, 0.0, 0.0))
+
+    approach = along_z(-scenario.approach_speed * dt)
     phase = ContactPhase.APPROACH
     contact_time = None
-    integral = np.zeros(6)
-    e_prev = np.zeros(6)
+    integral = e_prev = 0.0
     f_meas = 0.0
     f_prev = 0.0
-    z_prev = p_now[2]
+    z_prev = z_now
 
     columns = TRACE_COLUMNS + ("f_ref",)
     rows = np.empty((n_ticks + 1, len(columns)))
     raw_force = np.empty(n_ticks + 1)
-    raw_force[0] = -normal_force(surface, p_now)[0]
+    raw_force[0] = -_penalty(surface, z_surface - z_now)
     phase_code = np.empty(n_ticks + 1, dtype=int)
 
     for k in range(n_ticks + 1):
         t = k * dt
-        if abs(p_now[2] - z0) > 10.0:
+        if abs(z_now - z0) > 10.0:
             raise SimulationBlowUpError(f"{scenario.name}: tool ran away at t={t:.4f} s")
 
         f_rate = (f_meas - f_prev) / dt
@@ -577,7 +575,7 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
             contact_time = t
             # Hand over from the current pose: any approach command the
             # lagging arm has not executed yet must not keep pressing.
-            theta_cmd = theta_act.copy()
+            theta_cmd = theta_act
 
         if phase is ContactPhase.APPROACH:
             f_ref = 0.0
@@ -589,62 +587,60 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
             )
 
         # One transform of the commanded pose gives the row's z and the Jacobian.
-        if theta_cmd.tobytes() == act_key:
+        if key(*theta_cmd) == act_key:
             rots, origins = act_rots, act_origins
         else:
-            rots, origins = frame_transforms(chain, theta_cmd)
+            rots, origins = frame_floats(chain, theta_cmd)
         rows[k] = (
-            t, p_now[2], origins[-1][2], (p_now[2] - z_prev) / dt if k else 0.0,
+            t, z_now, origins[-1], (z_now - z_prev) / dt if k else 0.0,
             0.0, 0.0, 0.0, 0.0, 0.0, f_meas, f_ref,
         )
         phase_code[k] = _PHASE_CODES[phase]
-        z_prev = p_now[2]
+        z_prev = z_now
         f_prev = f_meas
         if k == n_ticks:
             break
 
         jac = _ee_g(rots, origins)
         if phase is ContactPhase.APPROACH:
-            du = np.array([0.0, 0.0, -scenario.approach_speed * dt, 0.0, 0.0, 0.0])
-            dtheta = _solve_jacobian(jac, du)
+            dtheta = _solve_jacobian(jac, approach)
         else:
-            e = np.array([0.0, 0.0, f_ref - f_meas, 0.0, 0.0, 0.0])
+            e = f_ref - f_meas
             if scenario.law == "force-pid":
                 integral += e
-                rate = pure_force_control_step(jac, rate_gains, e, (e - e_prev) / dt, integral * dt)
+                rate = pure_force_control_step(
+                    jac, rate_gains, along_z(e), along_z((e - e_prev) / dt), along_z(integral * dt)
+                )
                 dtheta = rate * dt
             else:
-                dtheta = compliant_control_step(jac, scenario.gains.kp, e)
+                dtheta = compliant_control_step(jac, scenario.gains.kp, along_z(e))
             e_prev = e
-        theta_cmd = theta_cmd + dtheta
+        dtheta = dtheta.tolist()
+        theta_cmd = [c + d for c, d in zip(theta_cmd, dtheta)]
 
         # Advance the arm and the sensor stream to the next tick. The arm
         # relaxes exponentially toward the command, a straight segment in
-        # joint space, so the tool point is interpolated along it. One check
+        # joint space, so the tool height is interpolated along it. One check
         # covers both poses: theta_act is non-finite whenever theta_cmd is.
-        theta_act = theta_cmd + (theta_act - theta_cmd) * fade
-        if not np.isfinite(theta_act).all():
+        theta_act = [c + (a - c) * fade for c, a in zip(theta_cmd, theta_act)]
+        if not all(map(math.isfinite, theta_act)):
             raise SimulationBlowUpError(
                 f"{scenario.name}: joint state diverged at t={(k + 1) * dt:.4f} s"
             )
-        step = np.abs(dtheta).max()
+        step = max(map(abs, dtheta))
         if step > MAX_JOINT_STEP:
             raise DegenerateConfigurationError(
                 f"{scenario.name}: joint step of {step:.3g} rad at t={t:.4f} s "
                 f"passes the bound of {MAX_JOINT_STEP:.4g} rad per tick"
             )
-        act_key = theta_act.tobytes()
-        act_rots, act_origins = frame_transforms(chain, theta_act)
-        p_end = act_origins[-1].copy()
-        # The sensed substeps and the next row's raw force in one penalty-law
-        # call; the normal is the z axis, so each row is the one-point value.
-        tick_points[:-1] = p_now + weights * (p_end - p_now)
-        tick_points[-1] = p_end
-        forces = -normal_force(surface, tick_points)
-        samples[:, 2] = forces[:-1]
-        raw_force[k + 1] = forces[-1]
-        f_meas = float(conditioner.filter_batch(samples)[2])
-        p_now = p_end
+        act_key = key(*theta_act)
+        act_rots, act_origins = frame_floats(chain, theta_act)
+        z_end = act_origins[-1]
+        dz = z_end - z_now
+        sensed = [-_penalty(surface, z_surface - (z_now + w * dz)) for w in weights]
+        raw_force[k + 1] = -_penalty(surface, z_surface - z_end)
+        f_meas = _condition_axis(history, sensed, 0.0, scenario.deadband)
+        z_now = z_end
 
     aux = {"raw_force": raw_force, "phase": phase_code}
     return SimulationTrace(columns, rows, scenario, aux)

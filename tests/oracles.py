@@ -276,3 +276,46 @@ def moving_average_outputs(samples, bias, window, deadband):
         force[np.abs(force) < deadband] = 0.0
         outputs.append(out)
     return outputs
+
+
+class ArrayConditioner:
+    """The six-axis conditioner on a (window, 6) history array.
+
+    Each block is bias-removed and appended to the zero-primed history;
+    the mean is one axis-0 ``np.add.reduce`` with ``initial=0.0``, which
+    adds whole rows oldest first; then forces strictly below the
+    deadband are zeroed. This is the array form of
+    ``SignalConditioner.filter_batch`` before its axes ran in floats.
+    """
+
+    def __init__(self, bias, window, deadband):
+        self.bias = np.asarray(bias, dtype=float)
+        self.deadband = deadband
+        self.history = np.zeros((window, 6))
+
+    def filter_batch(self, samples):
+        block = np.asarray(samples, dtype=float) - self.bias
+        self.history = np.concatenate([self.history, block])[len(block) :]
+        out = np.add.reduce(self.history, axis=0, initial=0.0) / len(self.history)
+        force = out[:3]
+        force[np.abs(force) < self.deadband] = 0.0
+        return out
+
+
+def array_normal_force(surface, positions, velocities=None):
+    """Penalty normal force magnitudes (m,) with the depth as the product ``(point - p) @ normal``.
+
+    The array form of ``normal_force`` before its depth ran in floats:
+    zero unless the depth is positive (a NaN depth presses), the
+    effective stiffness times the depth less the damping times the
+    normal speed, then ``np.maximum`` with 0.0.
+    """
+    p = np.asarray(positions, dtype=float).reshape(-1, 3)
+    depth = (surface.point - p) @ surface.normal
+    pressing = ~(depth <= 0.0)
+    magnitude = np.zeros(depth.shape)
+    magnitude[pressing] = surface.effective * depth[pressing]
+    if surface.damping > 0.0 and velocities is not None:
+        v = np.asarray(velocities, dtype=float).reshape(p.shape)
+        magnitude[pressing] -= surface.damping * (v[pressing] @ surface.normal)
+    return np.maximum(magnitude, 0.0)

@@ -9,7 +9,8 @@ import pytest
 
 from fmasim import cli, fixtures
 from fmasim.cli import main
-from fmasim.simulation import trapezoidal_profile
+from fmasim.config import build_scenario, load_scenario
+from fmasim.simulation import run_fma_scenario, trapezoidal_profile, write_trace_csv
 
 REST_INI = """
 [plant]
@@ -274,6 +275,24 @@ def test_simulate_seed_override_changes_noisy_run(tmp_path, capsys):
     assert main(["simulate", "--config", str(path), "--out", str(out2), "--seed", "2"]) == 0
     capsys.readouterr()
     assert (out1 / "trace.csv").read_bytes() != (out2 / "trace.csv").read_bytes()
+
+
+def test_successive_calls_share_the_parser_and_leak_no_state(tmp_path, capsys):
+    noisy = REST_INI + "\n[disturbance]\nkind = burr\nnoise_sigma = 2 N*m\n"
+    path = tmp_path / "noisy.ini"
+    path.write_text(noisy)
+    seeded, plain = tmp_path / "seeded", tmp_path / "plain"
+    assert main(["simulate", "--config", str(path), "--seed", "1", "--json", "--out", str(seeded)]) == 0
+    assert json.loads(capsys.readouterr().out)["files"][0] == str(seeded / "trace.csv")
+    assert main(["simulate", "--config", str(path), "--out", str(plain)]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("rest-hold: 501 samples") and f"wrote {plain / 'trace.csv'}" in text
+    assert cli._build_parser() is cli._build_parser()
+    # the second run takes the file's seed, not the first call's --seed
+    reference = tmp_path / "reference.csv"
+    write_trace_csv(run_fma_scenario(build_scenario(load_scenario(str(path)))), reference)
+    assert (plain / "trace.csv").read_bytes() == reference.read_bytes()
+    assert (seeded / "trace.csv").read_bytes() != reference.read_bytes()
 
 
 def test_simulate_json_summary(rest_config, tmp_path, capsys):

@@ -313,7 +313,7 @@ def test_normal_force_is_the_penalty_law_at_each_point():
         if exact:
             assert np.array_equal(forces, one_point)
         else:
-            # the batched dot product may round differently in the last place
+            # force @ normal multiplies the magnitude by |n|^2, which rounds
             assert np.allclose(forces, one_point, rtol=1e-12, atol=1e-12)
 
 

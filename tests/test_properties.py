@@ -49,6 +49,8 @@ from fmasim.force_control import (
     ContactSurface,
     GainSet,
     SignalConditioner,
+    _condition_axis,
+    _penalty,
     normal_force,
     window_mean,
 )
@@ -60,6 +62,7 @@ from fmasim.kinematics import (
     _cross,
     _ee_g,
     _g_of,
+    frame_floats,
     frame_transforms,
     g_function,
     h_function,
@@ -84,6 +87,8 @@ from fmasim.spatial import (
 from fmasim.units import _UNIT_FACTORS, known_units, parse_quantity
 
 from oracles import (
+    ArrayConditioner,
+    array_normal_force,
     fd_hessian,
     fd_jacobian,
     link_com_g_form,
@@ -238,7 +243,12 @@ def test_tool_point_g_is_the_masked_kernel(case):
     model, theta = case
     rots, origins = frame_transforms(model, theta)
     expected = _g_of(rots, origins, origins[-1][None], np.array([model.dof - 1]))[0]
-    assert _ee_g(rots, origins).tobytes() == expected.tobytes()
+    # The float chain and the float tool-point G, as the force runner forms them.
+    rot_floats, origin_floats = frame_floats(model, theta.tolist())
+    assert np.array(rot_floats).tobytes() == rots.tobytes()
+    assert np.array(origin_floats).tobytes() == origins.tobytes()
+    assert _ee_g(rot_floats, origin_floats).tobytes() == expected.tobytes()
+    assert g_function(model, theta).tobytes() == expected.tobytes()
 
 
 _vector_parts = st.one_of(
@@ -431,6 +441,103 @@ def test_batched_normal_force_rows_are_one_point_calls(case):
         assert forces[i : i + 1].tobytes() == one.tobytes()
 
 
+def _same_or_nan(a, b):
+    """Equal bits, signed zeros included, or NaN in both: a NaN's sign and payload are not pinned."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and _same_bits(a[~nan], b[~nan])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(conditioner_streams())
+def test_conditioner_is_the_array_conditioner(case):
+    window, bias, deadband, blocks = case
+    floats = SignalConditioner(Wrench(bias[:3], bias[3:]), window, deadband)
+    arrays_ = ArrayConditioner(bias, window, deadband)
+    for block in blocks:
+        assert _same_bits(floats.filter_batch(block), arrays_.filter_batch(block))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 32), st.integers(1, 20), st.lists(st.sampled_from([1.0, -1.0]), min_size=6, max_size=6))
+def test_conditioner_keeps_a_force_exactly_at_the_deadband(window, quarters, signs):
+    # A full window of +-d sums to +-w*d exactly (d is a multiple of 1/4),
+    # so the mean is exactly +-d: at, not below, the deadband.
+    deadband = quarters / 4.0
+    block = np.tile(np.array(signs) * deadband, (window, 1))
+    out = SignalConditioner(window=window, deadband=deadband).filter_batch(block)
+    assert _same_bits(out, ArrayConditioner(np.zeros(6), window, deadband).filter_batch(block))
+    assert _same_bits(out, block[0])
+    # a force one ulp inside the band is zeroed, a moment is not
+    inside = np.nextafter(block, 0.0)
+    out = SignalConditioner(window=window, deadband=deadband).filter_batch(inside)
+    assert _same_bits(out, ArrayConditioner(np.zeros(6), window, deadband).filter_batch(inside))
+    assert out[:3].tolist() == [0.0, 0.0, 0.0] and out[3:].tolist() != [0.0, 0.0, 0.0]
+
+
+@st.composite
+def sensed_ticks(draw):
+    """A force runner's sensor stream: window, substeps per tick, deadband and per-tick forces.
+
+    The window is drawn longer than, shorter than or equal to the substeps.
+    """
+    substeps = draw(st.integers(1, 24))
+    window = draw(
+        st.one_of(
+            st.integers(substeps + 1, substeps + 8),
+            st.integers(1, substeps),
+            st.just(substeps),
+        )
+    )
+    deadband = draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+    ticks = draw(st.lists(arrays(np.float64, substeps, elements=_components), min_size=1, max_size=5))
+    return window, substeps, deadband, ticks
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sensed_ticks())
+def test_runner_normal_axis_is_the_array_conditioner(case):
+    # The runner feeds the normal axis the last min(window, substeps)
+    # substeps of each tick; the oracle is fed every substep on all six axes.
+    window, substeps, deadband, ticks = case
+    history = deque([0.0] * window, maxlen=window)
+    oracle = ArrayConditioner(np.zeros(6), window, deadband)
+    for forces in ticks:
+        block = np.zeros((substeps, 6))
+        block[:, 2] = forces
+        expected = oracle.filter_batch(block)[2]
+        got = _condition_axis(history, forces[-window:].tolist(), 0.0, deadband)
+        assert _same_bits(np.float64(got), expected)
+
+
+@st.composite
+def penalty_cases(draw):
+    """An axis-aligned penalty surface, rigid or not, and m tool points that may be NaN."""
+    surface, points, velocities = draw(axis_surfaces_and_points())
+    if draw(st.booleans()):
+        surface = replace(surface, stiffness=np.inf, sensor_stiffness=np.inf)
+    # Points on the plane give +0.0 and -0.0 depths; a NaN anywhere gives a NaN depth.
+    on_plane = draw(arrays(np.bool_, points.shape))
+    points = np.where(on_plane, surface.point, points)
+    if draw(st.booleans()):
+        points[draw(st.integers(0, len(points) - 1)), draw(st.integers(0, 2))] = np.nan
+    return surface, points, velocities
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(penalty_cases())
+def test_normal_force_is_the_array_penalty_law(case):
+    surface, points, velocities = case
+    got = normal_force(surface, points, velocities)
+    assert _same_or_nan(got, array_normal_force(surface, points, velocities))
+    if surface.normal.tolist() == [0.0, 0.0, 1.0]:
+        # The runner's form on its finite tool points: the depth along +z
+        # is the height difference.
+        finite = points[np.isfinite(points).all(axis=1)]
+        runner = [-_penalty(surface, surface.point[2] - z) for z in finite[:, 2].tolist()]
+        assert _same_or_nan(runner, -array_normal_force(surface, finite))
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(
     st.integers(1, 32),
@@ -478,7 +585,7 @@ def test_window_mean_of_a_block_is_the_loop_per_column(block):
     expected = np.array([_loop_mean([float(x) for x in column]) for column in block.T])
     got = window_mean(block)
     assert _same_bits(got, expected)
-    # a new array: the conditioner zeroes parts of the result in place
+    # a new array, not a view of the block
     assert not np.shares_memory(got, block)
 
 

@@ -342,14 +342,14 @@ def test_force_run_reaches_contact():
 
 def _counted_run(monkeypatch, tmp_path, name):
     """Run a built-in force scenario; return its transform count and tick count."""
-    transform = simulation.frame_transforms
+    transform = simulation.frame_floats
     calls = []
 
     def counting(chain, theta):
         calls.append(theta)
         return transform(chain, theta)
 
-    monkeypatch.setattr(simulation, "frame_transforms", counting)
+    monkeypatch.setattr(simulation, "frame_floats", counting)
     scenario = build_scenario(load_scenario(name))
     trace = run_force_control_scenario(scenario)
     write_trace_csv(trace, tmp_path / "trace.csv")
