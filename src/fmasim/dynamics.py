@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateConfigurationError
-from .kinematics import JointState, SerialChainModel, _resolve_target, frame_transforms
+from .kinematics import JointState, SerialChainModel, _resolve_target, _world_coms, frame_transforms
 from .spatial import Wrench, frozen_array, skew
 from .units import GRAVITY
 
@@ -59,8 +59,6 @@ class ExternalLoad:
     at: str = "frame"  # "frame" or "com"
 
     def target(self):
-        if self.at not in ("frame", "com"):
-            raise ValueError("load target must be 'frame' or 'com'")
         return (self.at, self.link)
 
 
@@ -85,8 +83,7 @@ def _upper_ones(n: int) -> np.ndarray:
 
 def _link_masses(model: SerialChainModel, rots: np.ndarray, origins: np.ndarray):
     """World COM positions (n,3) and world inertias about the COMs (n,3,3)."""
-    coms = origins + (rots @ model.coms[:, :, None])[:, :, 0]
-    return coms, rots @ model.inertias @ rots.transpose(0, 2, 1)
+    return _world_coms(rots, origins, model.coms), rots @ model.inertias @ rots.transpose(0, 2, 1)
 
 
 def _composite_terms(model, rots, origins, coms, pi, g_vec):
@@ -142,7 +139,8 @@ def _joint_terms(model, theta, theta_dot, gravity, loads, viscous) -> tuple[np.n
     # Link forces I a + v x* I v, with v x* f = -(v x)^T f.
     force = (inert @ acc[:, :, None] - cross.transpose(0, 2, 1) @ (inert @ vel[:, :, None]))[:, :, 0]
     for load in loads:
-        link, point = _resolve_target(model, rots, origins, load.target())
+        link, at_com = _resolve_target(model, load.target())
+        point = coms[link] if at_com else origins[link]
         force[link, :3] += load.wrench.moment + skew(point) @ load.wrench.force
         force[link, 3:] += load.wrench.force
     bias += (axes[:, None, :] @ (upper @ force)[:, :, None])[:, 0, 0]

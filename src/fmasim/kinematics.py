@@ -11,6 +11,10 @@ orientation rows are the angular-velocity Jacobian (joint-axis columns).
 The second-order coefficient array H is the exact configuration
 derivative of G, indexed ``H[i, k, j] = d G[k, j] / d theta_i``, so that
 task acceleration is ``G @ qdd + qd . H . qd``.
+
+G and H of every target come from one pair of float kernels on
+``frame_floats``'s lists, each cross product in ``np.cross``'s order of
+operations. Only a COM target's point, ``o + R @ c``, is a BLAS product.
 """
 from __future__ import annotations
 
@@ -177,21 +181,27 @@ def forward_kinematics(model: SerialChainModel, theta: np.ndarray) -> Pose:
 
 def com_positions(model: SerialChainModel, theta: np.ndarray) -> np.ndarray:
     """World positions (n,3) of every link's center of mass."""
-    rots, origins = frame_transforms(model, theta)
-    return origins + np.einsum("nij,nj->ni", rots, model.coms)
+    return _world_coms(*frame_transforms(model, theta), model.coms)
 
 
-def _resolve_target(model, rots, origins, target) -> tuple[int, np.ndarray]:
-    """Return (last joint moving a link target, world target point)."""
+def _world_coms(rots, origins, coms) -> np.ndarray:
+    """World COMs ``o + R @ c`` (k,3) of k links: one BLAS product a link, as the oracles form it."""
+    return origins + (rots @ coms[:, :, None])[:, :, 0]
+
+
+def _resolve_target(model: SerialChainModel, target) -> tuple[int, bool]:
+    """Return (last joint moving a target, whether its point is that link's COM, not its origin)."""
     n = model.dof
+    if isinstance(target, str) and target == "ee":
+        return n - 1, False
+    if not (isinstance(target, tuple) and len(target) == 2 and target[0] in ("frame", "com")):
+        raise ValueError(f"unknown target {target!r}")
     kind, j = target
+    if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+        raise ValueError(f"link index of target {target!r} must be an integer")
     if not 1 <= j <= n:
-        raise ValueError(f"link index {j} out of range 1..{n}")
-    if kind == "frame":
-        return j - 1, origins[j - 1]
-    if kind == "com":
-        return j - 1, origins[j - 1] + rots[j - 1] @ model.coms[j - 1]
-    raise ValueError(f"unknown target {target!r}")
+        raise ValueError(f"link index of target {target!r} out of range 1..{n}")
+    return int(j) - 1, kind == "com"
 
 
 def g_function(model: SerialChainModel, theta: np.ndarray, target="ee") -> np.ndarray:
@@ -200,8 +210,7 @@ def g_function(model: SerialChainModel, theta: np.ndarray, target="ee") -> np.nd
     Rows 0..2 map joint rates to the target point's linear velocity, rows
     3..5 to the angular velocity of the link carrying it.
     """
-    rots, origins = frame_transforms(model, theta)
-    return _target_g(model, rots, origins, target)[0]
+    return np.array(_target_g(model, theta, target)[0])
 
 
 def h_function(model: SerialChainModel, theta: np.ndarray, target="ee") -> np.ndarray:
@@ -213,86 +222,74 @@ def h_function(model: SerialChainModel, theta: np.ndarray, target="ee") -> np.nd
     Jacobian, which for spatial chains is symmetric only where joint axes
     are parallel.
     """
-    rots, origins = frame_transforms(model, theta)
-    return _h_of(rots[:, :, 2], _target_g(model, rots, origins, target))[0]
+    return _point_h(*_target_g(model, theta, target))
 
 
 def compute_gkic(model: SerialChainModel, theta: np.ndarray, target="ee") -> GKICSet:
     """Both coefficient orders for one target in a single sweep."""
-    rots, origins = frame_transforms(model, theta)
-    g = _target_g(model, rots, origins, target)
-    return GKICSet(g[0], _h_of(rots[:, :, 2], g)[0])
+    g, last = _target_g(model, theta, target)
+    return GKICSet(np.array(g), _point_h(g, last))
 
 
-def _target_g(model, rots, origins, target) -> np.ndarray:
-    if target == "ee":
-        return _ee_g(rots.ravel().tolist(), origins.ravel().tolist())[None]
-    last, point = _resolve_target(model, rots, origins, target)
-    return _g_of(rots, origins, point[None], np.array([last]))
+def _target_g(model, theta, target) -> tuple[list[list[float]], int]:
+    """G's six rows of a target, in floats from ``frame_floats``, and the last joint moving it."""
+    rots, origins = frame_floats(model, _check_theta(model, theta))
+    last, at_com = _resolve_target(model, target)
+    point = origins[3 * last : 3 * last + 3]
+    if at_com:
+        rot = np.reshape(rots[9 * last : 9 * last + 9], (1, 3, 3))
+        point = _world_coms(rot, np.reshape(point, (1, 3)), model.coms[last : last + 1])[0].tolist()
+    return _point_g(rots, origins, last, point), last
 
 
-def _ee_g(rots, origins) -> np.ndarray:
-    """G (6, n) of the tool point, the origin of the last frame, from ``frame_floats``'s lists.
+def _point_g(rots, origins, last, point) -> list[list[float]]:
+    """G's six rows (n floats each) of a point moved by joints 0..last, from ``frame_floats``'s lists.
 
-    Every joint moves it, so no column is masked: ``_g_of``'s rows for
-    the last origin, with ``_cross``'s operations in the same order, in
-    floats.
+    Column i is ``[z_i x (p - o_i); z_i]`` for i <= last, each cross
+    product in ``np.cross``'s order of operations, and 0.0 past ``last``.
     """
-    z0, z1, z2 = rots[2::9], rots[5::9], rots[8::9]
-    ox, oy, oz = origins[-3:]
-    d0 = [ox - x for x in origins[0::3]]
-    d1 = [oy - y for y in origins[1::3]]
-    d2 = [oz - z for z in origins[2::3]]
-    return np.array(
-        [
-            [a * b - c * d for a, b, c, d in zip(z1, d2, z2, d1)],
-            [a * b - c * d for a, b, c, d in zip(z2, d0, z0, d2)],
-            [a * b - c * d for a, b, c, d in zip(z0, d1, z1, d0)],
-            z0,
-            z1,
-            z2,
-        ]
-    )
+    stop = 3 * last + 3
+    z0, z1, z2 = rots[2 : 3 * stop : 9], rots[5 : 3 * stop : 9], rots[8 : 3 * stop : 9]
+    px, py, pz = point
+    d0 = [px - x for x in origins[0:stop:3]]
+    d1 = [py - y for y in origins[1:stop:3]]
+    d2 = [pz - z for z in origins[2:stop:3]]
+    rows = [
+        [a * b - c * d for a, b, c, d in zip(z1, d2, z2, d1)],
+        [a * b - c * d for a, b, c, d in zip(z2, d0, z0, d2)],
+        [a * b - c * d for a, b, c, d in zip(z0, d1, z1, d0)],
+        z0,
+        z1,
+        z2,
+    ]
+    pad = [0.0] * ((len(origins) - stop) // 3)
+    return [row + pad for row in rows] if pad else rows
 
 
-def _g_of(rots, origins, points, lasts) -> np.ndarray:
-    """G (m, 6, n) of m target points; ``lasts[t]`` is the last joint moving point t.
+def _point_h(g, last) -> np.ndarray:
+    """H (n, 6, n) from ``_point_g``'s rows, in ``np.cross``'s order of operations.
 
-    Column i is ``[z_i x (p - o_i); z_i]`` and is zero for joints beyond
-    the target's link.
+    For i, j <= last, ``H[i, :3, j] = z_min(i,j) x G[:3, max(i,j)]`` and
+    ``H[i, 3:, j] = z_i x z_j`` if i < j. Every other entry is 0.0.
     """
-    zs = rots[:, :, 2]
-    moves = np.arange(len(zs)) <= lasts[:, None]
-    lin = _cross(zs, points[:, None, :] - origins)
-    g = np.zeros((len(points), 6, len(zs)))
-    g[:, :3] = np.where(moves[:, :, None], lin, 0.0).transpose(0, 2, 1)
-    g[:, 3:] = np.where(moves[:, :, None], zs, 0.0).transpose(0, 2, 1)
-    return g
-
-
-def _cross(a, b) -> np.ndarray:
-    """Cross product over the last axis, with ``np.cross``'s arithmetic and broadcasting."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
-
-
-def _h_of(zs, g) -> np.ndarray:
-    """H (m, n, 6, n) from the joint axes and G (m, 6, n).
-
-    ``H[t, i, :3, j] = z_min(i,j) x G[t, :3, max(i,j)]`` and
-    ``H[t, i, 3:, j] = z_i x G[t, 3:, j]`` for i < j, else zero. Columns
-    of G zeroed beyond a target's link zero the matching entries of H.
-    """
-    idx = np.arange(len(zs))
-    lo, hi = np.minimum.outer(idx, idx), np.maximum.outer(idx, idx)
-    g_lin = g[:, :3].transpose(0, 2, 1)
-    g_ang = g[:, 3:].transpose(0, 2, 1)
-    h = np.zeros((len(g), len(zs), 6, len(zs)))
-    h[:, :, :3] = _cross(zs[lo], g_lin[:, hi]).transpose(0, 1, 3, 2)
-    ang = _cross(zs[:, None, :], g_ang[:, None, :, :])
-    h[:, :, 3:] = np.where((idx[:, None] < idx)[:, :, None], ang, 0.0).transpose(0, 1, 3, 2)
-    return h
+    n = len(g[0])
+    zs = list(zip(g[3], g[4], g[5]))
+    lin = list(zip(g[0], g[1], g[2]))
+    h = [0.0] * (6 * n * n)
+    for i in range(last + 1):
+        a0, a1, a2 = zs[i]
+        for j in range(last + 1):
+            (c0, c1, c2), (b0, b1, b2) = (zs[j], lin[i]) if j < i else (zs[i], lin[j])
+            at = 6 * n * i + j
+            h[at] = c1 * b2 - c2 * b1
+            h[at + n] = c2 * b0 - c0 * b2
+            h[at + 2 * n] = c0 * b1 - c1 * b0
+            if i < j:
+                b0, b1, b2 = zs[j]
+                h[at + 3 * n] = a1 * b2 - a2 * b1
+                h[at + 4 * n] = a2 * b0 - a0 * b2
+                h[at + 5 * n] = a0 * b1 - a1 * b0
+    return np.array(h).reshape(n, 6, n)
 
 
 def ee_velocity(g: np.ndarray, theta_dot: np.ndarray) -> Twist:

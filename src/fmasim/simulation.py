@@ -33,7 +33,7 @@ from .force_control import (
     pure_force_control_step,
     window_mean,
 )
-from .kinematics import SerialChainModel, _ee_g, frame_floats
+from .kinematics import SerialChainModel, _point_g, frame_floats
 from .units import LBF_TO_N
 
 TRACE_COLUMNS = ("t", "q", "q_ref", "qd", "qd_ref", "qM1", "qM2", "v1", "v2", "tau_ext")
@@ -601,7 +601,7 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
         if k == n_ticks:
             break
 
-        jac = _ee_g(rots, origins)
+        jac = np.array(_point_g(rots, origins, chain.dof - 1, origins[-3:]))
         if phase is ContactPhase.APPROACH:
             dtheta = _solve_jacobian(jac, approach)
         else:

@@ -92,8 +92,8 @@ def loop_influence_coefficients(model, theta, target="ee"):
     """G (6, n) and H (n, 6, n) of one target, one joint pair at a time.
 
     The plain-loop form of the cross-product recurrence that kinematics
-    evaluates as one broadcast kernel; the arithmetic is the same, so the
-    results must be equal, not merely close.
+    evaluates with its float G and H kernels; the arithmetic is the same,
+    so the results must be equal, not merely close.
     """
     rots, origins = frame_transforms(model, theta)
     _, point = _target_frame(model, theta, target)

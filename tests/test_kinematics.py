@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from fmasim.dynamics import ExternalLoad, inverse_dynamics
 from fmasim.fixtures import powercube6
 from fmasim.kinematics import (
     DHRow,
+    JointState,
     SerialChainModel,
     com_positions,
     compute_gkic,
@@ -158,6 +160,15 @@ def test_g_function_targets():
         g_function(model, theta, ("frame", 7))
     with pytest.raises(ValueError):
         g_function(model, theta, ("midpoint", 2))
+    assert np.array_equal(g_function(model, theta, ("frame", np.int64(2))), g_frame2)
+    # A link index that is not an integer, and a target that is not a pair,
+    # are refused by name, not read as another link or failed on inside.
+    for bad in (("frame", 2.0), ("com", True), ("com", np.float64(2.0)), "tool", ("com", 2, 0), ["frame", 2]):
+        with pytest.raises(ValueError, match="target"):
+            g_function(model, theta, bad)
+    load = ExternalLoad(Wrench(np.array([1.0, 0.0, 0.0]), np.zeros(3)), link=2.0, at="com")
+    with pytest.raises(ValueError, match="target"):
+        inverse_dynamics(model, JointState(theta), loads=(load,))
 
 
 def test_compute_gkic_consistency():

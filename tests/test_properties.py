@@ -59,9 +59,9 @@ from fmasim.kinematics import (
     GKICSet,
     JointState,
     SerialChainModel,
-    _cross,
-    _ee_g,
-    _g_of,
+    _point_g,
+    com_positions,
+    compute_gkic,
     frame_floats,
     frame_transforms,
     g_function,
@@ -93,6 +93,7 @@ from oracles import (
     fd_jacobian,
     link_com_g_form,
     loop_frame_transforms,
+    loop_influence_coefficients,
     moving_average_outputs,
 )
 
@@ -237,49 +238,44 @@ def test_frame_transforms_are_the_per_row_transforms(case):
     assert origins.tobytes() == expected_origins.tobytes()
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(chains_and_poses())
-def test_tool_point_g_is_the_masked_kernel(case):
-    model, theta = case
-    rots, origins = frame_transforms(model, theta)
-    expected = _g_of(rots, origins, origins[-1][None], np.array([model.dof - 1]))[0]
-    # The float chain and the float tool-point G, as the force runner forms them.
-    rot_floats, origin_floats = frame_floats(model, theta.tolist())
-    assert np.array(rot_floats).tobytes() == rots.tobytes()
-    assert np.array(origin_floats).tobytes() == origins.tobytes()
-    assert _ee_g(rot_floats, origin_floats).tobytes() == expected.tobytes()
-    assert g_function(model, theta).tobytes() == expected.tobytes()
-
-
-_vector_parts = st.one_of(
-    st.sampled_from([0.0, -0.0]),
-    st.floats(-1.0e6, 1.0e6, allow_subnormal=False),
-    st.floats(-1.0, 1.0),
-)
-
-
 @st.composite
-def cross_operands(draw):
-    """Operand pairs in the broadcast shapes the G/H kernels pass to ``_cross``."""
-    n, m = draw(st.integers(1, 7)), draw(st.integers(1, 3))
-    shape_a, shape_b = draw(
-        st.sampled_from(
-            [((n, 3), (m, n, 3)), ((n, n, 3), (m, n, n, 3)), ((n, 1, 3), (m, 1, n, 3))]
-        )
+def chains_poses_and_targets(draw):
+    """``chains_and_poses`` with signed-zero link COMs, and one of the chain's targets."""
+    model, theta = draw(chains_and_poses())
+    n = model.dof
+    coms = np.array([[draw(_dh_values) for _ in range(3)] for _ in range(n)])
+    target = draw(
+        st.one_of(st.just("ee"), st.tuples(st.sampled_from(["frame", "com"]), st.integers(1, n)))
     )
-    return (
-        draw(arrays(np.float64, shape_a, elements=_vector_parts)),
-        draw(arrays(np.float64, shape_b, elements=_vector_parts)),
-    )
+    return replace(model, coms=coms), theta, target
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(cross_operands())
-def test_cross_is_np_cross(operands):
-    a, b = operands
-    got, expected = _cross(a, b), np.cross(a, b)
-    assert got.shape == expected.shape
-    assert got.tobytes() == expected.tobytes()
+@given(chains_poses_and_targets())
+def test_influence_coefficients_are_the_loop_oracle(case):
+    model, theta, target = case
+    g_ref, h_ref = loop_influence_coefficients(model, theta, target)
+    both = compute_gkic(model, theta, target)
+    assert g_function(model, theta, target).tobytes() == g_ref.tobytes()
+    assert both.G.tobytes() == g_ref.tobytes()
+    assert h_function(model, theta, target).tobytes() == h_ref.tobytes()
+    assert both.H.tobytes() == h_ref.tobytes()
+    # The tool-point G as the force runner forms it from the float chain.
+    rots, origins = frame_floats(model, theta.tolist())
+    tool = np.array(_point_g(rots, origins, model.dof - 1, origins[-3:]))
+    assert tool.tobytes() == g_function(model, theta).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(chains_poses_and_targets())
+def test_world_coms_are_the_one_link_product(case):
+    # com_positions, the dynamics kernel and a COM target share one batched
+    # product; each of its rows must be the one-link product the oracles form.
+    model, theta, _ = case
+    rots, origins = frame_transforms(model, theta)
+    coms = com_positions(model, theta)
+    for j in range(model.dof):
+        assert coms[j].tobytes() == (origins[j] + rots[j] @ model.coms[j]).tobytes()
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
