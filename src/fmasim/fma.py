@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,6 +30,13 @@ FRICTION_KNEE_GAIN = 0.9602
 FRICTION_KNEE_RATE = 0.0047
 
 SCALE_RATIO_BAND = (10.0, 15.0)
+
+
+def _check_finite_floats(value):
+    """Raise ValueError naming the first float field of the dataclass ``value`` that is not finite."""
+    for f in fields(value):
+        if f.type == "float" and not math.isfinite(getattr(value, f.name)):
+            raise ValueError(f"{f.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -46,6 +53,7 @@ class StarCompoundGeometry:
     g_hypo: float
 
     def __post_init__(self):
+        _check_finite_floats(self)
         for name in ("r9", "r10", "r11", "r12"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -147,31 +155,17 @@ def allocate_velocities(
     return qd_m
 
 
-def _friction_magnitude(mag, knee):
-    # knee = math.exp(-FRICTION_KNEE_RATE * mag) on both paths: np.exp may
-    # take a SIMD kernel that differs from libm in the last bit.
-    return FRICTION_STATIC + FRICTION_VISCOUS * mag - FRICTION_KNEE_GAIN * (1.0 - knee)
-
-
-_exp = np.vectorize(math.exp, otypes=[float])
-
-
-def stribeck_friction(qd):
+def stribeck_friction(qd: float) -> float:
     """Transmission friction torque, odd in speed away from zero.
 
     At rest the breakaway value of the static term is reported with
-    positive sign. A scalar speed gives a Python float, an array speed an
-    array of the same shape.
+    positive sign.
     """
-    if isinstance(qd, float) or np.isscalar(qd):
-        q = float(qd)
-        mag = abs(q)
-        f = _friction_magnitude(mag, math.exp(-FRICTION_KNEE_RATE * mag))
-        return -f if q < 0.0 else f
-    q = np.asarray(qd, dtype=float)
-    mag = np.abs(q)
-    f = _friction_magnitude(mag, _exp(-FRICTION_KNEE_RATE * mag))
-    return np.where(q < 0.0, -f, f)
+    q = float(qd)
+    mag = abs(q)
+    knee = 1.0 - math.exp(-FRICTION_KNEE_RATE * mag)
+    f = FRICTION_STATIC + FRICTION_VISCOUS * mag - FRICTION_KNEE_GAIN * knee
+    return -f if q < 0.0 else f
 
 
 @dataclass(frozen=True)
@@ -189,6 +183,7 @@ class PrimeMoverParams:
     armature_resistance: float
 
     def __post_init__(self):
+        _check_finite_floats(self)
         for name in (
             "rotor_inertia",
             "torque_constant",
@@ -210,6 +205,7 @@ class WeightingPolicy:
     torque_threshold: float
 
     def __post_init__(self):
+        _check_finite_floats(self)
         # Copies: the runner tells the two weights apart by identity.
         quiet = _check_weight(np.array(self.quiet, dtype=float), 2)
         disturbed = _check_weight(np.array(self.disturbed, dtype=float), 2)
@@ -244,6 +240,7 @@ class DualActuatorModel:
     name: str = ""
 
     def __post_init__(self):
+        _check_finite_floats(self)
         if self.link_mass <= 0.0 or self.tool_mass < 0.0 or self.link_length <= 0.0:
             raise ValueError("link mass/length must be positive, tool mass nonnegative")
         if self.link_com is None:

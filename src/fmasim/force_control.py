@@ -134,16 +134,8 @@ class SignalConditioner:
     The average is taken over a fixed-length window primed with zeros, so
     a step input ramps linearly and reaches its full value only once the
     window has filled. The deadband zeroes individual force components
-    strictly below the threshold; moments pass through. Each of the six
-    axes runs ``_condition_axis`` on its own window.
-
-    There are two entry points. ``filter_batch`` takes an (m, 6) block of
-    raw samples, forces first and oldest first, and returns the (6,)
-    array after the last of them: the same value, bit for bit, as m
-    successive ``step`` calls. Samples that leave the window inside the
-    block never reach the output, so a caller may pass only the last
-    ``window`` of a longer stream. ``step`` is the m = 1 case, with a
-    ``Wrench`` in and out.
+    strictly below the threshold; moments pass through. Each ``step``
+    runs ``_condition_axis`` once per axis, each on its own window.
     """
 
     def __init__(self, bias: Wrench | None = None, window: int = 16, deadband: float = 0.0):
@@ -161,23 +153,11 @@ class SignalConditioner:
         self._history = [deque([0.0] * self.window, maxlen=self.window) for _ in range(6)]
 
     def step(self, raw: Wrench) -> Wrench:
-        out = self.filter_batch(raw.as_array()[np.newaxis])
+        out = [
+            _condition_axis(history, (x,), bias, deadband)
+            for history, x, (bias, deadband) in zip(self._history, raw.as_array().tolist(), self._axes)
+        ]
         return Wrench(out[:3], out[3:])
-
-    def filter_batch(self, samples) -> np.ndarray:
-        """Conditioned wrench (6,), forces first, after an (m, 6) block of samples."""
-        block = np.asarray(samples, dtype=float)
-        if block.ndim != 2 or block.shape[1] != 6:
-            raise ValueError("samples must be an (m, 6) array")
-        if not np.isfinite(block).all():  # checked whole, so a rejected block leaves every axis as it was
-            raise ValueError(f"wrench samples must be finite, got {block}")
-        columns = block[-self.window :].T.tolist()
-        return np.array(
-            [
-                _condition_axis(history, column, bias, deadband)
-                for history, column, (bias, deadband) in zip(self._history, columns, self._axes)
-            ]
-        )
 
 
 class ContactPhase(Enum):
@@ -332,35 +312,24 @@ def _penalty(surface: ContactSurface, depth: float, speed: float | None = None) 
     return 0.0 if magnitude < 0.0 else magnitude
 
 
-def normal_force(surface: ContactSurface, positions, velocities=None) -> np.ndarray:
-    """Penalty-contact normal force magnitudes at m tool points, shape (m,).
-
-    Zero above the plane; while penetrating, the force is proportional to
-    the penetration depth (less an optional viscous term on the normal
-    velocity) and pushes the tool back out. Never tensile. A non-finite
-    point gives a non-finite force rather than zero. Depth and normal
-    speed are dot products with the normal in floats, summed in index
-    order from 0.0, so each row equals the one-point call bit for bit.
-    """
-    p = np.asarray(positions, dtype=float).reshape(-1, 3)
-    n0, n1, n2 = surface.normal.tolist()
-    q0, q1, q2 = surface.point.tolist()
-    depths = [0.0 + (q0 - x) * n0 + (q1 - y) * n1 + (q2 - z) * n2 for x, y, z in p.tolist()]
-    if velocities is None:
-        return np.array([_penalty(surface, depth) for depth in depths])
-    v = np.asarray(velocities, dtype=float).reshape(p.shape).tolist()
-    return np.array(
-        [_penalty(surface, depth, 0.0 + a * n0 + b * n1 + c * n2) for depth, (a, b, c) in zip(depths, v)]
-    )
-
-
 def contact_wrench(surface: ContactSurface, ee_position, ee_velocity=None) -> Wrench:
     """Frictionless penalty-contact wrench on the end effector.
 
-    The one-point case of ``normal_force``, directed along the surface
-    normal.
+    Zero above the plane; while penetrating, the force is proportional to
+    the penetration depth (less an optional viscous term on the normal
+    velocity), pushes the tool back out along the surface normal, and is
+    never tensile. Depth and normal speed are dot products with the
+    normal in floats, summed in index order from 0.0. A NaN point gives a
+    NaN force, which ``Wrench`` refuses.
     """
-    magnitude = normal_force(surface, np.reshape(ee_position, (1, 3)), ee_velocity)[0]
+    n0, n1, n2 = surface.normal.tolist()
+    q0, q1, q2 = surface.point.tolist()
+    x, y, z = np.asarray(ee_position, dtype=float).reshape(3).tolist()
+    speed = None
+    if ee_velocity is not None:
+        a, b, c = np.asarray(ee_velocity, dtype=float).reshape(3).tolist()
+        speed = 0.0 + a * n0 + b * n1 + c * n2
+    magnitude = _penalty(surface, 0.0 + (q0 - x) * n0 + (q1 - y) * n1 + (q2 - z) * n2, speed)
     force = np.zeros(3) if magnitude == 0.0 else magnitude * surface.normal
     return Wrench(force, np.zeros(3))
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fma
 from .errors import DegenerateConfigurationError, SimulationBlowUpError
-from .fma import DualActuatorModel, WeightingPolicy
+from .fma import DualActuatorModel, WeightingPolicy, _check_finite_floats
 from .force_control import (
     DEFAULT_CONTACT_THRESHOLD,
     DEFAULT_SETTLE_RATE,
@@ -64,13 +64,6 @@ MAX_JOINT_STEP = math.pi / 2.0
 # nonsense metrics. The built-in stays within 0.0142 rad, and its
 # envelope sweep at peak-speed multipliers up to 64 within 0.181 rad.
 MAX_TRACKING_ERROR = math.pi
-
-
-def _check_finite_floats(scenario):
-    """Raise ValueError naming the first float field of ``scenario`` that is not finite."""
-    for f in fields(scenario):
-        if f.type == "float" and not math.isfinite(getattr(scenario, f.name)):
-            raise ValueError(f"{f.name} must be finite")
 
 
 def _check_run_size(ticks: float, substeps: int, columns: int, window_key: str, window: int):
@@ -220,6 +213,8 @@ class BurrDisturbance:
         if not 0.0 <= self.noise_sigma < math.inf:
             raise ValueError("noise_sigma must be finite and nonnegative")
         bands = tuple((float(lo), float(hi), float(g)) for lo, hi, g in self.bands)
+        if not all(math.isfinite(x) for band in bands for x in band):
+            raise ValueError("bands must be finite")
         for lo, hi, _ in bands:
             if hi <= lo:
                 raise ValueError("disturbance band must have hi > lo")
@@ -283,6 +278,10 @@ class ForceControlScenario:
     through the Jacobian inverse); the physical arm follows the commanded
     joints through an optional first-order lag standing in for the inner
     position servo. Forces are SI; the reference pushes along -Z.
+
+    The runner reads only the surface's effective stiffness. The plane's
+    point is set by ``start_height``, below the home tool point, whatever
+    the surface's ``point``; its normal must be +z and its damping zero.
     """
 
     chain: SerialChainModel
@@ -328,6 +327,10 @@ class ForceControlScenario:
             raise ValueError("approach_speed must be positive, start_height nonnegative")
         if self.arm_lag < 0.0:
             raise ValueError("arm_lag must be nonnegative")
+        if self.surface.normal.tolist() != [0.0, 0.0, 1.0]:
+            raise ValueError(f"surface normal must be +z, got {self.surface.normal.tolist()}")
+        if self.surface.damping != 0.0:
+            raise ValueError(f"surface damping must be zero, got {self.surface.damping}")
         if self.chain.dof != 6:
             raise ValueError("resolved-rate drive needs a six-joint chain")
         if len(self.home) != self.chain.dof:

@@ -284,8 +284,9 @@ class ArrayConditioner:
     Each block is bias-removed and appended to the zero-primed history;
     the mean is one axis-0 ``np.add.reduce`` with ``initial=0.0``, which
     adds whole rows oldest first; then forces strictly below the
-    deadband are zeroed. This is the array form of
-    ``SignalConditioner.filter_batch`` before its axes ran in floats.
+    deadband are zeroed. This is the array form of the conditioner
+    before its axes ran in floats; a one-row block is one
+    ``SignalConditioner.step``.
     """
 
     def __init__(self, bias, window, deadband):
@@ -305,8 +306,8 @@ class ArrayConditioner:
 def array_normal_force(surface, positions, velocities=None):
     """Penalty normal force magnitudes (m,) with the depth as the product ``(point - p) @ normal``.
 
-    The array form of ``normal_force`` before its depth ran in floats:
-    zero unless the depth is positive (a NaN depth presses), the
+    The array form of the penalty law before ``contact_wrench`` formed
+    its depth in floats: zero unless the depth is positive (a NaN depth presses), the
     effective stiffness times the depth less the damping times the
     normal speed, then ``np.maximum`` with 0.0.
     """

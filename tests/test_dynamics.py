@@ -231,6 +231,12 @@ def test_import_does_not_load_scipy():
     _run_fresh(imports + 'import sys; assert "scipy" not in sys.modules')
 
 
+def test_fma_import_loads_no_chain_or_contact_module():
+    # The actuator model is a one-axis plant; it needs none of the chain or contact code.
+    unused = ("fmasim.spatial", "fmasim.kinematics", "fmasim.force_control")
+    _run_fresh(f"import fmasim.fma, sys; loaded = set({unused}) & set(sys.modules); assert not loaded, loaded")
+
+
 def test_cli_import_does_not_load_dynamics():
     # Nor the process pool, which only envelope --parallel uses, nor the
     # plot writer, which only --svg uses.

@@ -1,3 +1,6 @@
+import math
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,7 @@ from fmasim.fma import (
     weighted_pseudo_inverse,
     weighting,
 )
+from fmasim.simulation import BurrDisturbance
 
 
 def test_star_gear_ratio_values():
@@ -140,9 +144,40 @@ def test_stribeck_friction_shape():
     for qd in (0.5, 3.0, 40.0):
         assert stribeck_friction(-qd) == pytest.approx(-stribeck_friction(qd))
         assert stribeck_friction(qd) > 0.0
-    arr = stribeck_friction(np.array([-1.0, 0.0, 1.0]))
-    assert arr.shape == (3,)
-    assert arr[0] == -arr[2]
+    assert type(stribeck_friction(np.float64(-1.0))) is float
+
+
+def _field(factory, name):
+    return lambda value: replace(factory(), **{name: value})
+
+
+def _band_entry(i):
+    def build(value):
+        band = [1.0, 2.0, 5.0]
+        band[i] = value
+        return BurrDisturbance(bands=(tuple(band),))
+
+    return build
+
+
+NON_FINITE_CASES = [
+    *(pytest.param(name, _field(fma_star_geometry, name), id=name) for name in ("r9", "r10", "r11", "r12")),
+    *(pytest.param(f.name, _field(fma_motion_prime_mover, f.name), id=f.name) for f in fields(PrimeMoverParams)),
+    *(
+        pytest.param(name, _field(fma_paper_design, name), id=name)
+        for name in ("link_mass", "link_length", "tool_mass")
+    ),
+    pytest.param("torque_threshold", _field(fma_paper_weighting, "torque_threshold"), id="torque_threshold"),
+    *(pytest.param("bands", _band_entry(i), id=f"bands[{i}]") for i in range(3)),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name, build", NON_FINITE_CASES)
+def test_fma_value_fields_must_be_finite(name, build, value):
+    # NaN passes every range check, so each field is refused as non-finite first
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        build(value)
 
 
 def test_prime_mover_validation():

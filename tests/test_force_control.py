@@ -19,7 +19,6 @@ from fmasim.force_control import (
     effective_stiffness,
     fixture_projector,
     natural_frequency,
-    normal_force,
     project_force,
     pure_force_control_step,
     virtual_inertia_damper_step,
@@ -304,27 +303,32 @@ def test_normal_force_is_the_penalty_law_at_each_point():
     rng = np.random.default_rng(35)
     points = rng.normal(scale=2.0e-3, size=(40, 3))
     velocities = rng.normal(scale=0.05, size=(40, 3))
-    for normal, exact in (((0.0, 0.0, 1.0), True), ((0.3, -0.2, 1.0), False)):
+    for normal in ((0.0, 0.0, 1.0), (0.3, -0.2, 1.0)):
         surface = ContactSurface(stiffness=2000.0, normal=normal, damping=5.0)
-        forces = normal_force(surface, points, velocities)
-        assert forces.shape == (40,)
-        assert np.any(forces > 0.0) and np.any(forces == 0.0)
-        one_point = [contact_wrench(surface, p, v).force @ surface.normal for p, v in zip(points, velocities)]
-        if exact:
-            assert np.array_equal(forces, one_point)
-        else:
-            # force @ normal multiplies the magnitude by |n|^2, which rounds
-            assert np.allclose(forces, one_point, rtol=1e-12, atol=1e-12)
+        forces = []
+        for p, v in zip(points, velocities):
+            depth = -(p @ surface.normal)
+            speed = v @ surface.normal
+            law = max(0.0, surface.effective * depth - surface.damping * speed) if depth > 0.0 else 0.0
+            w = contact_wrench(surface, p, v)
+            assert np.allclose(w.force, law * surface.normal, rtol=1e-12, atol=1e-15)
+            assert w.moment.tolist() == [0.0, 0.0, 0.0]
+            forces.append(law)
+        assert max(forces) > 0.0 and min(forces) == 0.0
 
 
 def test_normal_force_keeps_non_finite_points_visible():
     rigid = ContactSurface(stiffness=np.inf)
     assert rigid.effective == np.inf
     # a point on a rigid plane presses with zero depth and gets no force
-    assert normal_force(rigid, [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]).tolist() == [0.0, 0.0]
-    assert np.isnan(normal_force(rigid, [[0.0, 0.0, np.nan]])[0])
+    for point in ((0.0, 0.0, 0.0), (0.0, 0.0, -0.0), (0.0, 0.0, 1.0)):
+        assert contact_wrench(rigid, point).force.tolist() == [0.0, 0.0, 0.0]
+    # an infinite or NaN force is refused, not reported as zero
+    for surface, point in ((rigid, (0.0, 0.0, -1.0e-3)), (ContactSurface(stiffness=1000.0), (0.0, 0.0, np.nan))):
+        with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
+            contact_wrench(surface, point)
     with pytest.raises(ValueError, match="finite"):
-        contact_wrench(ContactSurface(stiffness=1000.0), (0.0, 0.0, np.nan))
+        contact_wrench(ContactSurface(stiffness=1000.0, damping=5.0), (0.0, 0.0, -1.0e-3), (0.0, np.nan, 0.0))
 
 
 def test_natural_frequency_formula():

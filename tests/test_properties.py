@@ -36,6 +36,10 @@ from fmasim.dynamics import (
 from fmasim.errors import SimulationBlowUpError
 from fmasim.fixtures import fma_paper_design, fma_paper_plant, fma_paper_weighting
 from fmasim.fma import (
+    FRICTION_KNEE_GAIN,
+    FRICTION_KNEE_RATE,
+    FRICTION_STATIC,
+    FRICTION_VISCOUS,
     allocate_velocities,
     computed_torque_voltage,
     null_space_projector,
@@ -51,7 +55,7 @@ from fmasim.force_control import (
     SignalConditioner,
     _condition_axis,
     _penalty,
-    normal_force,
+    contact_wrench,
     window_mean,
 )
 from fmasim.kinematics import (
@@ -393,19 +397,10 @@ def _same_bits(a, b):
 @given(conditioner_streams())
 def test_batch_conditioner_equals_successive_steps(case):
     window, bias, deadband, blocks = case
-    bias_wrench = Wrench(bias[:3], bias[3:])
-    batched = SignalConditioner(bias_wrench, window, deadband)
-    stepped = SignalConditioner(bias_wrench, window, deadband)
-    reference = moving_average_outputs(np.concatenate(blocks), bias, window, deadband)
-    seen = 0
-    for block in blocks:
-        out = batched.filter_batch(block)
-        assert out.shape == (6,)
-        for row in block:
-            one = stepped.step(Wrench(row[:3], row[3:])).as_array()
-            assert _same_bits(one, reference[seen])
-            seen += 1
-        assert _same_bits(out, one)
+    stepped = SignalConditioner(Wrench(bias[:3], bias[3:]), window, deadband)
+    stream = np.concatenate(blocks)
+    for row, expected in zip(stream, moving_average_outputs(stream, bias, window, deadband)):
+        assert _same_bits(stepped.step(Wrench(row[:3], row[3:])).as_array(), expected)
 
 
 @st.composite
@@ -426,17 +421,6 @@ def axis_surfaces_and_points(draw):
     return surface, points, velocities
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(axis_surfaces_and_points())
-def test_batched_normal_force_rows_are_one_point_calls(case):
-    surface, points, velocities = case
-    forces = normal_force(surface, points, velocities)
-    for i, point in enumerate(points):
-        velocity = None if velocities is None else velocities[i : i + 1]
-        one = normal_force(surface, point[None], velocity)
-        assert forces[i : i + 1].tobytes() == one.tobytes()
-
-
 def _same_or_nan(a, b):
     """Equal bits, signed zeros included, or NaN in both: a NaN's sign and payload are not pinned."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -450,8 +434,15 @@ def test_conditioner_is_the_array_conditioner(case):
     window, bias, deadband, blocks = case
     floats = SignalConditioner(Wrench(bias[:3], bias[3:]), window, deadband)
     arrays_ = ArrayConditioner(bias, window, deadband)
-    for block in blocks:
-        assert _same_bits(floats.filter_batch(block), arrays_.filter_batch(block))
+    for row in np.concatenate(blocks):
+        assert _same_bits(floats.step(Wrench(row[:3], row[3:])).as_array(), arrays_.filter_batch(row[None]))
+
+
+def _stepped(conditioner, block):
+    """The conditioned 6-vector after ``conditioner`` steps through the rows of ``block``."""
+    for row in block:
+        out = conditioner.step(Wrench(row[:3], row[3:]))
+    return out.as_array()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -461,12 +452,12 @@ def test_conditioner_keeps_a_force_exactly_at_the_deadband(window, quarters, sig
     # so the mean is exactly +-d: at, not below, the deadband.
     deadband = quarters / 4.0
     block = np.tile(np.array(signs) * deadband, (window, 1))
-    out = SignalConditioner(window=window, deadband=deadband).filter_batch(block)
+    out = _stepped(SignalConditioner(window=window, deadband=deadband), block)
     assert _same_bits(out, ArrayConditioner(np.zeros(6), window, deadband).filter_batch(block))
     assert _same_bits(out, block[0])
     # a force one ulp inside the band is zeroed, a moment is not
     inside = np.nextafter(block, 0.0)
-    out = SignalConditioner(window=window, deadband=deadband).filter_batch(inside)
+    out = _stepped(SignalConditioner(window=window, deadband=deadband), inside)
     assert _same_bits(out, ArrayConditioner(np.zeros(6), window, deadband).filter_batch(inside))
     assert out[:3].tolist() == [0.0, 0.0, 0.0] and out[3:].tolist() != [0.0, 0.0, 0.0]
 
@@ -524,8 +515,17 @@ def penalty_cases(draw):
 @given(penalty_cases())
 def test_normal_force_is_the_array_penalty_law(case):
     surface, points, velocities = case
-    got = normal_force(surface, points, velocities)
-    assert _same_or_nan(got, array_normal_force(surface, points, velocities))
+    expected = array_normal_force(surface, points, velocities)
+    for i, (point, magnitude) in enumerate(zip(points, expected.tolist())):
+        velocity = None if velocities is None else velocities[i]
+        if not math.isfinite(magnitude):
+            # a NaN point, or a rigid surface pressed: refused, never zero
+            with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
+                contact_wrench(surface, point, velocity)
+            continue
+        wrench = contact_wrench(surface, point, velocity)
+        force = np.zeros(3) if magnitude == 0.0 else magnitude * surface.normal
+        assert _same_bits(wrench.force, force) and wrench.moment.tolist() == [0.0, 0.0, 0.0]
     if surface.normal.tolist() == [0.0, 0.0, 1.0]:
         # The runner's form on its finite tool points: the depth along +z
         # is the height difference.
@@ -542,13 +542,15 @@ def test_normal_force_is_the_array_penalty_law(case):
     st.sampled_from([np.nan, np.inf, -np.inf]),
 )
 def test_batch_conditioner_rejects_non_finite_samples(window, m, data, bad):
-    cond = SignalConditioner(window=window)
-    block = np.ones((m, 6))
-    block[data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, 5))] = bad
+    history = deque([0.0] * window, maxlen=window)
+    _condition_axis(history, data.draw(st.lists(st.floats(-5.0, 5.0), max_size=window)), 0.0, 0.0)
+    before = list(history)
+    samples = [1.0] * m
+    samples[data.draw(st.integers(0, m - 1))] = bad
     with pytest.raises(ValueError, match="finite"):
-        cond.filter_batch(block)
-    # the rejected block leaves the filter as it was
-    assert cond.filter_batch(np.ones((1, 6)))[2] == 1.0 / window
+        _condition_axis(history, samples, 0.0, 0.0)
+    # the rejected samples leave the window as it was
+    assert list(history) == before
 
 
 def _loop_mean(window):
@@ -619,11 +621,15 @@ _speeds = st.one_of(
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(st.one_of(_speeds, _speeds.map(np.float64), st.integers(-(10**6), 10**6)))
 def test_scalar_friction_is_the_array_friction(qd):
-    scalar = stribeck_friction(qd)
-    assert type(scalar) is float
-    with np.errstate(over="ignore"):
-        element = stribeck_friction(np.array([qd], dtype=float))[0]
-    assert _bits(scalar) == _bits(element)
+    got = stribeck_friction(qd)
+    assert type(got) is float
+    q = float(qd)
+    knee = 1.0 - math.exp(-FRICTION_KNEE_RATE * abs(q))
+    law = FRICTION_STATIC + FRICTION_VISCOUS * abs(q) - FRICTION_KNEE_GAIN * knee
+    assert _bits(got) == _bits(-law if q < 0.0 else law)
+    if q != 0.0 and not math.isnan(q):
+        # odd in speed away from zero
+        assert _bits(stribeck_friction(-q)) == _bits(-got)
 
 
 @st.composite

@@ -215,6 +215,18 @@ def test_force_scenario_validation():
         ForceControlScenario(chain, surface, gains, physics_timestep=1.0)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("normal", (1.0, 0.0, 0.0)), ("normal", (0.0, 0.0, -1.0)), ("damping", 1.0e4)]
+)
+def test_force_scenario_refuses_a_surface_the_runner_would_misread(field, value):
+    # The runner presses along -z onto a pure spring; it would ignore a
+    # tilted normal or a damper and write the undamped +z trace.
+    scenario = build_scenario(load_scenario("force-regulation"))
+    surface = replace(scenario.surface, **{field: value})
+    with pytest.raises(ValueError, match=f"^surface {field} must be"):
+        replace(scenario, surface=surface)
+
+
 def rest_scenario(duration=0.5):
     plant = fma_paper_plant()
     return FmaScenario(
