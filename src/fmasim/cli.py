@@ -6,9 +6,9 @@ torque/speed samples), fk and jacobian (query a chain fixture), and
 fixtures (list everything runnable by name).
 
 Exit codes: 0 on success, 2 for configuration or usage errors and for
-an output file that cannot be written, 3 when the run cannot continue
-(the integrator blows up, the chain reaches a singular configuration,
-or a joint steps past pi/2 rad in one tick).
+an output file that cannot be written (found before the run starts), 3
+when the run cannot continue (the integrator blows up, the chain reaches
+a singular configuration, or a joint steps past pi/2 rad in one tick).
 """
 from __future__ import annotations
 
@@ -59,11 +59,24 @@ def _load(args) -> config_mod.ScenarioConfig:
     return cfg
 
 
-def _out_dir(path: str) -> Path:
-    """The output directory, created if missing."""
+def _out_files(path: str, *names: str) -> list[Path]:
+    """The named files in the output directory, created if missing, each checked writable.
+
+    A missing file is created and removed again; an existing one is opened
+    for append, which does not truncate it. Either raises, before the run
+    starts, the OSError that writing the file after it would.
+    """
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    files = [out / name for name in names]
+    for file in files:
+        try:
+            file.open("x").close()
+        except FileExistsError:
+            file.open("a").close()
+        else:
+            file.unlink()
+    return files
 
 
 def _trace_plot(trace: SimulationTrace):
@@ -92,11 +105,11 @@ def _report(args, summary: dict, text: str, written: list) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    out = _out_dir(args.out)
+    trace_path, metrics_path, *svg_path = _out_files(
+        args.out, "trace.csv", "metrics.txt", *(["trace.svg"] if args.svg else [])
+    )
     trace = _run_config(cfg)
     metrics = compute_metrics(trace)
-    trace_path = out / "trace.csv"
-    metrics_path = out / "metrics.txt"
     write_trace_csv(trace, trace_path)
     write_metrics(metrics, metrics_path)
     written = [str(trace_path), str(metrics_path)]
@@ -104,9 +117,8 @@ def cmd_simulate(args) -> int:
         from . import svg
 
         series, ylabel = _trace_plot(trace)
-        svg_path = out / "trace.svg"
-        svg.write_plot(svg_path, series, title=trace.scenario.name, xlabel="t [s]", ylabel=ylabel)
-        written.append(str(svg_path))
+        svg.write_plot(svg_path[0], series, title=trace.scenario.name, xlabel="t [s]", ylabel=ylabel)
+        written.append(str(svg_path[0]))
     name, samples = trace.scenario.name, trace.n_samples
     summary = {"name": name, "kind": metrics.kind, "samples": samples, "metrics": metrics}
     return _report(args, summary, f"{name}: {samples} samples\n{metrics_text(metrics)}", written)
@@ -132,7 +144,7 @@ def cmd_envelope(args) -> int:
         variant = config_mod.replace_values(cfg, "reference", omega_peak=base_peak * mult)
         variants.append(config_mod.replace_values(variant, "run", name=f"{base_name}@x{mult:g}"))
 
-    out = _out_dir(args.out)
+    csv_path, *svg_path = _out_files(args.out, "envelope.csv", *(["envelope.svg"] if args.svg else []))
     # A pool starts all its workers at the first submit; never more than runs.
     workers = min(args.parallel, len(variants))
     if workers > 1:
@@ -144,7 +156,6 @@ def cmd_envelope(args) -> int:
         traces = [_run_config(v) for v in variants]
     points = envelope_points(traces)
 
-    csv_path = out / "envelope.csv"
     with csv_path.open("w", encoding="utf-8", newline="") as f:  # a tag is quoted if it needs it
         rows = [("torque", "speed", "tag")] + [(f"{p.torque:.17g}", f"{p.speed:.17g}", p.tag) for p in points]
         csv.writer(f, lineterminator="\n").writerows(rows)
@@ -152,17 +163,16 @@ def cmd_envelope(args) -> int:
     if args.svg:
         from . import svg
 
-        svg_path = out / "envelope.svg"
         speeds = [p.speed for p in points]
         torques = [p.torque for p in points]
         svg.write_plot(
-            svg_path,
+            svg_path[0],
             [("samples", speeds, torques, "dot")],
             title=f"{base_name} envelope",
             xlabel="speed [rad/s]",
             ylabel="torque [N*m]",
         )
-        written.append(str(svg_path))
+        written.append(str(svg_path[0]))
     summary = {"name": base_name, "runs": len(variants), "points": points}
     return _report(args, summary, f"{len(points)} envelope points from {len(variants)} runs\n", written)
 

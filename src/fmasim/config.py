@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import fixtures
 from .errors import ConfigError
-from .force_control import GainSet, diagonal_gain
+from .force_control import GainSet
 from .simulation import BurrDisturbance, FmaScenario, ForceControlScenario
 from .units import UnitError, parse_quantity
 
@@ -344,7 +344,7 @@ def _build_force(cfg: ScenarioConfig) -> ForceControlScenario:
     return ForceControlScenario(
         chain=fixtures.chain_fixture(cfg.plant["chain"]),
         surface=fixtures.surface_fixture(cfg.plant["surface"]),
-        gains=GainSet(**{k: diagonal_gain(0.0, 0.0, ctl[k]) for k in ("kp", "kv", "ki")}),
+        gains=GainSet(**{k: (0.0, 0.0, ctl[k], 0.0, 0.0, 0.0) for k in ("kp", "kv", "ki")}),
         reference=cfg.reference["profile"].removesuffix("-force"),
         **_copies(cfg, *_SECTIONS),
     )

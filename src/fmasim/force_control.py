@@ -28,39 +28,25 @@ DEFAULT_CONTACT_THRESHOLD = 0.25 * LBF_TO_N
 DEFAULT_SETTLE_RATE = 5.0
 
 
-def _diagonal_gain(matrix, name: str) -> np.ndarray:
-    m = frozen_array(matrix, name, (6, 6))
-    if np.any(m != np.diag(np.diagonal(m))):
-        raise ValueError(f"{name} must be diagonal")
-    if np.any(np.diagonal(m) < 0.0):
-        raise ValueError(f"{name} entries must be nonnegative")
-    return m
-
-
 @dataclass(frozen=True, eq=False)
 class GainSet:
-    """Diagonal gain matrices for the force-control laws.
+    """Diagonal gains of the force laws, each a (6,) vector, forces first.
 
-    ``k`` is the accommodation gain (m/N per control period); kp, kv, ki
-    feed the PID law. Unused members default to zero.
+    kp, kv and ki feed the PID law, and the compliant law reads kp. Each
+    axis acts on its own force error; unused members default to zero.
     """
 
-    k: np.ndarray | None = None
     kp: np.ndarray | None = None
     kv: np.ndarray | None = None
     ki: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("k", "kp", "kv", "ki"):
+        for name in ("kp", "kv", "ki"):
             value = getattr(self, name)
-            if value is None:
-                value = np.zeros((6, 6))
-            object.__setattr__(self, name, _diagonal_gain(value, name))
-
-
-def diagonal_gain(fx, fy, fz, mx=0.0, my=0.0, mz=0.0) -> np.ndarray:
-    """6x6 diagonal gain from per-axis entries, forces first."""
-    return np.diag([fx, fy, fz, mx, my, mz]).astype(float)
+            gain = frozen_array(np.zeros(6) if value is None else value, name, (6,))
+            if np.any(gain < 0.0):
+                raise ValueError(f"{name} entries must be nonnegative")
+            object.__setattr__(self, name, gain)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,25 +218,18 @@ def project_force(fixture: VirtualFixture, force) -> np.ndarray:
 
 
 def virtual_inertia_damper_step(k, w_b: Wrench) -> np.ndarray:
-    """Accommodative displacement for one control period, Δu = K w.
+    """Accommodative displacement for one control period, Δu = K w, K a (6,) diagonal.
 
     Applying the sensed wrench directly yields mass-with-damping behavior:
-    a constant force produces a constant drift velocity K F / Δt.
+    a constant force produces a constant drift velocity K F / Δt. Driven
+    instead by the deviation from the registered equilibrium wrench, the
+    same law is a spring: releasing the disturbance returns the commanded
+    pose to the equilibrium point.
     """
     k = np.asarray(k, dtype=float)
-    if k.shape != (6, 6):
-        raise ValueError("gain must be 6x6")
-    return k @ w_b.as_array()
-
-
-def virtual_spring_step(k, dw_b: Wrench) -> np.ndarray:
-    """Spring-like displacement from the wrench deviation off equilibrium.
-
-    Same linear map as the inertia/damper law, but driven by the change
-    from the registered equilibrium wrench, so releasing the disturbance
-    returns the commanded pose to the equilibrium point.
-    """
-    return virtual_inertia_damper_step(k, dw_b)
+    if k.shape != (6,):
+        raise ValueError("gain must be a (6,) diagonal")
+    return k * w_b.as_array()
 
 
 def _solve_jacobian(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -263,23 +242,23 @@ def _solve_jacobian(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def pure_force_control_step(
     g, gains: GainSet, e_f: np.ndarray, e_f_dot: np.ndarray, e_f_int: np.ndarray
 ) -> np.ndarray:
-    """Joint rates from PID action on force error, θ̇ = G⁻¹(Kp e + Kv ė + Ki ∫e)."""
+    """Joint rates from PID action on force error, θ̇ = G⁻¹(Kp e + Kv ė + Ki ∫e), gains diagonal."""
     g = np.asarray(g, dtype=float)
     if g.shape != (6, 6):
         raise ValueError("jacobian must be 6x6")
     e = np.asarray(e_f, dtype=float).reshape(6)
     de = np.asarray(e_f_dot, dtype=float).reshape(6)
     ie = np.asarray(e_f_int, dtype=float).reshape(6)
-    return _solve_jacobian(g, gains.kp @ e + gains.kv @ de + gains.ki @ ie)
+    return _solve_jacobian(g, gains.kp * e + gains.kv * de + gains.ki * ie)
 
 
 def compliant_control_step(g, kp, e_f: np.ndarray) -> np.ndarray:
-    """Differential joint motion per control period, Δθ = G⁻¹ Kp e."""
+    """Differential joint motion per control period, Δθ = G⁻¹ Kp e, Kp a (6,) diagonal."""
     g = np.asarray(g, dtype=float)
     kp = np.asarray(kp, dtype=float)
-    if g.shape != (6, 6) or kp.shape != (6, 6):
-        raise ValueError("jacobian and gain must be 6x6")
-    return _solve_jacobian(g, kp @ np.asarray(e_f, dtype=float).reshape(6))
+    if g.shape != (6, 6) or kp.shape != (6,):
+        raise ValueError("jacobian must be 6x6 and gain a (6,) diagonal")
+    return _solve_jacobian(g, kp * np.asarray(e_f, dtype=float).reshape(6))
 
 
 def effective_stiffness(k_sensor: float, k_tool: float, k_env: float) -> float:
@@ -312,6 +291,13 @@ def _penalty(surface: ContactSurface, depth: float, speed: float | None = None) 
     return 0.0 if magnitude < 0.0 else magnitude
 
 
+def _finite_vector(value, name: str) -> list[float]:
+    v = np.asarray(value, dtype=float).reshape(3).tolist()
+    if not all(map(math.isfinite, v)):
+        raise ValueError(f"{name} must be finite, got {v}")
+    return v
+
+
 def contact_wrench(surface: ContactSurface, ee_position, ee_velocity=None) -> Wrench:
     """Frictionless penalty-contact wrench on the end effector.
 
@@ -319,17 +305,21 @@ def contact_wrench(surface: ContactSurface, ee_position, ee_velocity=None) -> Wr
     the penetration depth (less an optional viscous term on the normal
     velocity), pushes the tool back out along the surface normal, and is
     never tensile. Depth and normal speed are dot products with the
-    normal in floats, summed in index order from 0.0. A NaN point gives a
-    NaN force, which ``Wrench`` refuses.
+    normal in floats, summed in index order from 0.0. A non-finite
+    position or velocity is refused wherever the point is, and so is an
+    infinite force, as from a rigid surface pressed.
     """
     n0, n1, n2 = surface.normal.tolist()
     q0, q1, q2 = surface.point.tolist()
-    x, y, z = np.asarray(ee_position, dtype=float).reshape(3).tolist()
+    x, y, z = _finite_vector(ee_position, "position")
     speed = None
     if ee_velocity is not None:
-        a, b, c = np.asarray(ee_velocity, dtype=float).reshape(3).tolist()
+        a, b, c = _finite_vector(ee_velocity, "velocity")
         speed = 0.0 + a * n0 + b * n1 + c * n2
-    magnitude = _penalty(surface, 0.0 + (q0 - x) * n0 + (q1 - y) * n1 + (q2 - z) * n2, speed)
+    depth = 0.0 + (q0 - x) * n0 + (q1 - y) * n1 + (q2 - z) * n2
+    magnitude = _penalty(surface, depth, speed)
+    if not math.isfinite(magnitude):
+        raise ValueError(f"force must be finite, got {magnitude} at depth {depth}")
     force = np.zeros(3) if magnitude == 0.0 else magnitude * surface.normal
     return Wrench(force, np.zeros(3))
 

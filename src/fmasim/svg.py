@@ -10,6 +10,7 @@ import math
 from pathlib import Path
 
 _PALETTE = ("#1965b0", "#dc050c", "#4eb265", "#f7a600", "#882e72", "#777777")
+_WIDTH, _HEIGHT = 720, 460
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 34, 46
 
 
@@ -39,19 +40,7 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _fmt(v: float) -> str:
-    text = f"{v:.6g}"
-    return text
-
-
-def line_plot(
-    series,
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-    width: int = 720,
-    height: int = 460,
-) -> str:
+def line_plot(series, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
     """Render series to SVG text.
 
     Each series is (label, x, y) or (label, x, y, style) with style
@@ -72,8 +61,8 @@ def line_plot(
     if y1 == y0:
         y1 = y0 + 1.0
 
-    pw = width - _MARGIN_L - _MARGIN_R
-    ph = height - _MARGIN_T - _MARGIN_B
+    pw = _WIDTH - _MARGIN_L - _MARGIN_R
+    ph = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x: float) -> float:
         return _MARGIN_L + (x - x0) / (x1 - x0) * pw
@@ -82,9 +71,9 @@ def line_plot(
         return _MARGIN_T + ph - (y - y0) / (y1 - y0) * ph
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     for tx in x_ticks:
         out.append(
@@ -93,7 +82,7 @@ def line_plot(
         )
         out.append(
             f'<text x="{px(tx):.1f}" y="{_MARGIN_T + ph + 16}" '
-            f'text-anchor="middle">{_fmt(tx)}</text>'
+            f'text-anchor="middle">{tx:.6g}</text>'
         )
     for ty in y_ticks:
         out.append(
@@ -102,7 +91,7 @@ def line_plot(
         )
         out.append(
             f'<text x="{_MARGIN_L - 6}" y="{py(ty) + 4:.1f}" '
-            f'text-anchor="end">{_fmt(ty)}</text>'
+            f'text-anchor="end">{ty:.6g}</text>'
         )
     out.append(
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{pw}" height="{ph}" '
@@ -110,12 +99,12 @@ def line_plot(
     )
     if title:
         out.append(
-            f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.0f}" y="20" text-anchor="middle" '
             f'font-size="14" font-weight="bold">{_escape(title)}</text>'
         )
     if xlabel:
         out.append(
-            f'<text x="{_MARGIN_L + pw / 2:.0f}" y="{height - 10}" '
+            f'<text x="{_MARGIN_L + pw / 2:.0f}" y="{_HEIGHT - 10}" '
             f'text-anchor="middle">{_escape(xlabel)}</text>'
         )
     if ylabel:

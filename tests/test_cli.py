@@ -277,6 +277,15 @@ def test_simulate_seed_override_changes_noisy_run(tmp_path, capsys):
     assert (out1 / "trace.csv").read_bytes() != (out2 / "trace.csv").read_bytes()
 
 
+def test_force_run_seed_moves_no_byte(tmp_path, capsys):
+    # a force run draws no random numbers
+    out1, out2 = tmp_path / "s1", tmp_path / "s2"
+    assert main(["simulate", "--config", "compliant-kp01", "--out", str(out1)]) == 0
+    assert main(["simulate", "--config", "compliant-kp01", "--out", str(out2), "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+
+
 def test_successive_calls_share_the_parser_and_leak_no_state(tmp_path, capsys):
     noisy = REST_INI + "\n[disturbance]\nkind = burr\nnoise_sigma = 2 N*m\n"
     path = tmp_path / "noisy.ini"
@@ -460,6 +469,45 @@ def test_output_file_that_is_a_directory_exits_2(rest_config, tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(tmp_path / "out" / blocked) in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "args, blocked",
+    [
+        (["simulate", "--config", "compliant-kp01"], "trace.csv"),
+        (["simulate", "--config", "fma-paper-deburr", "--svg"], "trace.svg"),
+        (["envelope", "--config", "fma-paper-deburr", "--sweep", "1"], "envelope.csv"),
+        (["envelope", "--config", "fma-paper-deburr", "--sweep", "1", "--svg"], "envelope.svg"),
+    ],
+)
+def test_unwritable_output_exits_2_before_the_run(tmp_path, monkeypatch, capsys, args, blocked):
+    def unreachable(scenario):
+        raise AssertionError("a run started with an output it cannot write")
+
+    monkeypatch.setattr(cli, "run_fma_scenario", unreachable)
+    monkeypatch.setattr(cli, "run_force_control_scenario", unreachable)
+    (tmp_path / "out" / blocked).mkdir(parents=True)
+    assert main(args + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(tmp_path / "out" / blocked) in err
+    assert len(err.splitlines()) == 1
+    # the check created no file next to the blocked one
+    assert [p.name for p in (tmp_path / "out").iterdir()] == [blocked]
+
+
+def test_failed_run_leaves_no_new_or_truncated_output(tmp_path, capsys):
+    text = resources.files("fmasim").joinpath("scenarios", "force-regulation.ini").read_text()
+    path = tmp_path / "wrist.ini"
+    path.write_text(text.replace("[plant]\n", "[plant]\nhome = 0 0 0 0 0 0 rad\n", 1))
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "trace.csv").write_text("an earlier trace\n")
+    for out in (tmp_path / "fresh", kept):
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+    capsys.readouterr()
+    assert list((tmp_path / "fresh").iterdir()) == []
+    assert [p.name for p in kept.iterdir()] == ["trace.csv"]
+    assert (kept / "trace.csv").read_text() == "an earlier trace\n"
 
 
 def test_config_that_is_not_utf8(tmp_path, capsys):

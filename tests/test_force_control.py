@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -15,14 +17,12 @@ from fmasim.force_control import (
     compliant_control_step,
     contact_state_step,
     contact_wrench,
-    diagonal_gain,
     effective_stiffness,
     fixture_projector,
     natural_frequency,
     project_force,
     pure_force_control_step,
     virtual_inertia_damper_step,
-    virtual_spring_step,
 )
 from fmasim.spatial import Wrench
 from fmasim.units import LBF_PER_IN_TO_N_PER_M, LBF_TO_N, MM_PER_LBF_TO_M_PER_N
@@ -33,27 +33,24 @@ def wrench(fx=0.0, fy=0.0, fz=0.0, mx=0.0, my=0.0, mz=0.0):
 
 
 def test_gain_set_defaults_to_zero():
+    assert [f.name for f in fields(GainSet)] == ["kp", "kv", "ki"]
     gains = GainSet()
-    for mat in (gains.k, gains.kp, gains.kv, gains.ki):
-        assert np.array_equal(mat, np.zeros((6, 6)))
+    for diagonal in (gains.kp, gains.kv, gains.ki):
+        assert np.array_equal(diagonal, np.zeros(6))
     with pytest.raises(ValueError):
-        gains.kp[0, 0] = 1.0
+        gains.kp[0] = 1.0
 
 
 def test_gain_set_rejects_bad_matrices():
-    full = np.ones((6, 6))
+    # a gain is its diagonal: a matrix, even a diagonal one, is refused
+    with pytest.raises(ValueError, match="shape"):
+        GainSet(kp=np.eye(6))
+    with pytest.raises(ValueError, match="kv entries must be nonnegative"):
+        GainSet(kv=[1.0, 1.0, -1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        GainSet(ki=[0.0, 0.0, np.nan, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        GainSet(kp=full)
-    with pytest.raises(ValueError):
-        GainSet(kv=np.diag([1.0, 1.0, -1.0, 0.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        GainSet(k=np.eye(3))
-
-
-def test_diagonal_gain_layout():
-    g = diagonal_gain(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-    assert np.array_equal(np.diag(g), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    assert np.array_equal(g, np.diag(np.diag(g)))
+        GainSet(kp=np.ones(3))
 
 
 def test_surface_normalizes_and_validates():
@@ -207,19 +204,25 @@ def test_project_force_drops_normal_component():
 
 def test_virtual_inertia_damper_example():
     # pressing 2 lbf straight down drifts the hand 10.5 mm per period
-    k = diagonal_gain(3.5, 3.5, 5.25) * MM_PER_LBF_TO_M_PER_N
+    k = np.array([3.5, 3.5, 5.25, 0.0, 0.0, 0.0]) * MM_PER_LBF_TO_M_PER_N
     du = virtual_inertia_damper_step(k, wrench(fz=2.0 * LBF_TO_N))
     assert du[2] == pytest.approx(10.5e-3)
     assert np.allclose(du[[0, 1, 3, 4, 5]], 0.0)
     with pytest.raises(ValueError):
-        virtual_inertia_damper_step(np.eye(3), wrench())
+        virtual_inertia_damper_step(np.eye(6), wrench())
 
 
 def test_virtual_spring_example():
-    k = diagonal_gain(10.0, 3.0, 7.0) * MM_PER_LBF_TO_M_PER_N
-    du = virtual_spring_step(k, wrench(fx=1.0 * LBF_TO_N))
+    # the spring is the accommodation law driven by the deviation from the
+    # equilibrium wrench: none at equilibrium, 10 mm for 1 lbf off it
+    k = np.array([10.0, 3.0, 7.0, 0.0, 0.0, 0.0]) * MM_PER_LBF_TO_M_PER_N
+    equilibrium = wrench(fz=-3.0 * LBF_TO_N)
+    sensed = wrench(fx=1.0 * LBF_TO_N, fz=-3.0 * LBF_TO_N)
+    deviation = Wrench(sensed.force - equilibrium.force, sensed.moment - equilibrium.moment)
+    du = virtual_inertia_damper_step(k, deviation)
     assert du[0] == pytest.approx(10.0e-3)
-    assert np.allclose(virtual_spring_step(k, wrench()), 0.0)
+    assert np.allclose(du[1:], 0.0)
+    assert np.allclose(virtual_inertia_damper_step(k, wrench()), 0.0)
 
 
 def test_virtual_spring_equilibrium_pose():
@@ -230,9 +233,9 @@ def test_virtual_spring_equilibrium_pose():
 
 def test_pure_force_step_linearity():
     gains = GainSet(
-        kp=diagonal_gain(2.0, 2.0, 2.0, 1.0, 1.0, 1.0),
-        kv=diagonal_gain(0.5, 0.5, 0.5),
-        ki=diagonal_gain(0.1, 0.1, 0.1),
+        kp=[2.0, 2.0, 2.0, 1.0, 1.0, 1.0],
+        kv=[0.5, 0.5, 0.5, 0.0, 0.0, 0.0],
+        ki=[0.1, 0.1, 0.1, 0.0, 0.0, 0.0],
     )
     rng = np.random.default_rng(33)
     g = rng.normal(size=(6, 6)) + 6.0 * np.eye(6)
@@ -244,7 +247,7 @@ def test_pure_force_step_linearity():
 
 
 def test_pure_force_step_solves_jacobian():
-    gains = GainSet(kp=np.eye(6))
+    gains = GainSet(kp=np.ones(6))
     g = np.diag([2.0, 4.0, 8.0, 1.0, 1.0, 1.0])
     e = np.ones(6)
     theta_dot = pure_force_control_step(g, gains, e, np.zeros(6), np.zeros(6))
@@ -252,16 +255,16 @@ def test_pure_force_step_solves_jacobian():
 
 
 def test_singular_jacobian_raises():
-    gains = GainSet(kp=np.eye(6))
+    gains = GainSet(kp=np.ones(6))
     g = np.zeros((6, 6))
     with pytest.raises(DegenerateConfigurationError):
         pure_force_control_step(g, gains, np.ones(6), np.zeros(6), np.zeros(6))
     with pytest.raises(DegenerateConfigurationError):
-        compliant_control_step(g, np.eye(6), np.ones(6))
+        compliant_control_step(g, np.ones(6), np.ones(6))
 
 
 def test_compliant_step_identity_jacobian():
-    kp = diagonal_gain(0.03, 0.03, 0.03) * MM_PER_LBF_TO_M_PER_N
+    kp = np.array([0.03, 0.03, 0.03, 0.0, 0.0, 0.0]) * MM_PER_LBF_TO_M_PER_N
     e = np.zeros(6)
     e[2] = 5.0 * LBF_TO_N
     du = compliant_control_step(np.eye(6), kp, e)
@@ -323,12 +326,20 @@ def test_normal_force_keeps_non_finite_points_visible():
     # a point on a rigid plane presses with zero depth and gets no force
     for point in ((0.0, 0.0, 0.0), (0.0, 0.0, -0.0), (0.0, 0.0, 1.0)):
         assert contact_wrench(rigid, point).force.tolist() == [0.0, 0.0, 0.0]
-    # an infinite or NaN force is refused, not reported as zero
-    for surface, point in ((rigid, (0.0, 0.0, -1.0e-3)), (ContactSurface(stiffness=1000.0), (0.0, 0.0, np.nan))):
-        with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
-            contact_wrench(surface, point)
-    with pytest.raises(ValueError, match="finite"):
-        contact_wrench(ContactSurface(stiffness=1000.0, damping=5.0), (0.0, 0.0, -1.0e-3), (0.0, np.nan, 0.0))
+    # an infinite force, or a non-finite point or velocity even above the
+    # plane, is refused in one line, not reported as zero
+    soft = ContactSurface(stiffness=1000.0, damping=5.0)
+    cases = [
+        (rigid, (0.0, 0.0, -1.0e-3), None, "force"),
+        (soft, (0.0, 0.0, np.nan), None, "position"),
+        (soft, (0.0, 0.0, np.inf), None, "position"),
+        (soft, (0.0, 0.0, -1.0e-3), (0.0, np.nan, 0.0), "velocity"),
+        (soft, (0.0, 0.0, 1.0), (0.0, 0.0, np.nan), "velocity"),
+    ]
+    for surface, point, velocity, name in cases:
+        with pytest.raises(ValueError, match=f"{name} must be finite") as refused:
+            contact_wrench(surface, point, velocity)
+        assert len(str(refused.value).splitlines()) == 1
 
 
 def test_natural_frequency_formula():

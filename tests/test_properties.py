@@ -55,7 +55,9 @@ from fmasim.force_control import (
     SignalConditioner,
     _condition_axis,
     _penalty,
+    compliant_control_step,
     contact_wrench,
+    pure_force_control_step,
     window_mean,
 )
 from fmasim.kinematics import (
@@ -328,7 +330,7 @@ def value_inputs(draw, cls):
         JointState: lambda: ({"theta": vec(n), "theta_dot": vec(n), "theta_ddot": vec(n)}, {}),
         GKICSet: lambda: ({"G": vec((6, n)), "H": vec((n, 6, n))}, {}),
         GainSet: lambda: (
-            {name: np.diag(vec(6, st.floats(0.0, 1.0e6))) for name in ("k", "kp", "kv", "ki")},
+            {name: vec(6, st.floats(0.0, 1.0e6)) for name in ("kp", "kv", "ki")},
             {},
         ),
         ContactSurface: lambda: ({"point": vec(3), "normal": unit_axis()}, {"stiffness": 1000.0}),
@@ -401,6 +403,27 @@ def test_batch_conditioner_equals_successive_steps(case):
     stream = np.concatenate(blocks)
     for row, expected in zip(stream, moving_average_outputs(stream, bias, window, deadband)):
         assert _same_bits(stepped.step(Wrench(row[:3], row[3:])).as_array(), expected)
+
+
+_gains = st.one_of(st.just(0.0), st.floats(0.0, 1.0e6))
+_errors = st.one_of(st.sampled_from([0.0, -0.0, 5.0e-324, -5.0e-324, -2.0e-310]), st.floats(-1.0e3, 1.0e3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    arrays(np.float64, (3, 6), elements=_gains),
+    arrays(np.float64, (3, 6), elements=_errors),
+    arrays(np.float64, (6, 6), elements=st.floats(-1.0, 1.0)),
+)
+def test_force_laws_are_the_diagonal_matrix_laws(diagonals, errors, jitter):
+    """The elementwise gain products solve to the values of the 6x6 diagonal-matrix form."""
+    kp, kv, ki = diagonals
+    e, de, ie = errors
+    g = jitter + 6.0 * np.eye(6)  # diagonally dominant, so never singular
+    matrix_rhs = np.diag(kp) @ e + np.diag(kv) @ de + np.diag(ki) @ ie
+    rates = pure_force_control_step(g, GainSet(kp=kp, kv=kv, ki=ki), e, de, ie)
+    assert np.array_equal(rates, np.linalg.solve(g, matrix_rhs))
+    assert np.array_equal(compliant_control_step(g, kp, e), np.linalg.solve(g, np.diag(kp) @ e))
 
 
 @st.composite
@@ -520,7 +543,7 @@ def test_normal_force_is_the_array_penalty_law(case):
         velocity = None if velocities is None else velocities[i]
         if not math.isfinite(magnitude):
             # a NaN point, or a rigid surface pressed: refused, never zero
-            with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="finite"):
                 contact_wrench(surface, point, velocity)
             continue
         wrench = contact_wrench(surface, point, velocity)

@@ -15,7 +15,7 @@ from fmasim.fixtures import (
     powercube6,
 )
 from fmasim.fma import computed_torque_voltage
-from fmasim.force_control import GainSet, diagonal_gain
+from fmasim.force_control import GainSet
 from fmasim.simulation import (
     BurrDisturbance,
     FmaScenario,
@@ -202,7 +202,7 @@ def test_scenario_float_fields_must_be_finite(cls, name, value):
 def test_force_scenario_validation():
     chain = powercube6()
     surface = compliant_scale_surface()
-    gains = GainSet(kp=diagonal_gain(0.0, 0.0, 1.0) * MM_PER_LBF_TO_M_PER_N)
+    gains = GainSet(kp=np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]) * MM_PER_LBF_TO_M_PER_N)
     with pytest.raises(ValueError):
         ForceControlScenario(chain, surface, gains, law="impedance")
     with pytest.raises(ValueError):
@@ -337,9 +337,9 @@ def test_force_run_reaches_contact():
         chain=powercube6(),
         surface=compliant_scale_surface(),
         gains=GainSet(
-            kp=diagonal_gain(0.0, 0.0, 0.1) * MM_PER_LBF_TO_M_PER_N,
-            kv=diagonal_gain(0.0, 0.0, 0.1) * MM_PER_LBF_TO_M_PER_N,
-            ki=diagonal_gain(0.0, 0.0, 0.01) * MM_PER_LBF_TO_M_PER_N,
+            kp=np.array([0.0, 0.0, 0.1, 0.0, 0.0, 0.0]) * MM_PER_LBF_TO_M_PER_N,
+            kv=np.array([0.0, 0.0, 0.1, 0.0, 0.0, 0.0]) * MM_PER_LBF_TO_M_PER_N,
+            ki=np.array([0.0, 0.0, 0.01, 0.0, 0.0, 0.0]) * MM_PER_LBF_TO_M_PER_N,
         ),
         duration=12.0,
         name="contact-smoke",
