@@ -15,6 +15,8 @@ task acceleration is ``G @ qdd + qd . H . qd``.
 G and H of every target come from one pair of float kernels on
 ``frame_floats``'s lists, each cross product in ``np.cross``'s order of
 operations. Only a COM target's point, ``o + R @ c``, is a BLAS product.
+``tool_height`` is ``frame_floats`` cut to the last origin's z, with the
+same bits, for a caller that reads nothing else.
 """
 from __future__ import annotations
 
@@ -153,6 +155,28 @@ def frame_floats(model: SerialChainModel, values) -> tuple[list[float], list[flo
     return rots, origins
 
 
+def tool_height(model: SerialChainModel, values) -> float:
+    """The last link origin's z, ``frame_floats(model, values)[1][-1]`` to the bit.
+
+    ``frame_floats``' recurrence cut to what that height reads: the
+    rotation's bottom row and ``pz``, each sum in the same order, the
+    ``0.0`` start and the zero entry included.
+    """
+    cos, sin = math.cos, math.sin
+    r20, r21, r22 = 0.0, 0.0, 1.0
+    pz = 0.0
+    for th, (offset, ca, sa, ax, ay, az) in zip(values, model._dh_rows):
+        th += offset
+        ct, st = cos(th), sin(th)
+        pz += 0.0 + r20 * ax + r21 * ay + r22 * az
+        r20, r21, r22 = (
+            0.0 + r20 * ct + r21 * (st * ca) + r22 * (st * sa),
+            0.0 + r20 * -st + r21 * (ct * ca) + r22 * (ct * sa),
+            0.0 + r20 * 0.0 + r21 * -sa + r22 * ca,
+        )
+    return pz
+
+
 def frame_transforms(model: SerialChainModel, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotations (n,3,3) and origins (n,3) of every link frame in base coordinates.
 
@@ -248,22 +272,19 @@ def _point_g(rots, origins, last, point) -> list[list[float]]:
     Column i is ``[z_i x (p - o_i); z_i]`` for i <= last, each cross
     product in ``np.cross``'s order of operations, and 0.0 past ``last``.
     """
-    stop = 3 * last + 3
-    z0, z1, z2 = rots[2 : 3 * stop : 9], rots[5 : 3 * stop : 9], rots[8 : 3 * stop : 9]
     px, py, pz = point
-    d0 = [px - x for x in origins[0:stop:3]]
-    d1 = [py - y for y in origins[1:stop:3]]
-    d2 = [pz - z for z in origins[2:stop:3]]
-    rows = [
-        [a * b - c * d for a, b, c, d in zip(z1, d2, z2, d1)],
-        [a * b - c * d for a, b, c, d in zip(z2, d0, z0, d2)],
-        [a * b - c * d for a, b, c, d in zip(z0, d1, z1, d0)],
-        z0,
-        z1,
-        z2,
-    ]
-    pad = [0.0] * ((len(origins) - stop) // 3)
-    return [row + pad for row in rows] if pad else rows
+    rows = l0, l1, l2, z0s, z1s, z2s = [], [], [], [], [], []
+    for i in range(last + 1):
+        z0, z1, z2 = rots[9 * i + 2 : 9 * i + 9 : 3]
+        d0, d1, d2 = px - origins[3 * i], py - origins[3 * i + 1], pz - origins[3 * i + 2]
+        l0.append(z1 * d2 - z2 * d1)
+        l1.append(z2 * d0 - z0 * d2)
+        l2.append(z0 * d1 - z1 * d0)
+        z0s.append(z0)
+        z1s.append(z1)
+        z2s.append(z2)
+    pad = [0.0] * (len(origins) // 3 - last - 1)
+    return [row + pad for row in rows] if pad else list(rows)
 
 
 def _point_h(g, last) -> np.ndarray:

@@ -33,7 +33,7 @@ from .force_control import (
     pure_force_control_step,
     window_mean,
 )
-from .kinematics import SerialChainModel, _point_g, frame_floats
+from .kinematics import SerialChainModel, _point_g, frame_floats, tool_height
 from .units import LBF_TO_N
 
 TRACE_COLUMNS = ("t", "q", "q_ref", "qd", "qd_ref", "qM1", "qM2", "v1", "v2", "tau_ext")
@@ -138,9 +138,9 @@ def trapezoidal_profile(t: float, total_time: float, omega_peak: float) -> tuple
     The ramps last a quarter of ``total_time`` at each end; the position
     is integrated from zero.
     """
-    if total_time <= 0.0:
-        raise ValueError("total_time must be positive")
-    if t < 0.0 or t > total_time:
+    if not 0.0 < total_time < math.inf:
+        raise ValueError(f"total_time must be positive and finite, got {total_time}")
+    if not 0.0 <= t <= total_time:
         raise ValueError(f"t={t} outside [0, {total_time}]")
     ramp = total_time / 4.0
     accel = omega_peak / ramp
@@ -155,10 +155,10 @@ def trapezoidal_profile(t: float, total_time: float, omega_peak: float) -> tuple
 
 def sinusoidal_force_reference(t_c: float, f_max: float, period: float) -> float:
     """Rectified sinusoid of one sign; f_max carries the (negative) push sign."""
-    if t_c < 0.0:
-        raise ValueError("t_c must be nonnegative")
-    if period <= 0.0:
-        raise ValueError("period must be positive")
+    if not 0.0 <= t_c < math.inf:
+        raise ValueError(f"t_c must be nonnegative and finite, got {t_c}")
+    if not 0.0 < period < math.inf:
+        raise ValueError(f"period must be positive and finite, got {period}")
     return f_max * abs(math.sin(2.0 * math.pi * t_c / period))
 
 
@@ -168,7 +168,7 @@ def pcb_insertion_profile(t: float) -> float:
     The final quintic coefficient is taken with negative sign, pinned by
     the requirement that the profile be continuous at the 1.86 s knot.
     """
-    if t < 0.0 or t > 2.22:
+    if not 0.0 <= t <= 2.22:
         raise ValueError(f"t={t} outside [0, 2.22]")
     if t < 1.23:
         return 0.0
@@ -502,9 +502,9 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
     chain = scenario.chain
     theta_cmd = theta_act = list(scenario.home)
     # The last transform of the actual pose, keyed by its bytes. A rigid
-    # arm (fade == 0) ends each tick on the command, and contact handover
-    # commands the actual pose, so the next command transform reuses it;
-    # equal bytes make the reuse bit-exact, -0.0 included.
+    # arm (fade == 0) ends each tick on the command, so the next command
+    # transform reuses it; equal bytes make the reuse bit-exact, -0.0
+    # included. A lagging arm reads only the actual pose's tool height.
     key = struct.Struct(f"{chain.dof}d").pack
     act_key = key(*theta_act)
     act_rots, act_origins = frame_floats(chain, theta_act)
@@ -636,9 +636,12 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
                 f"{scenario.name}: joint step of {step:.3g} rad at t={t:.4f} s "
                 f"passes the bound of {MAX_JOINT_STEP:.4g} rad per tick"
             )
-        act_key = key(*theta_act)
-        act_rots, act_origins = frame_floats(chain, theta_act)
-        z_end = act_origins[-1]
+        if fade == 0.0:
+            act_key = key(*theta_act)
+            act_rots, act_origins = frame_floats(chain, theta_act)
+            z_end = act_origins[-1]
+        else:
+            z_end = tool_height(chain, theta_act)
         dz = z_end - z_now
         sensed = [-_penalty(surface, z_surface - (z_now + w * dz)) for w in weights]
         raw_force[k + 1] = -_penalty(surface, z_surface - z_end)

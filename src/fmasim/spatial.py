@@ -41,7 +41,7 @@ def frozen_array(a, name: str, shape: tuple[int, ...]) -> np.ndarray:
     if out.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {out.shape}")
     if not np.isfinite(out).all():
-        raise ValueError(f"{name} must be finite, got {out}")
+        raise ValueError(f"{name} must be finite, got {out.tolist()}")
     out.flags.writeable = False
     return out
 

@@ -49,6 +49,11 @@ def test_chain_model_validation():
     nan_com[1, 1] = np.nan
     with pytest.raises(ValueError, match="coms must be finite"):
         SerialChainModel(dh, np.array([1.0, 1.0]), nan_com, good)
+    inf_inertia = good.copy()
+    inf_inertia[1, 2, 2] = np.inf
+    with pytest.raises(ValueError) as refused:
+        SerialChainModel(dh, np.array([1.0, 1.0]), np.zeros((2, 3)), inf_inertia)
+    assert str(refused.value) == "inertias must be finite, got " + str(inf_inertia.tolist())
     bad = good.copy()
     bad[0, 0, 1] = 5.0  # asymmetric
     with pytest.raises(ValueError):

@@ -72,6 +72,7 @@ from fmasim.kinematics import (
     frame_transforms,
     g_function,
     h_function,
+    tool_height,
 )
 from fmasim.simulation import (
     BurrDisturbance,
@@ -270,6 +271,22 @@ def test_influence_coefficients_are_the_loop_oracle(case):
     rots, origins = frame_floats(model, theta.tolist())
     tool = np.array(_point_g(rots, origins, model.dof - 1, origins[-3:]))
     assert tool.tobytes() == g_function(model, theta).tobytes()
+
+
+# Joint values the force runner can reach: signed zeros, subnormals and
+# angles far past a turn, where cos and sin lose their leading bits.
+_wide_poses = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, 1.0e6, -1.0e6]),
+    st.floats(-1.0e6, 1.0e6),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(chains_poses_and_targets(), st.data())
+def test_tool_height_is_the_full_transform_height(case, data):
+    model, theta, _ = case
+    for values in (theta.tolist(), [data.draw(_wide_poses) for _ in range(model.dof)]):
+        assert tool_height(model, values).hex() == frame_floats(model, values)[1][-1].hex()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

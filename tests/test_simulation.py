@@ -97,6 +97,23 @@ def test_trapezoid_profile_domain():
         trapezoidal_profile(1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "profile, args, message",
+    [
+        (trapezoidal_profile, (math.nan, 1.0, 1.0), "t=nan outside [0, 1.0]"),
+        (trapezoidal_profile, (0.5, math.inf, 1.0), "total_time must be positive and finite, got inf"),
+        (pcb_insertion_profile, (math.nan,), "t=nan outside [0, 2.22]"),
+        (sinusoidal_force_reference, (math.nan, -1.0, 50.0), "t_c must be nonnegative and finite, got nan"),
+        (sinusoidal_force_reference, (1.0, -1.0, math.nan), "period must be positive and finite, got nan"),
+    ],
+)
+def test_reference_profiles_refuse_non_finite_arguments(profile, args, message):
+    # A range check written `x < lo or x > hi` lets NaN through.
+    with pytest.raises(ValueError) as refused:
+        profile(*args)
+    assert str(refused.value) == message
+
+
 def test_trapezoid_position_integrates_velocity():
     w = 0.62832
     total = 10.0
@@ -353,32 +370,39 @@ def test_force_run_reaches_contact():
 
 
 def _counted_run(monkeypatch, tmp_path, name):
-    """Run a built-in force scenario; return its transform count and tick count."""
-    transform = simulation.frame_floats
-    calls = []
+    """Run a built-in force scenario; return its full-transform, tool-height and tick counts."""
+    calls = {"frame_floats": 0, "tool_height": 0}
 
-    def counting(chain, theta):
-        calls.append(theta)
-        return transform(chain, theta)
+    def counted(kernel):
+        def counting(chain, theta):
+            calls[kernel.__name__] += 1
+            return kernel(chain, theta)
 
-    monkeypatch.setattr(simulation, "frame_floats", counting)
+        return counting
+
+    for kernel in (simulation.frame_floats, simulation.tool_height):
+        monkeypatch.setattr(simulation, kernel.__name__, counted(kernel))
     scenario = build_scenario(load_scenario(name))
     trace = run_force_control_scenario(scenario)
     write_trace_csv(trace, tmp_path / "trace.csv")
     digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN[name]
-    return len(calls), round(scenario.duration * scenario.control_rate)
+    n_ticks = round(scenario.duration * scenario.control_rate)
+    return calls["frame_floats"], calls["tool_height"], n_ticks
 
 
 def test_rigid_arm_transforms_each_pose_once(monkeypatch, tmp_path):
     # The arm lands on the command every tick, so the command transform
     # reuses the actual one: one transform per tick plus the home pose.
-    calls, n_ticks = _counted_run(monkeypatch, tmp_path, "force-regulation")
-    assert calls <= n_ticks + 2
+    transforms, heights, n_ticks = _counted_run(monkeypatch, tmp_path, "force-regulation")
+    assert transforms <= n_ticks + 2
+    assert heights == 0
 
 
 def test_lagging_arm_transforms_command_and_actual_each_tick(monkeypatch, tmp_path):
-    # The actual pose trails the command, so each tick transforms both;
-    # only the home pose and the contact handover share one transform.
-    calls, n_ticks = _counted_run(monkeypatch, tmp_path, "compliant-kp03")
-    assert calls == 2 * n_ticks
+    # The actual pose trails the command, so each tick transforms the
+    # command and takes only the tool height of the actual pose; the home
+    # pose is the one transform the two share.
+    transforms, heights, n_ticks = _counted_run(monkeypatch, tmp_path, "compliant-kp03")
+    assert transforms == n_ticks + 1
+    assert heights == n_ticks

@@ -34,8 +34,12 @@ def test_rotation_rejects_bad_matrices():
         Rotation(np.diag([1.0, 1.0, -1.0]))  # reflection
     with pytest.raises(ValueError):
         Rotation(np.eye(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as refused:
         Rotation(np.full((3, 3), np.nan))
+    # A refused array is printed as a list, on one line.
+    assert str(refused.value) == (
+        "rotation matrix must be finite, got [[nan, nan, nan], [nan, nan, nan], [nan, nan, nan]]"
+    )
 
 
 def test_rotation_is_immutable():
