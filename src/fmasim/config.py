@@ -10,7 +10,9 @@ A key left out takes the default of the scenario field it sets, in
 ``FmaScenario``, ``BurrDisturbance`` or ``ForceControlScenario``.
 A value carries one trailing unit ("0.25 lbf", "0 0.7 rad", "30:60:5 deg"
 for band edges), else is SI; it is converted to SI on parse and must be
-finite. Serialization writes canonical SI units, so
+finite. The unit must convert to the key's own SI unit, so "20 lbf" is no
+duration; a key without a unit takes a bare number only. Serialization
+writes canonical SI units, so
 ``parse_config(serialize_config(cfg)) == cfg`` for any parsed cfg.
 
 Parsing only turns text into values. Range rules, cross-key rules, the
@@ -183,10 +185,10 @@ def replace_values(cfg: ScenarioConfig, section: str, **updates) -> ScenarioConf
     return ScenarioConfig(**parts)
 
 
-def _quantities(where: str, tokens, unit: str) -> tuple:
-    """Each token read in unit, in SI; each must be finite."""
+def _quantities(where: str, tokens, unit: str, si: str) -> tuple:
+    """Each token read in unit, a unit of si, in SI; each must be finite."""
     try:
-        values = [parse_quantity(f"{tok} {unit}".strip()) for tok in tokens]
+        values = [parse_quantity(f"{tok} {unit}".strip(), si) for tok in tokens]
     except UnitError as exc:
         raise ConfigError(f"{where}: {exc}") from None
     for x in values:
@@ -221,16 +223,17 @@ def _parse_scalar(spec: _Key, section: str, key: str, text: str):
             raise ConfigError(f"{where}: expected an integer, got {text!r}") from None
     body, unit = _split_unit(text, spec.unit)
     if spec.parse == "quantity":
-        return _quantities(where, [body], unit)[0]
+        return _quantities(where, [body], unit, spec.unit)[0]
     if spec.parse == "vector":
-        return _quantities(where, body.split(), unit)
+        return _quantities(where, body.split(), unit, spec.unit)
     if spec.parse == "bands":  # the unit is the edges'; a gain is drag per speed
         out = []
         for chunk in body.split(","):
             parts = chunk.split(":")
             if len(parts) != 3:
                 raise ConfigError(f"{where}: each band must be lo:hi:gain, got {chunk.strip()!r}")
-            out.append(_quantities(where, parts[:2], unit) + _quantities(where, parts[2:], "N*m*s"))
+            edges = _quantities(where, parts[:2], unit, spec.unit)
+            out.append(edges + _quantities(where, parts[2:], "N*m*s", "N*m*s"))
         return tuple(out)
     raise AssertionError(f"unhandled value kind {spec.parse!r}")
 

@@ -69,8 +69,8 @@ class ContactSurface:
         for name in ("stiffness", "sensor_stiffness", "tool_stiffness"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.damping < 0.0:
-            raise ValueError("damping must be nonnegative")
+        if not 0.0 <= self.damping < math.inf:
+            raise ValueError(f"damping must be nonnegative and finite, got {self.damping}")
         object.__setattr__(self, "point", frozen_array(self.point, "point", (3,)))
         normal = frozen_array(self.normal, "normal", (3,))
         norm = np.linalg.norm(normal)
@@ -125,10 +125,10 @@ class SignalConditioner:
     """
 
     def __init__(self, bias: Wrench | None = None, window: int = 16, deadband: float = 0.0):
-        if window < 1:
-            raise ValueError("window must be at least 1 sample")
-        if deadband < 0.0:
-            raise ValueError("deadband must be nonnegative")
+        if not 1 <= window < math.inf:
+            raise ValueError(f"window must be at least 1 sample and finite, got {window}")
+        if not 0.0 <= deadband < math.inf:
+            raise ValueError(f"deadband must be nonnegative and finite, got {deadband}")
         self.bias = bias if bias is not None else Wrench(np.zeros(3), np.zeros(3))
         self.window = int(window)
         self.deadband = float(deadband)
@@ -194,9 +194,7 @@ def fixture_projector(p1, p2, p3) -> VirtualFixture:
     The projector is the least-squares one onto span{P2-P1, P3-P1};
     Omega = A (A^T A)^-1 A^T, insensitive to the choice of in-plane basis.
     """
-    p1 = np.asarray(p1, dtype=float).reshape(3)
-    p2 = np.asarray(p2, dtype=float).reshape(3)
-    p3 = np.asarray(p3, dtype=float).reshape(3)
+    p1, p2, p3 = (np.array(_finite_vector(p, f"p{i}")) for i, p in enumerate((p1, p2, p3), 1))
     u1 = p2 - p1
     u2 = p3 - p1
     n1, n2 = np.linalg.norm(u1), np.linalg.norm(u2)
@@ -326,6 +324,8 @@ def contact_wrench(surface: ContactSurface, ee_position, ee_velocity=None) -> Wr
 
 def natural_frequency(k_eff: float, mass: float) -> float:
     """Undamped contact-interface natural frequency in Hz."""
-    if k_eff <= 0.0 or mass <= 0.0:
-        raise ValueError("stiffness and mass must be positive")
+    if not 0.0 < k_eff < math.inf:
+        raise ValueError(f"k_eff must be positive and finite, got {k_eff}")
+    if not 0.0 < mass < math.inf:
+        raise ValueError(f"mass must be positive and finite, got {mass}")
     return math.sqrt(k_eff / mass) / (2.0 * math.pi)

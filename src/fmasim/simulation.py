@@ -10,7 +10,6 @@ bit-identical traces.
 from __future__ import annotations
 
 import math
-import struct
 from collections import deque
 from dataclasses import dataclass, fields
 
@@ -142,6 +141,8 @@ def trapezoidal_profile(t: float, total_time: float, omega_peak: float) -> tuple
         raise ValueError(f"total_time must be positive and finite, got {total_time}")
     if not 0.0 <= t <= total_time:
         raise ValueError(f"t={t} outside [0, {total_time}]")
+    if not -math.inf < omega_peak < math.inf:
+        raise ValueError(f"omega_peak must be finite, got {omega_peak}")
     ramp = total_time / 4.0
     accel = omega_peak / ramp
     if t <= ramp:
@@ -159,6 +160,8 @@ def sinusoidal_force_reference(t_c: float, f_max: float, period: float) -> float
         raise ValueError(f"t_c must be nonnegative and finite, got {t_c}")
     if not 0.0 < period < math.inf:
         raise ValueError(f"period must be positive and finite, got {period}")
+    if not -math.inf < f_max < math.inf:
+        raise ValueError(f"f_max must be finite, got {f_max}")
     return f_max * abs(math.sin(2.0 * math.pi * t_c / period))
 
 
@@ -501,14 +504,12 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
     """
     chain = scenario.chain
     theta_cmd = theta_act = list(scenario.home)
-    # The last transform of the actual pose, keyed by its bytes. A rigid
-    # arm (fade == 0) ends each tick on the command, so the next command
-    # transform reuses it; equal bytes make the reuse bit-exact, -0.0
-    # included. A lagging arm reads only the actual pose's tool height.
-    key = struct.Struct(f"{chain.dof}d").pack
-    act_key = key(*theta_act)
-    act_rots, act_origins = frame_floats(chain, theta_act)
-    z_now = z0 = act_origins[-1]
+    # The transform of the commanded pose. A rigid arm (fade == 0) ends
+    # each tick on the command, up to the sign of a zero joint value, which
+    # frame_floats ignores, so its actual pose's transform is the next
+    # command's. A lagging arm reads only the actual pose's tool height.
+    rots, origins = frame_floats(chain, theta_act)
+    z_now = z0 = origins[-1]
     # The plane's height; the runner reads the tool height only, so the
     # penalty depth along +z is the height difference.
     surface = scenario.surface
@@ -590,9 +591,7 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
             )
 
         # One transform of the commanded pose gives the row's z and the Jacobian.
-        if key(*theta_cmd) == act_key:
-            rots, origins = act_rots, act_origins
-        else:
+        if k and fade != 0.0:
             rots, origins = frame_floats(chain, theta_cmd)
         rows[k] = (
             t, z_now, origins[-1], (z_now - z_prev) / dt if k else 0.0,
@@ -637,9 +636,8 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
                 f"passes the bound of {MAX_JOINT_STEP:.4g} rad per tick"
             )
         if fade == 0.0:
-            act_key = key(*theta_act)
-            act_rots, act_origins = frame_floats(chain, theta_act)
-            z_end = act_origins[-1]
+            rots, origins = frame_floats(chain, theta_act)
+            z_end = origins[-1]
         else:
             z_end = tool_height(chain, theta_act)
         dz = z_end - z_now

@@ -17,9 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-ORTHONORMAL_TOL = 1.0e-12
-
-
 # Row j is the cross-product matrix [e_j]x, flattened; [v]x = sum_j v_j [e_j]x.
 _SKEW_BASIS = np.array([np.cross(e, np.eye(3)).T.ravel() for e in np.eye(3)])
 _SKEW_BASIS.flags.writeable = False

@@ -181,6 +181,35 @@ def test_non_finite_config_value_exits_2_naming_the_key(
 
 
 @pytest.mark.parametrize(
+    "name, old, new, message",
+    [
+        ("force-regulation", "duration = 20 s", "duration = 20 lbf", "[reference] duration: expected s or ms"),
+        (
+            "force-regulation",
+            "control_rate = 15 Hz",
+            "control_rate = 15 rpm",
+            "[controller] control_rate: expected Hz",
+        ),
+        ("fma-paper-deburr", "kp = 900", "kp = 900 deg", "[controller] kp: expected a bare number"),
+        ("fma-paper-deburr", "3:4:25 rad", "3:4:25 rpm", "[disturbance] bands: expected rad or deg"),
+    ],
+)
+def test_unit_of_the_wrong_dimension_exits_2_naming_the_key(
+    tmp_path, monkeypatch, capsys, name, old, new, message
+):
+    # Read by its factor alone, 20 lbf would run as 88.96 s and 15 rpm as 1.571 Hz.
+    def unreachable(scenario):
+        raise AssertionError("a unit of the wrong dimension reached its runner")
+
+    monkeypatch.setattr(cli, "run_fma_scenario", unreachable)
+    monkeypatch.setattr(cli, "run_force_control_scenario", unreachable)
+    cfg = _builtin_variant(tmp_path, name, old, new)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    unit = new.split()[-1]
+    assert capsys.readouterr().err == f"error: {message}, got unit {unit!r}\n"
+
+
+@pytest.mark.parametrize(
     "name, edits, args, rule",
     [
         ("fma-paper-deburr", ("duration = 10 s", "duration = 0 s"), [], "duration must be positive"),

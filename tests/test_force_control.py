@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -349,6 +350,28 @@ def test_natural_frequency_formula():
         natural_frequency(-1.0, 1.0)
     with pytest.raises(ValueError):
         natural_frequency(100.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ContactSurface(1000.0, damping=math.nan), "damping must be nonnegative and finite, got nan"),
+        (lambda: SignalConditioner(deadband=math.nan), "deadband must be nonnegative and finite, got nan"),
+        (lambda: SignalConditioner(window=math.nan), "window must be at least 1 sample and finite, got nan"),
+        (lambda: natural_frequency(math.nan, 1.2), "k_eff must be positive and finite, got nan"),
+        (lambda: natural_frequency(math.inf, 1.2), "k_eff must be positive and finite, got inf"),
+        (lambda: natural_frequency(1.0, math.nan), "mass must be positive and finite, got nan"),
+        (
+            lambda: fixture_projector([0.0, 0.0, 0.0], [1.0, math.nan, 0.0], [0.0, 1.0, 0.0]),
+            "p2 must be finite, got [1.0, nan, 0.0]",
+        ),
+    ],
+)
+def test_entry_points_refuse_non_finite_arguments(build, message):
+    # A range check written `x < lo or x > hi` lets NaN through.
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message
 
 
 def test_sensor_tool_transform_axis_map():

@@ -91,7 +91,7 @@ from fmasim.spatial import (
     Wrench,
     rotation_from_fixed_euler,
 )
-from fmasim.units import _UNIT_FACTORS, known_units, parse_quantity
+from fmasim.units import _UNITS, known_units, parse_quantity
 
 from oracles import (
     ArrayConditioner,
@@ -287,6 +287,27 @@ def test_tool_height_is_the_full_transform_height(case, data):
     model, theta, _ = case
     for values in (theta.tolist(), [data.draw(_wide_poses) for _ in range(model.dof)]):
         assert tool_height(model, values).hex() == frame_floats(model, values)[1][-1].hex()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(chains_poses_and_targets(), st.data())
+def test_transforms_ignore_the_sign_of_a_zero_joint_value(case, data):
+    # A rigid arm's actual pose is the next command up to the sign of a
+    # zero joint value, so the force runner reuses its transform. A -0.0
+    # theta offset is the one that carries that sign into cos and sin.
+    model, theta, _ = case
+    dh = [replace(row, theta_offset=-0.0) if data.draw(st.booleans()) else row for row in model.dh]
+    model = replace(model, dh=tuple(dh))
+    zero = st.sampled_from([0.0, -0.0])
+    values = [data.draw(zero) if data.draw(st.booleans()) else x for x in theta.tolist()]
+    flips = data.draw(st.sets(st.integers(0, model.dof - 1)))
+    flipped = [-x if i in flips and x == 0.0 else x for i, x in enumerate(values)]
+
+    def bits(pose):
+        rots, origins = frame_floats(model, pose)
+        return [x.hex() for x in rots + origins] + [tool_height(model, pose).hex()]
+
+    assert bits(flipped) == bits(values)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -932,7 +953,7 @@ def test_serialized_config_parses_back_to_itself(text):
 @given(st.floats(allow_nan=False))
 def test_unit_suffix_scales_by_its_factor(x):
     for unit in known_units():
-        expected = x if math.isinf(x) else x * _UNIT_FACTORS[unit]
+        expected = x if math.isinf(x) else x * _UNITS[unit][0]
         assert _same_bits(parse_quantity(f"{x!r} {unit}"), expected), unit
 
 

@@ -105,6 +105,9 @@ def test_trapezoid_profile_domain():
         (pcb_insertion_profile, (math.nan,), "t=nan outside [0, 2.22]"),
         (sinusoidal_force_reference, (math.nan, -1.0, 50.0), "t_c must be nonnegative and finite, got nan"),
         (sinusoidal_force_reference, (1.0, -1.0, math.nan), "period must be positive and finite, got nan"),
+        (trapezoidal_profile, (0.5, 1.0, math.nan), "omega_peak must be finite, got nan"),
+        (trapezoidal_profile, (0.5, 1.0, math.inf), "omega_peak must be finite, got inf"),
+        (sinusoidal_force_reference, (1.0, math.nan, 50.0), "f_max must be finite, got nan"),
     ],
 )
 def test_reference_profiles_refuse_non_finite_arguments(profile, args, message):
