@@ -12,14 +12,18 @@ application point.
 
 I*, tau_g and the bias torque (the joint torque at qdd = 0) come from one
 kernel in world-frame spatial vectors about the base origin (Featherstone,
-*Rigid Body Dynamics Algorithms*, 2008). Joint j moves along s_j =
-(z_j; o_j x z_j) and link l has the spatial inertia I_l about the origin.
-Composite rigid bodies give I*_ij = s_i . Ic_k s_j, k = max(i, j), with
-Ic_k = sum_{l>=k} I_l. The bias is one Newton-Euler sweep at qdd = 0:
-velocities v_l = sum_{j<=l} s_j qd_j, accelerations a_l = sum_{j<=l}
-v_j x s_j qd_j over the base acceleration (0; -g), link forces
-I_l a_l + v_l x* I_l v_l plus each external wrench as the spatial force
-(n + p x f; f) on its link, and bias_j = s_j . sum_{l>=j} of the forces.
+*Rigid Body Dynamics Algorithms*, 2008). Link l's spatial inertia J_l
+about its own frame origin is a constant of the chain
+(``SerialChainModel._spatial_inertias``). The frame's force transform
+X_l = [[R_l, [o_l]x R_l], [0, R_l]] moves it to the base origin,
+I_l = X_l J_l X_l^T, and its columns 2 and 5 are joint l's axis
+s_l = (z_l; o_l x z_l). Composite rigid bodies give I*_ij = s_i . Ic_k
+s_j, k = max(i, j), with Ic_k = sum_{l>=k} I_l. The bias is one
+Newton-Euler sweep at qdd = 0: velocities v_l = sum_{j<=l} s_j qd_j,
+accelerations a_l = sum_{j<=l} v_j x s_j qd_j over the base
+acceleration (0; -g), link forces I_l a_l + v_l x* I_l v_l plus each
+external wrench as the spatial force (n + p x f; f) on its link, and
+bias_j = s_j . sum_{l>=j} of the forces.
 
 P* comes from the same composite inertias (Garofalo, Ott and
 Albu-Schaeffer, IROS 2013). Joint i turns every axis and link beyond it
@@ -30,6 +34,7 @@ P*[i,l,j] = dI*_lj/dq_i - dI*_ij/dq_l / 2.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,6 +46,7 @@ from .spatial import Wrench, frozen_array, skew
 from .units import GRAVITY
 
 CONDITION_LIMIT = 1.0e12
+_DEFAULT_GRAVITY = frozen_array([0.0, 0.0, -GRAVITY], "gravity", (3,))
 
 # Row k is the spatial cross matrix of unit motion vector k, flattened:
 # (w; u) x = [[w]x, 0; [u]x, [w]x] = I2 (x) [w]x + [[0, 0], [1, 0]] (x) [u]x.
@@ -72,7 +78,7 @@ class DynamicsQuantities:
 
 
 def _gravity_vector(gravity) -> np.ndarray:
-    return np.array([0.0, 0.0, -GRAVITY]) if gravity is None else np.asarray(gravity, dtype=float)
+    return _DEFAULT_GRAVITY if gravity is None else np.asarray(gravity, dtype=float)
 
 
 @lru_cache(maxsize=None)
@@ -81,29 +87,21 @@ def _upper_ones(n: int) -> np.ndarray:
     return frozen_array(np.triu(np.ones((n, n))), "upper", (n, n))
 
 
-def _link_masses(model: SerialChainModel, rots: np.ndarray, origins: np.ndarray):
-    """World COM positions (n,3) and world inertias about the COMs (n,3,3)."""
-    return _world_coms(rots, origins, model.coms), rots @ model.inertias @ rots.transpose(0, 2, 1)
-
-
-def _composite_terms(model, rots, origins, coms, pi, g_vec):
+def _composite_terms(model, rots, origins, g_vec):
     """Joint axes s (n,6), link and composite spatial inertias (n,6,6), I* and tau_g."""
     n = model.dof
     upper = _upper_ones(n)
-    zs = rots[:, :, 2]
-    axes = np.concatenate([zs, (skew(origins) @ zs[:, :, None])[:, :, 0]], axis=1)
-    cx = skew(coms)
-    mcx = model.masses[:, None, None] * cx
-    inert = np.empty((n, 6, 6))
-    inert[:, :3, :3] = pi - mcx @ cx
-    inert[:, :3, 3:], inert[:, 3:, :3] = mcx, -mcx
-    np.multiply(model.masses[:, None, None], np.eye(3), out=inert[:, 3:, 3:])
+    xf = np.zeros((n, 6, 6))
+    xf[:, :3, :3] = xf[:, 3:, 3:] = rots
+    np.matmul(skew(origins), rots, out=xf[:, :3, 3:])
+    axes = xf[:, :3, 2::3].transpose(0, 2, 1).reshape(n, 6)
+    inert = xf @ model._spatial_inertias @ xf.transpose(0, 2, 1)
     # axial_j = Ic_j s_j, so s_i . axial_j is I*_ij for i <= j. Every link shares
     # the base acceleration (0; -g), so its forces on joint j sum to Ic_j (0; -g).
     composite = (upper @ inert.reshape(n, 36)).reshape(n, 6, 6)
     axial = (composite @ axes[:, :, None])[:, :, 0]
     cols = axes @ axial.T
-    return axes, inert, composite, np.where(upper > 0.0, cols, cols.T), -axial[:, 3:] @ g_vec
+    return axes, inert, composite, np.where(upper, cols, cols.T), -axial[:, 3:] @ g_vec
 
 
 def compute_dynamics(
@@ -111,10 +109,7 @@ def compute_dynamics(
 ) -> DynamicsQuantities:
     """I*, P* and tau_g from the composite rigid bodies."""
     rots, origins = frame_transforms(model, theta)
-    coms, pi = _link_masses(model, rots, origins)
-    axes, _, composite, inertia, grav = _composite_terms(
-        model, rots, origins, coms, pi, _gravity_vector(gravity)
-    )
+    axes, _, composite, inertia, grav = _composite_terms(model, rots, origins, _gravity_vector(gravity))
     n = model.dof
     idx = np.arange(n)
     # reach[i, k] = Ic_max(i,k) s_k and turn[j, :, i] = s_j x s_i.
@@ -129,8 +124,7 @@ def compute_dynamics(
 def _joint_terms(model, theta, theta_dot, gravity, loads, viscous) -> tuple[np.ndarray, np.ndarray]:
     """I* and the bias: the velocity-product, gravity, load and viscous torques at zero qdd."""
     rots, origins = frame_transforms(model, theta)
-    coms, pi = _link_masses(model, rots, origins)
-    axes, inert, _, inertia, bias = _composite_terms(model, rots, origins, coms, pi, _gravity_vector(gravity))
+    axes, inert, _, inertia, bias = _composite_terms(model, rots, origins, _gravity_vector(gravity))
     upper = _upper_ones(model.dof)
     rate = axes * theta_dot[:, None]
     vel = upper.T @ rate
@@ -140,7 +134,8 @@ def _joint_terms(model, theta, theta_dot, gravity, loads, viscous) -> tuple[np.n
     force = (inert @ acc[:, :, None] - cross.transpose(0, 2, 1) @ (inert @ vel[:, :, None]))[:, :, 0]
     for load in loads:
         link, at_com = _resolve_target(model, load.target())
-        point = coms[link] if at_com else origins[link]
+        at = slice(link, link + 1)
+        point = _world_coms(rots[at], origins[at], model.coms[at])[0] if at_com else origins[link]
         force[link, :3] += load.wrench.moment + skew(point) @ load.wrench.force
         force[link, 3:] += load.wrench.force
     bias += (axes[:, None, :] @ (upper @ force)[:, :, None])[:, 0, 0]
@@ -177,10 +172,14 @@ def forward_dynamics(
 ) -> np.ndarray:
     """Joint accelerations from applied torques.
 
-    Raises DegenerateConfigurationError when the effective inertia is not
-    positive definite or its condition number exceeds CONDITION_LIMIT.
+    Raises ValueError when ``theta_dot``, ``tau`` or ``viscous`` is not
+    finite, and DegenerateConfigurationError when the effective inertia is
+    not positive definite or its condition number exceeds CONDITION_LIMIT.
     """
-    theta_dot = np.asarray(theta_dot, dtype=float)
+    theta_dot, tau = np.asarray(theta_dot, dtype=float), np.asarray(tau, dtype=float)
+    for name, x in (("theta_dot", theta_dot), ("tau", tau), ("viscous", viscous)):
+        if x is not None and not all(map(math.isfinite, np.asarray(x, dtype=float).ravel().tolist())):
+            raise ValueError(f"{name} must be finite, got {np.ravel(x).tolist()}")
     inertia, bias = _joint_terms(model, theta, theta_dot, gravity, loads, viscous)
     # The extreme eigenvalues of the symmetric inertia give its exact
     # 2-norm condition number; a matrix that is not positive definite fails too.
@@ -189,4 +188,4 @@ def forward_dynamics(
         raise DegenerateConfigurationError(
             "effective inertia is numerically singular at this configuration"
         )
-    return np.linalg.solve(inertia, np.asarray(tau, dtype=float) - bias)
+    return np.linalg.solve(inertia, tau - bias)

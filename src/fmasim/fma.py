@@ -196,7 +196,7 @@ class PrimeMoverParams:
             raise ValueError("damping must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightingPolicy:
     """Disturbance-gated allocation weights."""
 

@@ -127,6 +127,8 @@ class SignalConditioner:
     def __init__(self, bias: Wrench | None = None, window: int = 16, deadband: float = 0.0):
         if not 1 <= window < math.inf:
             raise ValueError(f"window must be at least 1 sample and finite, got {window}")
+        if window % 1:
+            raise ValueError(f"window must be a whole number of samples, got {window}")
         if not 0.0 <= deadband < math.inf:
             raise ValueError(f"deadband must be nonnegative and finite, got {deadband}")
         self.bias = bias if bias is not None else Wrench(np.zeros(3), np.zeros(3))
@@ -180,7 +182,7 @@ def contact_state_step(
     raise ValueError(f"unknown contact phase {phase!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VirtualFixture:
     """Planar software constraint: spanning directions and their projector."""
 

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spatial import Pose, Rotation, Twist, Wrench, frozen_array
+from .spatial import Pose, Rotation, Twist, Wrench, frozen_array, skew
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,14 @@ class SerialChainModel:
             ca, sa = math.cos(row.alpha_prev), math.sin(row.alpha_prev)
             rows.append((row.theta_offset, ca, sa, row.a_prev, -sa * row.d, ca * row.d))
         return tuple(rows)
+
+    @cached_property
+    def _spatial_inertias(self) -> np.ndarray:
+        """Each link's spatial inertia (n,6,6) about its own frame origin, in its own frame."""
+        cx = skew(self.coms)
+        mcx = self.masses[:, None, None] * cx
+        inert = np.block([[self.inertias - mcx @ cx, mcx], [-mcx, self.masses[:, None, None] * np.eye(3)]])
+        return frozen_array(inert, "link spatial inertias", inert.shape)
 
 
 @dataclass(frozen=True, eq=False)

@@ -224,7 +224,7 @@ class BurrDisturbance:
         object.__setattr__(self, "bands", bands)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FmaScenario:
     """One dual-actuator run: plant, controller beliefs, reference, disturbance."""
 
@@ -354,7 +354,7 @@ class ForceControlScenario:
         return max(1, round(1.0 / self.control_rate / self.physics_timestep))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationTrace:
     """Uniformly sampled run record.
 

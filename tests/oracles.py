@@ -204,6 +204,31 @@ def link_com_g_form(model, theta, gravity, loads):
     ]
 
 
+def world_com_spatial_inertias(model, theta):
+    """Each link's spatial inertia (n,6,6) about the base origin, assembled from world COMs.
+
+    [[Pi - m[c]x[c]x, m[c]x], [-m[c]x, m 1]] with c = o + R c_l the world
+    COM and Pi = R I_c R^T the world inertia about it: the formula the
+    dynamics kernel used before it moved each link's constant inertia by
+    its frame transform. Returns (value, scale); the scale is the largest
+    entry of the terms' magnitudes, with |o| + |R||c_l| for the COM, so it
+    bounds the rounding of this form and of the transformed one.
+    """
+    rots, origins = frame_transforms(model, theta)
+    m = model.masses[:, None, None]
+    coms = origins + np.einsum("lij,lj->li", rots, model.coms)
+    spans = abs(origins) + np.einsum("lij,lj->li", abs(rots), abs(model.coms))
+    # [c]x has columns c x e_k, so it is the transpose of the rows np.cross(c, e_k).
+    cx = np.cross(coms[:, None, :], np.eye(3)).transpose(0, 2, 1)
+    mcx = m * cx
+    pi = rots @ model.inertias @ rots.transpose(0, 2, 1)
+    value = np.block([[pi - mcx @ cx, mcx], [-mcx, m * np.eye(3)]])
+    span_x = abs(np.cross(spans[:, None, :], np.eye(3)))
+    pi_terms = abs(rots) @ abs(model.inertias) @ abs(rots).transpose(0, 2, 1)
+    terms = (pi_terms + m * span_x @ span_x, m * span_x, m * np.eye(3))
+    return value, max(float(np.max(t)) for t in terms)
+
+
 def fd_fk_position(model, theta):
     return forward_kinematics(model, theta).position
 

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import os
 import pkgutil
 import subprocess
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import fmasim
+from fmasim import dynamics, kinematics
 from fmasim.dynamics import (
     DegenerateConfigurationError,
     ExternalLoad,
@@ -216,6 +219,63 @@ def test_degenerate_inertia_raises():
     )
     with pytest.raises(DegenerateConfigurationError):
         forward_dynamics(model, np.zeros(2), np.zeros(2), np.zeros(2))
+
+
+def test_forward_dynamics_refuses_non_finite_arguments():
+    model, n = powercube6(), 6
+    good = dict(theta_dot=np.zeros(n), tau=np.zeros(n), viscous=np.zeros(n))
+    for name in good:
+        for bad in (math.nan, math.inf):
+            args = dict(good, **{name: np.full(n, bad)})
+            with pytest.raises(ValueError, match=f"^{name} must be finite") as refused:
+                forward_dynamics(model, np.zeros(n), args["theta_dot"], args["tau"], viscous=args["viscous"])
+            assert len(str(refused.value).splitlines()) == 1
+
+
+def test_link_spatial_inertias_are_read_only_and_built_once(monkeypatch):
+    calls = []
+    real_skew = kinematics.skew
+    monkeypatch.setattr(kinematics, "skew", lambda v: calls.append(1) or real_skew(v))
+    model = powercube6()
+    q, qd = np.full(6, 0.3), np.full(6, -0.2)
+    for _ in range(3):
+        forward_dynamics(model, q, qd, np.zeros(6))
+        compute_dynamics(model, q)
+    assert len(calls) == 1
+    held = model._spatial_inertias
+    assert held.shape == (6, 6, 6) and not held.flags.writeable
+    with pytest.raises(ValueError):
+        held[0, 0, 0] = 1.0
+    # A chain with other mass properties builds its own, once.
+    other = dataclasses.replace(model, masses=2.0 * model.masses)
+    inverse_dynamics(other, JointState(q, qd))
+    inverse_dynamics(other, JointState(q, qd))
+    assert len(calls) == 2
+    assert np.array_equal(other._spatial_inertias[:, 3:, 3:], 2.0 * held[:, 3:, 3:])
+
+
+def _count_kernels(monkeypatch):
+    calls = {"frame_floats": 0, "_world_coms": 0}
+    for module, kernel in ((kinematics, kinematics.frame_floats), (dynamics, dynamics._world_coms)):
+        def counting(*args, kernel=kernel):
+            calls[kernel.__name__] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(module, kernel.__name__, counting)
+    return calls
+
+
+def test_forward_dynamics_transforms_once_and_forms_no_world_coms(monkeypatch):
+    # Each link's inertia moves by its frame transform, so an unloaded call
+    # needs no world COM; a load at a COM forms the one it acts at.
+    model = powercube6()
+    q, qd, tau = np.full(6, 0.3), np.full(6, -0.2), np.ones(6)
+    calls = _count_kernels(monkeypatch)
+    forward_dynamics(model, q, qd, tau)
+    assert calls == {"frame_floats": 1, "_world_coms": 0}
+    load = ExternalLoad(Wrench(np.ones(3), np.zeros(3)), link=4, at="com")
+    forward_dynamics(model, q, qd, tau, loads=(load,))
+    assert calls == {"frame_floats": 2, "_world_coms": 1}
 
 
 def _run_fresh(code):

@@ -133,6 +133,9 @@ def test_conditioner_reset_and_validation():
     assert cond.step(wrench()).force[2] == 0.0
     with pytest.raises(ValueError):
         SignalConditioner(window=0)
+    with pytest.raises(ValueError, match="^window must be a whole number of samples, got 2.5$"):
+        SignalConditioner(window=2.5)
+    assert SignalConditioner(window=3.0).window == 3
     with pytest.raises(ValueError):
         SignalConditioner(deadband=-0.1)
     assert SignalConditioner(window=1).step(wrench(fx=3.0)).force[0] == 3.0

@@ -27,6 +27,7 @@ from fmasim.config import (
 from fmasim.dynamics import (
     DynamicsQuantities,
     ExternalLoad,
+    _composite_terms,
     _joint_terms,
     compute_dynamics,
     coriolis_torque,
@@ -40,6 +41,7 @@ from fmasim.fma import (
     FRICTION_KNEE_RATE,
     FRICTION_STATIC,
     FRICTION_VISCOUS,
+    WeightingPolicy,
     allocate_velocities,
     computed_torque_voltage,
     null_space_projector,
@@ -53,6 +55,7 @@ from fmasim.force_control import (
     ContactSurface,
     GainSet,
     SignalConditioner,
+    VirtualFixture,
     _condition_axis,
     _penalty,
     compliant_control_step,
@@ -77,6 +80,7 @@ from fmasim.kinematics import (
 from fmasim.simulation import (
     BurrDisturbance,
     FmaScenario,
+    SimulationTrace,
     _rk4_reduced,
     burr_disturbance,
     rk4_step,
@@ -102,6 +106,7 @@ from oracles import (
     loop_frame_transforms,
     loop_influence_coefficients,
     moving_average_outputs,
+    world_com_spatial_inertias,
 )
 
 # An absolute floor under the relative bounds: below the smallest normal
@@ -215,6 +220,18 @@ def test_spatial_kernel_is_the_link_com_g_form(case):
     oracle = link_com_g_form(model, theta, gravity, loads)
     for name, got, (want, scale) in zip(("inertia", "gravity", "loads", "power"), kernel, oracle):
         assert np.max(np.abs(got - want)) <= 1.0e-12 * scale + _FLOOR, name
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dynamic_states())
+def test_transformed_link_inertias_are_the_world_com_assembly(case):
+    # The kernel moves each link's constant inertia by its frame transform;
+    # the oracle assembles it about the base origin from the world COM.
+    model, theta, _, _, gravity, _, _ = case
+    rots, origins = frame_transforms(model, theta)
+    _, inert, _, _, _ = _composite_terms(model, rots, origins, gravity)
+    want, scale = world_com_spatial_inertias(model, theta)
+    assert np.max(np.abs(inert - want)) <= 1.0e-12 * scale
 
 
 # Signed zeros reach the sign bits of -sin(alpha) * d and of the products.
@@ -351,6 +368,7 @@ def value_inputs(draw, cls):
         return vec(3, st.floats(np.pi / 2, 2 * np.pi, exclude_max=True)) - np.pi
 
     n = draw(st.integers(1, 7))
+    weights = st.floats(1.0e-3, 1.0e3)
     builders = {
         Rotation: lambda: ({"matrix": rotation().matrix.copy()}, {}),
         Pose: lambda: ({"position": vec(3), "euler": exactly_wrapped_angles()}, {}),
@@ -376,6 +394,16 @@ def value_inputs(draw, cls):
             {"inertia": vec((n, n)), "power": vec((n, n, n)), "gravity": vec(n)},
             {},
         ),
+        WeightingPolicy: lambda: (
+            {"quiet": np.diag(vec(2, weights)), "disturbed": np.diag(vec(2, weights))},
+            {"torque_threshold": 1.0},
+        ),
+        FmaScenario: lambda: ({}, {"plant": fma_paper_plant(), "weighting": fma_paper_weighting()}),
+        SimulationTrace: lambda: (
+            {"data": np.column_stack([np.arange(n, dtype=float), vec((n, 2))])},
+            {"columns": ("t", "a", "b"), "scenario": None, "aux": {}},
+        ),
+        VirtualFixture: lambda: ({"a": vec((3, 2)), "omega": vec((3, 3))}, {}),
     }
     return builders[cls]()
 
@@ -402,7 +430,8 @@ def test_values_copy_and_freeze_the_arrays_they_are_given(cls, data):
 @pytest.mark.parametrize(
     "cls",
     [Rotation, Pose, Wrench, Twist, SpatialTransform]
-    + [SerialChainModel, JointState, GKICSet, GainSet, ContactSurface, DynamicsQuantities],
+    + [SerialChainModel, JointState, GKICSet, GainSet, ContactSurface, DynamicsQuantities]
+    + [WeightingPolicy, FmaScenario, SimulationTrace, VirtualFixture],
     ids=lambda cls: cls.__name__,
 )
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
