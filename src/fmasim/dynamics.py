@@ -77,8 +77,22 @@ class DynamicsQuantities:
     gravity: np.ndarray
 
 
+def _checked(x, name: str, n: int) -> np.ndarray:
+    """``x`` as a float array, refused unless it has shape (n,) and is finite.
+
+    ``frozen_array``'s check and wording without its copy, for arguments
+    read once per call.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"{name} must have shape {(n,)}, got {x.shape}")
+    if not all(map(math.isfinite, x.tolist())):
+        raise ValueError(f"{name} must be finite, got {x.tolist()}")
+    return x
+
+
 def _gravity_vector(gravity) -> np.ndarray:
-    return _DEFAULT_GRAVITY if gravity is None else np.asarray(gravity, dtype=float)
+    return _DEFAULT_GRAVITY if gravity is None else _checked(gravity, "gravity", 3)
 
 
 @lru_cache(maxsize=None)
@@ -123,6 +137,9 @@ def compute_dynamics(
 
 def _joint_terms(model, theta, theta_dot, gravity, loads, viscous) -> tuple[np.ndarray, np.ndarray]:
     """I* and the bias: the velocity-product, gravity, load and viscous torques at zero qdd."""
+    theta_dot = _checked(theta_dot, "theta_dot", model.dof)
+    if viscous is not None:
+        viscous = _checked(viscous, "viscous", model.dof)
     rots, origins = frame_transforms(model, theta)
     axes, inert, _, inertia, bias = _composite_terms(model, rots, origins, _gravity_vector(gravity))
     upper = _upper_ones(model.dof)
@@ -140,7 +157,7 @@ def _joint_terms(model, theta, theta_dot, gravity, loads, viscous) -> tuple[np.n
         force[link, 3:] += load.wrench.force
     bias += (axes[:, None, :] @ (upper @ force)[:, :, None])[:, 0, 0]
     if viscous is not None:
-        bias += np.asarray(viscous, dtype=float) * theta_dot
+        bias += viscous * theta_dot
     return inertia, bias
 
 
@@ -172,14 +189,12 @@ def forward_dynamics(
 ) -> np.ndarray:
     """Joint accelerations from applied torques.
 
-    Raises ValueError when ``theta_dot``, ``tau`` or ``viscous`` is not
-    finite, and DegenerateConfigurationError when the effective inertia is
-    not positive definite or its condition number exceeds CONDITION_LIMIT.
+    Raises ValueError when ``theta_dot``, ``tau``, ``gravity`` or
+    ``viscous`` has the wrong shape or is not finite, and
+    DegenerateConfigurationError when the effective inertia is not positive
+    definite or its condition number exceeds CONDITION_LIMIT.
     """
-    theta_dot, tau = np.asarray(theta_dot, dtype=float), np.asarray(tau, dtype=float)
-    for name, x in (("theta_dot", theta_dot), ("tau", tau), ("viscous", viscous)):
-        if x is not None and not all(map(math.isfinite, np.asarray(x, dtype=float).ravel().tolist())):
-            raise ValueError(f"{name} must be finite, got {np.ravel(x).tolist()}")
+    tau = _checked(tau, "tau", model.dof)
     inertia, bias = _joint_terms(model, theta, theta_dot, gravity, loads, viscous)
     # The extreme eigenvalues of the symmetric inertia give its exact
     # 2-norm condition number; a matrix that is not positive definite fails too.

@@ -236,7 +236,6 @@ class DualActuatorModel:
     link_length: float
     tool_mass: float
     link_com: float | None = None
-    friction_model: str = "stribeck"
     name: str = ""
 
     def __post_init__(self):
@@ -247,8 +246,6 @@ class DualActuatorModel:
             object.__setattr__(self, "link_com", self.link_length / 2.0)
         if not 0.0 <= self.link_com <= self.link_length:
             raise ValueError("link com must lie on the link")
-        if self.friction_model not in ("stribeck", "none"):
-            raise ValueError("friction_model must be 'stribeck' or 'none'")
         rho = scale_ratio(*gear_ratios(self.geometry))
         if not SCALE_RATIO_BAND[0] <= rho <= SCALE_RATIO_BAND[1]:
             warnings.warn(
@@ -301,7 +298,7 @@ class _ReducedTerms:
     per-tick laws in plain float arithmetic, so a runner can build the
     terms once per weight and call the laws every tick or RK4 stage. The
     laws share a state's sin_q = math.sin(q) and fric = stribeck_friction(qd),
-    computed once by the caller; a frictionless model ignores fric.
+    computed once by the caller.
     """
 
     g_plus: tuple[float, float]
@@ -311,7 +308,6 @@ class _ReducedTerms:
     volts_per_torque: tuple[float, float]  # K_M^-1 g^T
     gravity_arm: float
     link_inertia: float
-    stribeck: bool
 
     def voltages(
         self, q: float, qd: float, sin_q: float, fric: float,
@@ -319,8 +315,7 @@ class _ReducedTerms:
     ) -> tuple[float, float]:
         """Armature voltages of the inverse-model law, PD servo inside its bracket."""
         accel = qdd_ref + kv * (qd_ref - qd) + kp * (q_ref - q)
-        f = fric if self.stribeck else 0.0
-        tau = self.inertia * accel + self.damping * qd + f + self.gravity_arm * sin_q
+        tau = self.inertia * accel + self.damping * qd + fric + self.gravity_arm * sin_q
         r0, r1 = self.volts_per_torque
         return r0 * tau, r1 * tau
 
@@ -331,13 +326,11 @@ class _ReducedTerms:
 
     def acceleration(self, qd: float, sin_q: float, fric: float, drive: float, tau_ext: float) -> float:
         """Output acceleration under the drive torque ``self.drive(v)``."""
-        f = fric if self.stribeck else 0.0
-        return (drive - tau_ext - self.damping * qd - f - self.gravity_arm * sin_q) / self.inertia
+        return (drive - tau_ext - self.damping * qd - fric - self.gravity_arm * sin_q) / self.inertia
 
     def output_torque(self, sin_q: float, fric: float, qdd: float, tau_ext: float) -> float:
         """Torque the transmission delivers to the output link."""
-        f = fric if self.stribeck else 0.0
-        return self.link_inertia * qdd + self.gravity_arm * sin_q + f + tau_ext
+        return self.link_inertia * qdd + self.gravity_arm * sin_q + fric + tau_ext
 
 
 def reduced_terms(model: DualActuatorModel, weight: np.ndarray | None = None) -> _ReducedTerms:
@@ -352,7 +345,7 @@ def reduced_terms(model: DualActuatorModel, weight: np.ndarray | None = None) ->
         raise ValueError("reduced inertia must be positive")
     return _ReducedTerms(
         (p0, p1), inertia, p0 * b0 * p0 + p1 * b1 * p1, (p0 * k0, p1 * k1), (g0 / k0, g1 / k1),
-        model.gravity_arm, model.output_inertia(), model.friction_model == "stribeck",
+        model.gravity_arm, model.output_inertia(),
     )
 
 

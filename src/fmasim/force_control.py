@@ -168,8 +168,19 @@ def contact_state_step(
     Touchdown is declared when |force| exceeds the contact threshold; the
     transition settles into constrained contact once the force rate drops
     below the settle rate; departure is commanded and completes when the
-    force falls back under the threshold.
+    force falls back under the threshold. A NaN in any compare reads as
+    "no change" and would hold the phase, and an infinite force or force
+    rate is no measurement, so a non-finite ``force`` or ``force_rate`` and
+    a NaN threshold or settle rate are refused.
     """
+    if not math.isfinite(force):
+        raise ValueError(f"force must be finite, got {force}")
+    if not math.isfinite(force_rate):
+        raise ValueError(f"force_rate must be finite, got {force_rate}")
+    if math.isnan(contact_threshold):
+        raise ValueError("contact_threshold must not be NaN")
+    if math.isnan(settle_rate):
+        raise ValueError("settle_rate must not be NaN")
     magnitude = abs(force)
     if phase is ContactPhase.APPROACH:
         return ContactPhase.TRANSITION if magnitude > contact_threshold else phase

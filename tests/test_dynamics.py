@@ -222,14 +222,38 @@ def test_degenerate_inertia_raises():
 
 
 def test_forward_dynamics_refuses_non_finite_arguments():
-    model, n = powercube6(), 6
-    good = dict(theta_dot=np.zeros(n), tau=np.zeros(n), viscous=np.zeros(n))
-    for name in good:
-        for bad in (math.nan, math.inf):
-            args = dict(good, **{name: np.full(n, bad)})
-            with pytest.raises(ValueError, match=f"^{name} must be finite") as refused:
-                forward_dynamics(model, np.zeros(n), args["theta_dot"], args["tau"], viscous=args["viscous"])
-            assert len(str(refused.value).splitlines()) == 1
+    # Every dynamics entry point refuses each array argument it reads when
+    # it is one entry short or a column, or holds a NaN or an infinity, by name.
+    model, n, q = powercube6(), 6, np.zeros(6)
+    calls = {
+        "forward_dynamics": lambda a: forward_dynamics(
+            model, q, a["theta_dot"], a["tau"], gravity=a["gravity"], viscous=a["viscous"]
+        ),
+        "inverse_dynamics": lambda a: inverse_dynamics(
+            model, JointState(q, a["theta_dot"]), gravity=a["gravity"], viscous=a["viscous"]
+        ),
+        "compute_dynamics": lambda a: compute_dynamics(model, q, gravity=a["gravity"]),
+    }
+    reads = {
+        "forward_dynamics": ("theta_dot", "tau", "gravity", "viscous"),
+        "inverse_dynamics": ("gravity", "viscous"),
+        "compute_dynamics": ("gravity",),
+    }
+    good = dict(theta_dot=np.zeros(n), tau=np.zeros(n), gravity=np.array([0.0, 0.0, -9.81]), viscous=np.zeros(n))
+    for entry, names in reads.items():
+        for name in names:
+            size = len(good[name])
+            for bad in ("short", "column", math.nan, math.inf):
+                if bad == "short":
+                    value, message = np.zeros(size - 1), rf"must have shape \({size},\), got \({size - 1},\)$"
+                elif bad == "column":
+                    value, message = np.zeros((size, 1)), rf"must have shape \({size},\), got \({size}, 1\)$"
+                else:
+                    value, message = good[name].copy(), "must be finite, got "
+                    value[-1] = bad
+                with pytest.raises(ValueError, match=f"^{name} {message}") as refused:
+                    calls[entry](dict(good, **{name: value}))
+                assert len(str(refused.value).splitlines()) == 1, (entry, name, bad)
 
 
 def test_link_spatial_inertias_are_read_only_and_built_once(monkeypatch):

@@ -285,7 +285,6 @@ def _random_case(rng, i):
         link_length=length,
         tool_mass=rng.uniform(0.0, 10.0),
         link_com=rng.uniform(0.0, length),
-        friction_model=("stribeck", "none")[i % 2],
     )
     m = rng.normal(size=(2, 2))
     weight = None if i % 5 == 0 else m @ m.T + np.diag(rng.uniform(0.1, 200.0, 2))
@@ -301,7 +300,7 @@ def test_laws_agree_with_the_matrix_form():
         model, weight, (q, qd) = _random_case(rng, i)
         terms = reduced_terms(model, weight)
         _, _, k_m = motor_dynamics_matrices(model)
-        fric = stribeck_friction(qd) if model.friction_model == "stribeck" else 0.0
+        fric = stribeck_friction(qd)
         arm = model.link_mass * model.link_com + model.tool_mass * model.link_length
         gravity = arm * 9.81 * np.sin(q)
 
@@ -346,5 +345,3 @@ def test_dual_actuator_validation():
         DualActuatorModel(geom, pm, pm, link_mass=-1.0, link_length=0.4, tool_mass=0.0)
     with pytest.raises(ValueError):
         DualActuatorModel(geom, pm, pm, link_mass=1.0, link_length=0.4, tool_mass=0.0, link_com=0.9)
-    with pytest.raises(ValueError):
-        DualActuatorModel(geom, pm, pm, link_mass=1.0, link_length=0.4, tool_mass=0.0, friction_model="coulomb")

@@ -171,6 +171,24 @@ def test_contact_phase_threshold_edges():
     assert contact_state_step(ContactPhase.APPROACH, -2.0, contact_threshold=1.0) is ContactPhase.TRANSITION
 
 
+def test_contact_phase_refuses_nan():
+    # Each compare reads NaN as "no change", so an unchecked NaN would hold
+    # APPROACH or TRANSITION forever.
+    approach, transition = ContactPhase.APPROACH, ContactPhase.TRANSITION
+    probes = [
+        ("force must be finite, got nan", dict(phase=approach, force=math.nan)),
+        ("force must be finite, got -inf", dict(phase=approach, force=-math.inf)),
+        ("force_rate must be finite, got nan", dict(phase=transition, force=5.0, force_rate=math.nan)),
+        ("force_rate must be finite, got inf", dict(phase=transition, force=5.0, force_rate=math.inf)),
+        ("contact_threshold must not be NaN", dict(phase=approach, force=5.0, contact_threshold=math.nan)),
+        ("settle_rate must not be NaN", dict(phase=transition, force=5.0, settle_rate=math.nan)),
+    ]
+    for message, args in probes:
+        with pytest.raises(ValueError) as refused:
+            contact_state_step(**args)
+        assert str(refused.value) == message
+
+
 def test_fixture_projector_xy_plane():
     fixture = fixture_projector((0, 0, 0), (1, 0, 0), (0, 1, 0))
     assert np.allclose(fixture.omega, np.diag([1.0, 1.0, 0.0]), atol=1e-14)

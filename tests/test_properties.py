@@ -730,7 +730,6 @@ def reduced_steps(draw):
         inertia=draw(st.floats(0.01, 100.0)),
         damping=draw(st.floats(0.0, 50.0)),
         gravity_arm=draw(st.floats(0.0, 100.0)),
-        stribeck=draw(st.booleans()),
     )
     q, qd = draw(st.floats(-10.0, 10.0)), draw(st.floats(-50.0, 50.0))
     drive, tau_ext = draw(st.floats(-500.0, 500.0)), draw(st.floats(-50.0, 50.0))
@@ -763,8 +762,9 @@ def test_float_rk4_blows_up_as_rk4_step(case, bad, data):
         tau_ext = np.nan
     else:
         # Every stage is finite, but k1 + 2 k2 overflows: a unit inertia
-        # with no damping or friction makes each k of qd about the drive.
-        terms = replace(terms, inertia=1.0, damping=0.0, stribeck=False)
+        # with no damping makes each k of qd about the drive. Friction is
+        # present, but at dt <= 0.1 it takes under a sixth of a 1e308 drive.
+        terms = replace(terms, inertia=1.0, damping=0.0)
         drive = data.draw(st.floats(1.0e308, 1.7e308)) * data.draw(st.sampled_from([1.0, -1.0]))
     case = (terms, drive, tau_ext, q, qd, t, dt)
     with pytest.raises(SimulationBlowUpError) as from_floats:
@@ -809,16 +809,13 @@ def test_weighted_pseudo_inverse_is_the_least_weighted_allocation(case):
 def short_fma_scenarios(draw):
     """A run of 5-15 ticks of 1 ms, 1-5 substeps each, starting in or near
     a burr band, with each of the runner's switches drawn."""
-    def model(base):
-        return replace(base, friction_model=draw(st.sampled_from(["stribeck", "none"])))
-
     substeps = draw(st.integers(1, 5))
     sigma = draw(st.sampled_from([2.0, None, 0.0]))  # None: no disturbance
     # A threshold near zero, so that short runs switch weights both ways.
     policy = replace(fma_paper_weighting(), torque_threshold=draw(st.floats(-1.0, 1.0)))
     return FmaScenario(
-        plant=model(fma_paper_plant()),
-        controller_model=model(fma_paper_design()) if draw(st.booleans()) else None,
+        plant=fma_paper_plant(),
+        controller_model=fma_paper_design() if draw(st.booleans()) else None,
         weighting=draw(st.sampled_from([None, policy])),
         reference=draw(st.sampled_from(["trapezoid", "rest"])),
         duration=draw(st.integers(5, 15)) * 1.0e-3,
@@ -861,8 +858,7 @@ def _reference_fma_run(sc):
         qdd = reduced_dynamics(plant, q, qd, v, tau_ext, w)
         g_plus = weighted_pseudo_inverse(plant.g_row, w)
         rows.append((t, q, q_ref, qd, qd_ref, g_plus[0] * qd, g_plus[1] * qd, v[0], v[1], tau_ext))
-        fric = stribeck_friction(qd) if plant.friction_model == "stribeck" else 0.0
-        tau_out.append(plant.output_inertia() * qdd + plant.output_gravity(q) + fric + tau_ext)
+        tau_out.append(plant.output_inertia() * qdd + plant.output_gravity(q) + stribeck_friction(qd) + tau_ext)
         filtered.append(filt)
         disturbed.append(w is not None and w is sc.weighting.disturbed)
         if k == n_ticks:
