@@ -159,7 +159,8 @@ def stribeck_friction(qd: float) -> float:
     """Transmission friction torque, odd in speed away from zero.
 
     At rest the breakaway value of the static term is reported with
-    positive sign.
+    positive sign. A per-tick kernel, it checks nothing: NaN gives NaN
+    and +-inf gives +-inf. The FMA runner checks its state every tick.
     """
     q = float(qd)
     mag = abs(q)
@@ -360,6 +361,12 @@ def reduced_dynamics(
     """Output-shaft acceleration of the reduced dual-actuator model.
 
     Solves I'(q) qdd + B' qd + F'(qd) + G(q) = K'_M v - tau_ext.
+
+    Each call rebuilds ``reduced_terms(model, weight)``: a weighted
+    pseudo-inverse with an ``eigvalsh`` check of the weight, some tens of
+    times the cost of the law itself. A caller that steps many times
+    should build the terms once per weight and call their
+    ``acceleration``, as ``simulation.run_fma_scenario`` does.
     """
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.shape != (2,):
@@ -382,7 +389,10 @@ def computed_torque_voltage(
     """Armature voltages from an inverse-model law with a PD servo.
 
     ``model`` is the design model the controller believes in; kp = kv = 0
-    recovers the pure feedforward law.
+    recovers the pure feedforward law. Like ``reduced_dynamics``, each
+    call rebuilds ``reduced_terms(model, weight)``; a caller that steps
+    many times should build the terms once per weight and call their
+    ``voltages``.
     """
     terms = reduced_terms(model, weight)
     return np.array(terms.voltages(q, qd, math.sin(q), stribeck_friction(qd), q_ref, qd_ref, qdd_ref, kp, kv))

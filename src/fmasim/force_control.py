@@ -93,6 +93,11 @@ def window_mean(history):
     ``np.add.reduce(..., initial=0.0)``; the leading ``0.0 +`` turns an
     all ``-0.0`` window into ``+0.0``. ``np.mean`` sums pairwise and
     does not match, so do not swap it in.
+
+    A per-tick kernel, it checks nothing: a NaN sample gives NaN, an
+    infinite one gives that infinity, and both infinities give NaN. Its
+    callers pass only finite samples (``_condition_axis`` refuses the
+    others, and the FMA runner checks its state every tick).
     """
     acc = 0.0
     for sample in history:
@@ -105,7 +110,9 @@ def _condition_axis(history: deque, samples, bias: float, deadband: float) -> fl
 
     ``history`` is the axis's zero-primed window, a deque with ``maxlen``
     set, and keeps the samples. The value is zeroed when its magnitude is
-    strictly below ``deadband``; 0.0 lets every value through.
+    strictly below ``deadband``; 0.0 lets every value through. A
+    non-finite sample is refused with a ``ValueError`` before any sample
+    enters the window.
     """
     if not all(map(math.isfinite, samples)):
         raise ValueError(f"wrench samples must be finite, got {samples}")
@@ -291,8 +298,12 @@ def _penalty(surface: ContactSurface, depth: float, speed: float | None = None) 
 
     Zero unless the depth is positive; then the effective stiffness times
     the depth, less the damping times the speed when one is given, and
-    never tensile. A NaN depth gives NaN. With the normal along +z the
-    depth is ``point_z - p_z`` exactly.
+    never tensile. With the normal along +z the depth is
+    ``point_z - p_z`` exactly. A per-tick kernel, it checks nothing: a
+    NaN depth gives NaN, a depth of inf gives inf and one of -inf 0.0;
+    with damping, a NaN speed in contact gives NaN. ``contact_wrench``
+    refuses a non-finite result, and the force runner checks the joint
+    state every tick.
     """
     if depth <= 0.0:
         return 0.0

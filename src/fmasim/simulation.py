@@ -113,7 +113,12 @@ def _rk4_reduced(terms, drive: float, tau_ext: float, q: float, qd: float, t: fl
     The state is (q, qd) under a drive torque and disturbance held over
     the step; ``k1`` is the acceleration at (q, qd) if the caller has it.
     The operations and their order are ``rk4_step``'s, so the result is
-    the same to the bit.
+    the same to the bit. Like ``rk4_step`` it raises
+    ``SimulationBlowUpError`` on a non-finite increment, which a NaN
+    state, drive or disturbance gives. An infinite one may instead bring
+    a stage to ``math.sin`` of an infinite angle, which raises
+    ``ValueError`` ("math domain error"). The FMA runner checks its
+    state every tick.
     """
     accel, sin, friction = terms.acceleration, math.sin, fma.stribeck_friction
     k1q, k1d = qd, accel(qd, sin(q), friction(qd), drive, tau_ext) if k1 is None else k1
@@ -247,10 +252,14 @@ class FmaScenario:
 
     def __post_init__(self):
         _check_finite_floats(self)
-        if self.timestep <= 0.0 or self.duration <= 0.0:
-            raise ValueError("timestep and duration must be positive")
-        if self.omega_peak < 0.0 or self.seed < 0:
-            raise ValueError("omega_peak and seed must be nonnegative")
+        if self.timestep <= 0.0:
+            raise ValueError(f"timestep must be positive, got {self.timestep}")
+        if self.duration <= 0.0:
+            raise ValueError(f"duration must be positive, got {self.duration}")
+        if self.omega_peak < 0.0:
+            raise ValueError(f"omega_peak must be nonnegative, got {self.omega_peak}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.reference not in ("trapezoid", "rest"):
             raise ValueError(f"unknown reference profile {self.reference!r}")
         substeps = self.control_period / self.timestep
@@ -315,8 +324,10 @@ class ForceControlScenario:
             raise ValueError(f"unknown control law {self.law!r}")
         if self.reference not in ("constant", "sine"):
             raise ValueError(f"unknown force reference {self.reference!r}")
-        if self.control_rate <= 0.0 or self.duration <= 0.0:
-            raise ValueError("control_rate and duration must be positive")
+        if self.control_rate <= 0.0:
+            raise ValueError(f"control_rate must be positive, got {self.control_rate}")
+        if self.duration <= 0.0:
+            raise ValueError(f"duration must be positive, got {self.duration}")
         period = 1.0 / self.control_rate
         if self.physics_timestep <= 0.0 or self.physics_timestep > period + 1e-12:
             raise ValueError("physics_timestep must be positive and within a control period")
@@ -324,10 +335,14 @@ class ForceControlScenario:
             raise ValueError(f"control_rate = {self.control_rate:g} Hz: its period squared or in steps overflows")
         if self.reference == "sine" and self.sine_period <= 0.0:
             raise ValueError("sine_period must be positive")
-        if self.deadband < 0.0 or self.seed < 0:
-            raise ValueError("deadband and seed must be nonnegative")
-        if self.approach_speed <= 0.0 or self.start_height < 0.0:
-            raise ValueError("approach_speed must be positive, start_height nonnegative")
+        if self.deadband < 0.0:
+            raise ValueError(f"deadband must be nonnegative, got {self.deadband}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.approach_speed <= 0.0:
+            raise ValueError(f"approach_speed must be positive, got {self.approach_speed}")
+        if self.start_height < 0.0:
+            raise ValueError(f"start_height must be nonnegative, got {self.start_height}")
         if self.arm_lag < 0.0:
             raise ValueError("arm_lag must be nonnegative")
         if self.surface.normal.tolist() != [0.0, 0.0, 1.0]:
@@ -838,15 +853,28 @@ def envelope_points(traces) -> list:
     return points
 
 
+# Rows formatted by one ``%`` in ``write_trace_csv``. One row per ``%``
+# spends about a fifth of the deburr CSV on per-row Python calls; the whole
+# trace in one ``%`` is slower still and holds every cell as a Python float
+# at once (6 MiB more peak memory on the deburr trace). 64 to 1024 rows
+# time about the same.
+_CSV_BLOCK_ROWS = 256
+
+
 def write_trace_csv(trace: SimulationTrace, path) -> None:
     """Write the header, then one line per sample with each value as ``%.17g``.
 
-    Lines are written as they are formatted, without building the whole text.
+    A block of ``_CSV_BLOCK_ROWS`` rows is formatted by one ``%`` of the row
+    format repeated once per row, and written with one ``write``, so the
+    whole text is never built. Lines end in ``\\n`` on every platform.
     """
-    row_format = ",".join(["%.17g"] * len(trace.columns)) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(trace.columns) + "\n")
-        fh.writelines(row_format % tuple(row.tolist()) for row in trace.data)
+    data = trace.data
+    row_format = b",".join([b"%.17g"] * len(trace.columns)) + b"\n"
+    with open(path, "wb") as fh:
+        fh.write((",".join(trace.columns) + "\n").encode("ascii"))
+        for start in range(0, len(data), _CSV_BLOCK_ROWS):
+            block = data[start : start + _CSV_BLOCK_ROWS]
+            fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
 
 
 def metrics_text(metrics: Metrics) -> str:

@@ -213,7 +213,7 @@ def test_unit_of_the_wrong_dimension_exits_2_naming_the_key(
     "name, edits, args, rule",
     [
         ("fma-paper-deburr", ("duration = 10 s", "duration = 0 s"), [], "duration must be positive"),
-        ("force-regulation", ("deadband = 0.25 lbf", "deadband = -1 N"), [], "deadband and seed must be"),
+        ("force-regulation", ("deadband = 0.25 lbf", "deadband = -1 N"), [], "deadband must be nonnegative, got -1.0"),
         ("force-sine-tracking", ("period = 50 s", "period = 0 s"), [], "sine_period must be positive"),
         (
             "force-regulation",
@@ -254,6 +254,14 @@ def test_out_of_range_scenario_exits_2_when_built(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: inconsistent scenario: ") and err.count("\n") == 1
     assert rule in err
+
+
+@pytest.mark.parametrize("name", ["fma-paper-deburr", "force-regulation"])
+def test_negative_seed_names_the_seed_alone(tmp_path, capsys, name):
+    # Each field is checked on its own, so the message names only the one refused.
+    assert main(["simulate", "--config", name, "--seed=-1", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: inconsistent scenario: seed must be nonnegative, got -1\n"
+    assert not (tmp_path / "out" / "trace.csv").exists()
 
 
 def test_key_error_inside_a_run_propagates(rest_config, tmp_path, monkeypatch):

@@ -78,6 +78,8 @@ from fmasim.kinematics import (
     tool_height,
 )
 from fmasim.simulation import (
+    _CSV_BLOCK_ROWS,
+    TRACE_COLUMNS,
     BurrDisturbance,
     FmaScenario,
     SimulationTrace,
@@ -86,6 +88,7 @@ from fmasim.simulation import (
     rk4_step,
     run_fma_scenario,
     trapezoidal_profile,
+    write_trace_csv,
 )
 from fmasim.spatial import (
     Pose,
@@ -885,6 +888,41 @@ def test_fma_runner_is_the_loop_over_the_public_laws(sc):
     for name, values in aux.items():
         assert trace.aux[name].dtype == values.dtype
         assert _same_bits(trace.aux[name], values), name
+
+
+# Cells a trace may hold past its time column: any float, and the ones
+# whose %.17g is not plain digits or that a writer might mangle.
+_CSV_CELLS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308, math.inf, -math.inf, math.nan]
+)
+
+
+@st.composite
+def traces_to_write(draw):
+    """An FMA or force trace (10 or 11 columns) whose row count is 0, 1, or
+    one away from a whole number of the writer's blocks."""
+    block = _CSV_BLOCK_ROWS
+    rows = draw(st.sampled_from([0, 1, block - 1, block, block + 1, 2 * block + 1]))
+    columns = TRACE_COLUMNS + draw(st.sampled_from([(), ("f_ref",)]))
+    # A pool of drawn cells, placed by a drawn seed: hypothesis need not
+    # draw every one of up to 5,000 cells.
+    pool = draw(st.lists(_CSV_CELLS, min_size=1, max_size=64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = rng.choice(np.array(pool), size=(rows, len(columns) - 1))
+    t = np.arange(rows) * draw(st.sampled_from([1.0e-3, 1.0 / 15.0, 0.5]))
+    return SimulationTrace(columns, np.column_stack([t, cells]), None, {})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(traces_to_write())
+def test_trace_csv_is_the_header_then_each_row_as_17g(trace):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        write_trace_csv(trace, path)
+        written = path.read_bytes()
+    lines = [",".join(trace.columns) + "\n"]
+    lines += [",".join("%.17g" % x for x in row) + "\n" for row in trace.data.tolist()]
+    assert written == "".join(lines).encode("ascii")
 
 
 # Values a key may take, by what it names: fixtures by their registries, a

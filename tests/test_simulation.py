@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import deque
 from dataclasses import fields, replace
 
 import numpy as np
@@ -14,8 +15,8 @@ from fmasim.fixtures import (
     fma_paper_weighting,
     powercube6,
 )
-from fmasim.fma import computed_torque_voltage
-from fmasim.force_control import GainSet
+from fmasim.fma import computed_torque_voltage, reduced_terms, stribeck_friction
+from fmasim.force_control import ContactSurface, GainSet, _condition_axis, _penalty, window_mean
 from fmasim.simulation import (
     BurrDisturbance,
     FmaScenario,
@@ -115,6 +116,69 @@ def test_reference_profiles_refuse_non_finite_arguments(profile, args, message):
     with pytest.raises(ValueError) as refused:
         profile(*args)
     assert str(refused.value) == message
+
+
+_NAN, _INF = math.nan, math.inf
+_TERMS = reduced_terms(fma_paper_plant())
+_BLOW_UP = (SimulationBlowUpError, "non-finite derivative at t=0 s")
+_SIN_OF_INF = (ValueError, "math domain error")
+
+
+def _window():
+    return deque([0.0] * 4, maxlen=4)
+
+
+def _rk4(drive, q):
+    return simulation._rk4_reduced(_TERMS, drive, 0.0, q, 0.2, 0.0, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "kernel, args, expected",
+    [
+        (stribeck_friction, (_NAN,), _NAN),
+        (stribeck_friction, (_INF,), _INF),
+        (stribeck_friction, (-_INF,), -_INF),
+        (_penalty, (ContactSurface(1000.0), _NAN), _NAN),
+        (_penalty, (ContactSurface(1000.0), _INF), _INF),
+        (_penalty, (ContactSurface(1000.0), -_INF), 0.0),
+        (_penalty, (ContactSurface(1000.0, damping=5.0), 1e-3, _NAN), _NAN),
+        (window_mean, ([1.0, _NAN],), _NAN),
+        (window_mean, ([1.0, _INF],), _INF),
+        (window_mean, ([_INF, -_INF],), _NAN),
+        (
+            _condition_axis,
+            (_window(), [1.0, _NAN], 0.0, 0.0),
+            (ValueError, "wrench samples must be finite, got [1.0, nan]"),
+        ),
+        (
+            _condition_axis,
+            (_window(), [-_INF], 0.0, 0.0),
+            (ValueError, "wrench samples must be finite, got [-inf]"),
+        ),
+        (_rk4, (_NAN, 0.1), _BLOW_UP),
+        (_rk4, (0.0, _NAN), _BLOW_UP),
+        (_rk4, (_INF, 0.1), _SIN_OF_INF),
+        (_rk4, (0.0, _INF), _SIN_OF_INF),
+    ],
+)
+def test_per_tick_kernels_treat_non_finite_input_as_documented(kernel, args, expected):
+    # The runners check their state every tick, so these kernels check
+    # nothing or raise what their docstrings say; a refused sample does not
+    # enter the window.
+    if isinstance(expected, tuple):
+        error, message = expected
+        with pytest.raises(error) as refused:
+            kernel(*args)
+        assert type(refused.value) is error and str(refused.value) == message
+        if kernel is _condition_axis:
+            assert list(args[0]) == [0.0] * 4
+        return
+    value = kernel(*args)
+    assert type(value) is float
+    if math.isnan(expected):
+        assert math.isnan(value)
+    else:
+        assert value == expected and math.copysign(1.0, value) == math.copysign(1.0, expected)
 
 
 def test_trapezoid_position_integrates_velocity():
@@ -217,6 +281,30 @@ def test_scenario_float_fields_must_be_finite(cls, name, value):
     assert isinstance(scenario, cls)
     with pytest.raises(ValueError, match=f"^{name} must be finite$"):
         replace(scenario, **{name: value})
+
+
+@pytest.mark.parametrize(
+    "cls, name, value, rule",
+    [
+        (FmaScenario, "timestep", 0.0, "positive"),
+        (FmaScenario, "duration", -1.0, "positive"),
+        (FmaScenario, "omega_peak", -0.5, "nonnegative"),
+        (FmaScenario, "seed", -1, "nonnegative"),
+        (ForceControlScenario, "control_rate", 0.0, "positive"),
+        (ForceControlScenario, "duration", 0.0, "positive"),
+        (ForceControlScenario, "deadband", -1.0, "nonnegative"),
+        (ForceControlScenario, "seed", -3, "nonnegative"),
+        (ForceControlScenario, "approach_speed", -1e-3, "positive"),
+        (ForceControlScenario, "start_height", -0.01, "nonnegative"),
+    ],
+    ids=lambda x: getattr(x, "__name__", x),
+)
+def test_scenario_sign_checks_name_the_one_refused_field(cls, name, value, rule):
+    # Each field is checked on its own, so a valid neighbour is never blamed.
+    scenario = build_scenario(load_scenario(BUILT_IN[cls]))
+    with pytest.raises(ValueError) as refused:
+        replace(scenario, **{name: value})
+    assert str(refused.value) == f"{name} must be {rule}, got {value}"
 
 
 def test_force_scenario_validation():
