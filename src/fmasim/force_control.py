@@ -257,6 +257,18 @@ def _solve_jacobian(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise DegenerateConfigurationError("jacobian is singular") from exc
 
 
+def _force_axis(kp: float, e: float, kv: float = 0.0, de: float = -0.0, ki: float = 0.0, ie: float = -0.0) -> float:
+    """One axis of the diagonal force laws in floats: ``kp*e + kv*de + ki*ie``.
+
+    The sum runs in numpy's elementwise order for ``kp*e + kv*de + ki*ie``
+    on (6,) vectors, so it gives the same bits. The defaults make the two
+    last terms -0.0, and adding -0.0 changes no float, signed zeros
+    included, so ``_force_axis(kp, e)`` is ``kp*e``: the compliant law. A
+    per-tick kernel, it checks nothing; NaN and inf follow float arithmetic.
+    """
+    return kp * e + kv * de + ki * ie
+
+
 def pure_force_control_step(
     g, gains: GainSet, e_f: np.ndarray, e_f_dot: np.ndarray, e_f_int: np.ndarray
 ) -> np.ndarray:
@@ -264,10 +276,9 @@ def pure_force_control_step(
     g = np.asarray(g, dtype=float)
     if g.shape != (6, 6):
         raise ValueError("jacobian must be 6x6")
-    e = np.asarray(e_f, dtype=float).reshape(6)
-    de = np.asarray(e_f_dot, dtype=float).reshape(6)
-    ie = np.asarray(e_f_int, dtype=float).reshape(6)
-    return _solve_jacobian(g, gains.kp * e + gains.kv * de + gains.ki * ie)
+    e, de, ie = (np.asarray(x, dtype=float).reshape(6).tolist() for x in (e_f, e_f_dot, e_f_int))
+    kp, kv, ki = gains.kp.tolist(), gains.kv.tolist(), gains.ki.tolist()
+    return _solve_jacobian(g, np.array(list(map(_force_axis, kp, e, kv, de, ki, ie))))
 
 
 def compliant_control_step(g, kp, e_f: np.ndarray) -> np.ndarray:
@@ -276,7 +287,8 @@ def compliant_control_step(g, kp, e_f: np.ndarray) -> np.ndarray:
     kp = np.asarray(kp, dtype=float)
     if g.shape != (6, 6) or kp.shape != (6,):
         raise ValueError("jacobian must be 6x6 and gain a (6,) diagonal")
-    return _solve_jacobian(g, kp * np.asarray(e_f, dtype=float).reshape(6))
+    e = np.asarray(e_f, dtype=float).reshape(6).tolist()
+    return _solve_jacobian(g, np.array(list(map(_force_axis, kp.tolist(), e))))
 
 
 def effective_stiffness(k_sensor: float, k_tool: float, k_env: float) -> float:

@@ -25,11 +25,10 @@ from .force_control import (
     ContactSurface,
     GainSet,
     _condition_axis,
+    _force_axis,
     _penalty,
     _solve_jacobian,
-    compliant_control_step,
     contact_state_step,
-    pure_force_control_step,
     window_mean,
 )
 from .kinematics import SerialChainModel, _point_g, frame_floats, tool_height
@@ -136,27 +135,40 @@ def _rk4_reduced(terms, drive: float, tau_ext: float, q: float, qd: float, t: fl
     return q + dq, qd + dqd
 
 
-def trapezoidal_profile(t: float, total_time: float, omega_peak: float) -> tuple[float, float, float]:
+@np.errstate(over="ignore", invalid="ignore")
+def trapezoidal_profile(t, total_time: float, omega_peak: float):
     """Position, speed and acceleration of a ramp/plateau/ramp speed profile.
 
     The ramps last a quarter of ``total_time`` at each end; the position
-    is integrated from zero.
+    is integrated from zero. ``t`` is a time or an array of times: a time
+    gives three numpy floats, an array three arrays of its shape. Each
+    segment's expression is evaluated on that segment's times only, with
+    the scalar operations in their order, so every element has the bits
+    of the call on that element alone. A peak speed large enough to
+    overflow gives inf or nan, as Python floats do, and no warning.
     """
     if not 0.0 < total_time < math.inf:
         raise ValueError(f"total_time must be positive and finite, got {total_time}")
-    if not 0.0 <= t <= total_time:
-        raise ValueError(f"t={t} outside [0, {total_time}]")
+    times = np.asarray(t, dtype=float)
+    outside = ~((0.0 <= times) & (times <= total_time))
+    if outside.any():
+        raise ValueError(f"t={times[outside].flat[0].item()} outside [0, {total_time}]")
     if not -math.inf < omega_peak < math.inf:
         raise ValueError(f"omega_peak must be finite, got {omega_peak}")
     ramp = total_time / 4.0
     accel = omega_peak / ramp
-    if t <= ramp:
-        return 0.5 * accel * t * t, omega_peak * t / ramp, accel
-    if t < 3.0 * ramp:
-        return omega_peak * ramp / 2.0 + omega_peak * (t - ramp), omega_peak, 0.0
+    q, qd, qdd = np.empty_like(times), np.empty_like(times), np.empty_like(times)
+    rise, fall = times <= ramp, times >= 3.0 * ramp
+    plateau = ~(rise | fall)
+    t = times[rise]
+    q[rise], qd[rise], qdd[rise] = 0.5 * accel * t * t, omega_peak * t / ramp, accel
+    t = times[plateau]
+    q[plateau], qd[plateau], qdd[plateau] = omega_peak * ramp / 2.0 + omega_peak * (t - ramp), omega_peak, 0.0
+    t = times[fall]
     tau = t - 3.0 * ramp
-    q = omega_peak * ramp / 2.0 + 2.0 * omega_peak * ramp + omega_peak * tau - 0.5 * accel * tau * tau
-    return q, omega_peak * (total_time - t) / ramp, -accel
+    q[fall] = omega_peak * ramp / 2.0 + 2.0 * omega_peak * ramp + omega_peak * tau - 0.5 * accel * tau * tau
+    qd[fall], qdd[fall] = omega_peak * (total_time - t) / ramp, -accel
+    return q[()], qd[()], qdd[()]
 
 
 def sinusoidal_force_reference(t_c: float, f_max: float, period: float) -> float:
@@ -262,6 +274,14 @@ class FmaScenario:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.reference not in ("trapezoid", "rest"):
             raise ValueError(f"unknown reference profile {self.reference!r}")
+        # The sweep's ramps last a quarter of the duration each; too short a
+        # duration makes 2π/duration, or the ramps' acceleration, overflow.
+        ramp = self.duration / 4.0
+        if self.reference == "trapezoid" and not (ramp > 0.0 and math.isfinite(self.peak_speed / ramp)):
+            raise ValueError(
+                f"duration = {self.duration} s is too short: a sweep at peak speed "
+                f"{self.peak_speed} rad/s overflows"
+            )
         substeps = self.control_period / self.timestep
         if not 1.0 - 1e-9 <= substeps < math.inf or abs(substeps - round(substeps)) > 1e-9 * substeps:
             raise ValueError("control_period must be an integer multiple of timestep")
@@ -362,6 +382,23 @@ class ForceControlScenario:
             "filter_window",
             self.filter_window,
         )
+        # Rules on what the runner derives. The sine's phase 2π·t/sine_period
+        # must be a float up to the last tick, and so must each rate-law gain
+        # of the PID law, kp/dt and ki/dt**2 with dt the control period.
+        n_ticks, dt = round(self.duration * self.control_rate), 1.0 / self.control_rate
+        if self.reference == "sine" and not math.isfinite(2.0 * math.pi * (n_ticks * dt) / self.sine_period):
+            raise ValueError(
+                f"sine_period = {self.sine_period} s is too short: the sine's phase "
+                f"2π·t/sine_period overflows within duration = {self.duration} s"
+            )
+        if self.law == "force-pid":
+            for name, scale, rate_gain in (("kp", dt, "kp/dt"), ("ki", dt**2, "ki/dt**2")):
+                for gain in getattr(self.gains, name).tolist():
+                    if not (scale > 0.0 and math.isfinite(gain / scale)):
+                        raise ValueError(
+                            f"{name} = {gain} m/N is too large: its rate-law gain {rate_gain} overflows "
+                            f"at control_rate = {self.control_rate} Hz"
+                        )
         object.__setattr__(self, "home", tuple(float(x) for x in self.home))
 
     @property
@@ -436,15 +473,6 @@ def run_fma_scenario(scenario: FmaScenario) -> SimulationTrace:
     plant_terms = [fma.reduced_terms(plant, w) for w in weights]
     ctrl_terms = [fma.reduced_terms(ctrl, w) for w in weights]
 
-    if scenario.reference == "trapezoid":
-        w_pk, total, q0 = scenario.peak_speed, scenario.duration, scenario.q0
-
-        def ref(t):  # the last tick can pass the duration (0.3 s in 0.1 s ticks); hold the end
-            q, qd, qdd = trapezoidal_profile(min(t, total), total, w_pk)
-            return q0 + q, qd, qdd
-    else:
-        ref = lambda t: (scenario.q0, 0.0, 0.0)
-
     tau_history = deque([0.0] * scenario.tau_filter_window, maxlen=scenario.tau_filter_window)
 
     dt = scenario.timestep
@@ -452,15 +480,26 @@ def run_fma_scenario(scenario: FmaScenario) -> SimulationTrace:
     substeps = scenario.substeps
     n_ticks = round(scenario.duration / tick)
 
+    # The reference depends on the tick alone, so it is formed for the
+    # whole run at once. The last tick can pass the duration (0.3 s in
+    # 0.1 s ticks), where the sweep holds its end.
+    times = np.arange(n_ticks + 1) * tick
+    if scenario.reference == "trapezoid":
+        total = scenario.duration
+        q_refs, qd_refs, qdd_refs = trapezoidal_profile(np.minimum(times, total), total, scenario.peak_speed)
+        with np.errstate(over="ignore"):  # as q0 + q in floats: a sum past the floats is inf
+            q_refs = scenario.q0 + q_refs
+    else:
+        q_refs, qd_refs, qdd_refs = np.full_like(times, scenario.q0), np.zeros_like(times), np.zeros_like(times)
+
     burr = scenario.disturbance
     noise = None
     if burr is not None and burr.noise_sigma > 0.0:
         noise = np.random.default_rng(scenario.seed).normal(0.0, burr.noise_sigma, n_ticks + 1)
 
-    rows = np.empty((n_ticks + 1, len(TRACE_COLUMNS)))
-    tau_out = np.empty(n_ticks + 1)
-    tau_filtered = np.empty(n_ticks + 1)
-    disturbed_flag = np.zeros(n_ticks + 1, dtype=bool)
+    # What depends on the state, a row per tick: q, qd, v1, v2, tau_ext,
+    # the output torque, the filtered disturbance and the disturbed flag.
+    states = np.empty((n_ticks + 1, 8))
 
     q, qd = scenario.q0, scenario.qd0
     for k in range(n_ticks + 1):
@@ -476,7 +515,7 @@ def run_fma_scenario(scenario: FmaScenario) -> SimulationTrace:
         disturbed = policy is not None and fma.weighting(policy, filt) is policy.disturbed
         pt, ct = plant_terms[disturbed], ctrl_terms[disturbed]
 
-        q_ref, qd_ref, qdd_ref = ref(t)
+        q_ref, qd_ref, qdd_ref = q_refs.item(k), qd_refs.item(k), qdd_refs.item(k)
         error = abs(q - q_ref)
         if error > MAX_TRACKING_ERROR:
             raise SimulationBlowUpError(
@@ -487,18 +526,19 @@ def run_fma_scenario(scenario: FmaScenario) -> SimulationTrace:
         v = ct.voltages(q, qd, sin_q, fric, q_ref, qd_ref, qdd_ref, scenario.kp, scenario.kv)
         drive = pt.drive(v)
         qdd_now = pt.acceleration(qd, sin_q, fric, drive, tau_ext)
-        g1, g2 = pt.g_plus
-        rows[k] = (t, q, q_ref, qd, qd_ref, g1 * qd, g2 * qd, *v, tau_ext)
-        tau_out[k] = pt.output_torque(sin_q, fric, qdd_now, tau_ext)
-        tau_filtered[k] = filt
-        disturbed_flag[k] = disturbed
+        states[k] = (q, qd, *v, tau_ext, pt.output_torque(sin_q, fric, qdd_now, tau_ext), filt, disturbed)
 
         if k == n_ticks:
             break
         for s in range(substeps):
             q, qd = _rk4_reduced(pt, drive, tau_ext, q, qd, t + s * dt, dt, None if s else qdd_now)
 
-    aux = {"tau_out": tau_out, "tau_filtered": tau_filtered, "disturbed": disturbed_flag}
+    q, qd, v1, v2, tau_ext, tau_out, tau_filtered, disturbed = states.T
+    disturbed = disturbed != 0.0
+    # qM1 and qM2 are the active weight's g+ times qd, elementwise.
+    g_plus = np.array([pt.g_plus for pt in plant_terms])[disturbed.astype(int)]
+    rows = np.column_stack((times, q, q_refs, qd, qd_refs, g_plus[:, 0] * qd, g_plus[:, 1] * qd, v1, v2, tau_ext))
+    aux = {"tau_out": tau_out.copy(), "tau_filtered": tau_filtered.copy(), "disturbed": disturbed}
     return SimulationTrace(TRACE_COLUMNS, rows, scenario, aux)
 
 
@@ -552,12 +592,17 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
         for s in range(max(1, substeps - scenario.filter_window + 1), substeps + 1)
     ]
 
+    # The force laws act on the normal force only: their error vectors are
+    # along z, and the gains are nonnegative and finite, so every other
+    # axis of the law's right-hand side is +0.0. The runner forms the z
+    # axis alone through the laws' float core.
+    gains = scenario.gains
     if scenario.law == "force-pid":
         # Per-period gains mapped onto the rate law: theta_dot * dt gives
         # kp*e + kv*de + ki*sum(e) meters of motion per tick.
-        rate_gains = GainSet(
-            kp=scenario.gains.kp / dt, kv=scenario.gains.kv, ki=scenario.gains.ki / dt**2
-        )
+        kp_z, kv_z, ki_z = gains.kp.item(2) / dt, gains.kv.item(2), gains.ki.item(2) / dt**2
+    else:
+        kp_z = gains.kp.item(2)
 
     def along_z(value):  # a task vector; the law acts on the normal force only
         return np.array((0.0, 0.0, value, 0.0, 0.0, 0.0))
@@ -625,12 +670,10 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
             e = f_ref - f_meas
             if scenario.law == "force-pid":
                 integral += e
-                rate = pure_force_control_step(
-                    jac, rate_gains, along_z(e), along_z((e - e_prev) / dt), along_z(integral * dt)
-                )
-                dtheta = rate * dt
+                rate = _force_axis(kp_z, e, kv_z, (e - e_prev) / dt, ki_z, integral * dt)
+                dtheta = _solve_jacobian(jac, along_z(rate)) * dt
             else:
-                dtheta = compliant_control_step(jac, scenario.gains.kp, along_z(e))
+                dtheta = _solve_jacobian(jac, along_z(_force_axis(kp_z, e)))
             e_prev = e
         dtheta = dtheta.tolist()
         theta_cmd = [c + d for c, d in zip(theta_cmd, dtheta)]

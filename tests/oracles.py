@@ -345,3 +345,17 @@ def array_normal_force(surface, positions, velocities=None):
         v = np.asarray(velocities, dtype=float).reshape(p.shape)
         magnitude[pressing] -= surface.damping * (v[pressing] @ surface.normal)
     return np.maximum(magnitude, 0.0)
+
+
+def float_trapezoid(t, total_time, omega_peak):
+    """``trapezoidal_profile`` at one time in Python floats, one branch per
+    segment: the scalar law its array form must match to the bit."""
+    ramp = total_time / 4.0
+    accel = omega_peak / ramp
+    if t <= ramp:
+        return 0.5 * accel * t * t, omega_peak * t / ramp, accel
+    if t < 3.0 * ramp:
+        return omega_peak * ramp / 2.0 + omega_peak * (t - ramp), omega_peak, 0.0
+    tau = t - 3.0 * ramp
+    q = omega_peak * ramp / 2.0 + 2.0 * omega_peak * ramp + omega_peak * tau - 0.5 * accel * tau * tau
+    return q, omega_peak * (total_time - t) / ramp, -accel

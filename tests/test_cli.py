@@ -637,6 +637,46 @@ def test_fma_divergence_exits_3(controller, run, failure, tmp_path, capsys):
     assert not (tmp_path / "o" / "metrics.txt").exists()
 
 
+# One key of a built-in whose derived quantity overflows: each is refused
+# when the scenario is built, by the key's name, where the run would end in
+# a traceback (a subnormal duration's 2π/duration, or its zero ramp with a
+# set peak speed; the sine's phase at contact; a PID gain over dt or dt**2).
+@pytest.mark.parametrize(
+    "name, old, new, message",
+    [
+        ("fma-paper-deburr", "duration = 10 s", "duration = 4.9e-324 s", "duration = 5e-324 s is too short: "),
+        (
+            "fma-paper-deburr",
+            "duration = 10 s",
+            "duration = 4.9e-324 s\nomega_peak = 1 rad/s",
+            "duration = 5e-324 s is too short: ",
+        ),
+        ("force-sine-tracking", "period = 50 s", "period = 4.9e-324 s", "sine_period = 5e-324 s is too short: "),
+        ("force-sine-tracking", "period = 50 s", "period = 1e-310 s", "sine_period = 1e-310 s is too short: "),
+        ("force-regulation", "ki = 0.01 mm/lbf", "ki = 1.7e308 m/N", "ki = 1.7e+308 m/N is too large: "),
+        (
+            "force-regulation",
+            "kp = 0.1 mm/lbf\n",
+            "kp = 1e308 m/N\n",
+            "kp = 1e+308 m/N is too large: its rate-law gain kp/dt overflows at control_rate = 15.0 Hz",
+        ),
+    ],
+    ids=["duration", "duration-with-omega_peak", "sine_period-subnormal", "sine_period", "ki", "kp"],
+)
+@pytest.mark.filterwarnings("error")
+def test_overflowing_key_exits_2_in_one_line(name, old, new, message, tmp_path, monkeypatch, capsys):
+    def unreachable(scenario):
+        raise AssertionError("an overflowing key reached its runner")
+
+    monkeypatch.setattr(cli, "run_fma_scenario", unreachable)
+    monkeypatch.setattr(cli, "run_force_control_scenario", unreachable)
+    cfg = _builtin_variant(tmp_path, name, old, new)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: inconsistent scenario: {message}")
+    assert len(err.splitlines()) == 1
+
+
 # Warnings are errors here: pytest would otherwise capture a numpy
 # RuntimeWarning that a user would see on stderr.
 @pytest.mark.filterwarnings("error")

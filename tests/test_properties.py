@@ -105,6 +105,7 @@ from oracles import (
     array_normal_force,
     fd_hessian,
     fd_jacobian,
+    float_trapezoid,
     link_com_g_form,
     loop_frame_transforms,
     loop_influence_coefficients,
@@ -890,6 +891,55 @@ def test_fma_runner_is_the_loop_over_the_public_laws(sc):
         assert _same_bits(trace.aux[name], values), name
 
 
+@st.composite
+def trapezoid_times(draw):
+    """A sweep (total time, peak speed) and an array of times on it: the
+    knots 0, ramp, 3·ramp and total with their neighbours inside, a run's
+    ticks clipped to the total as the FMA runner clips them, and drawn
+    times, in a drawn order."""
+    total = draw(st.floats(1e-300, 1e300) | st.sampled_from([1e-3, 0.3, 10.0]))
+    omega_peak = draw(st.floats(-1.7e308, 1.7e308) | st.sampled_from([0.0, -0.0, 5e-324, 1.7e308, -1.7e308]))
+    ramp = total / 4.0
+    knots = [0.0, ramp, 3.0 * ramp, total, np.nextafter(ramp, math.inf), np.nextafter(3.0 * ramp, 0.0)]
+    tick = total / draw(st.integers(1, 40))
+    ticks = np.minimum(np.arange(draw(st.integers(1, 45))) * tick, total).tolist()
+    drawn = draw(st.lists(st.floats(0.0, total), max_size=10))
+    times = draw(st.permutations(knots + ticks + drawn))
+    return np.array(times), total, omega_peak
+
+
+def _hexes(values):
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(trapezoid_times(), st.sampled_from(["nan", "below", "above"]), st.integers(0, 99))
+def test_trapezoid_on_an_array_is_the_scalar_call_on_each_time(case, bad, where):
+    """The array form gives each element the scalar call's bits, and both
+    give the bits of the law in Python floats, with no warning where the
+    peak speed overflows; an array holding a time the scalar call refuses
+    is refused in one line that names that time."""
+    times, total, omega_peak = case
+    profile = trapezoidal_profile(times, total, omega_peak)
+    by_element = [trapezoidal_profile(float(t), total, omega_peak) for t in times]
+    in_floats = [float_trapezoid(float(t), total, omega_peak) for t in times]
+    for column, values in enumerate(profile):
+        assert values.shape == times.shape
+        assert _hexes(values) == [p[column].hex() for p in by_element]
+        assert _hexes(values) == [p[column].hex() for p in in_floats]
+    if times.size % 2 == 0:  # any shape: the elements keep their places
+        grid = trapezoidal_profile(times.reshape(2, -1), total, omega_peak)
+        assert [_hexes(values) for values in grid] == [_hexes(values) for values in profile]
+
+    value = {"nan": math.nan, "below": -5e-324, "above": np.nextafter(total, math.inf)}[bad]
+    refused = times.copy()
+    refused[where % times.size] = value
+    with pytest.raises(ValueError) as info:
+        trapezoidal_profile(refused, total, omega_peak)
+    assert str(info.value) == f"t={value} outside [0, {total}]"
+
+
 # Cells a trace may hold past its time column: any float, and the ones
 # whose %.17g is not plain digits or that a writer might mangle.
 _CSV_CELLS = st.floats() | st.sampled_from(
@@ -1036,9 +1086,11 @@ def test_band_edges_in_degrees_are_the_radians_of_each_edge(bands):
 
 
 # Values past a numeric key's bounds: 0 and -1 below most ranges, 1e-300
-# and 1e300 at the ends of the floats, nan and inf no numbers at all, and
+# and 1e300 at the ends of the floats, 4.9e-324 and 1e-310 subnormal and
+# 1.7e308 near overflow, so that a quantity derived from them (2π/duration,
+# 2π·t/period, kp/dt) overflows, nan and inf no numbers at all, and
 # "1.5 steps" a control period that is no whole number of timesteps.
-_PAST_BOUNDS = ("0", "-1", "1e-300", "1e300", "nan", "inf", "1.5 steps")
+_PAST_BOUNDS = ("0", "-1", "1e-300", "1e300", "4.9e-324", "1e-310", "1.7e308", "nan", "inf", "1.5 steps")
 
 
 @st.composite

@@ -16,7 +16,7 @@ from fmasim.fixtures import (
     powercube6,
 )
 from fmasim.fma import computed_torque_voltage, reduced_terms, stribeck_friction
-from fmasim.force_control import ContactSurface, GainSet, _condition_axis, _penalty, window_mean
+from fmasim.force_control import ContactSurface, GainSet, _condition_axis, _force_axis, _penalty, window_mean
 from fmasim.simulation import (
     BurrDisturbance,
     FmaScenario,
@@ -159,6 +159,10 @@ def _rk4(drive, q):
         (_rk4, (0.0, _NAN), _BLOW_UP),
         (_rk4, (_INF, 0.1), _SIN_OF_INF),
         (_rk4, (0.0, _INF), _SIN_OF_INF),
+        (_force_axis, (2.0, _NAN), _NAN),
+        (_force_axis, (0.0, _INF), _NAN),
+        (_force_axis, (2.0, -_INF, 1.0, _INF), _NAN),
+        (_force_axis, (2.0, -0.0), -0.0),
     ],
 )
 def test_per_tick_kernels_treat_non_finite_input_as_documented(kernel, args, expected):
