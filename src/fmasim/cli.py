@@ -28,8 +28,8 @@ from . import config as config_mod
 from . import fixtures
 from .errors import ConfigError, DegenerateConfigurationError, SimulationBlowUpError
 from .kinematics import forward_kinematics, g_function
+from .scenario import ForceControlScenario
 from .simulation import (
-    ForceControlScenario,
     SimulationTrace,
     compute_metrics,
     envelope_points,

@@ -7,7 +7,8 @@ plant kind: ``fma`` for the dual-actuator joint, ``chain`` for the
 rather than ignored, so a typo cannot silently fall back to a default.
 
 A key left out takes the default of the scenario field it sets, in
-``FmaScenario``, ``BurrDisturbance`` or ``ForceControlScenario``.
+``FmaScenario``, ``BurrDisturbance`` or ``ForceControlScenario`` of
+``fmasim.scenario``; a key whose field has choices takes those.
 A value carries one trailing unit ("0.25 lbf", "0 0.7 rad", "30:60:5 deg"
 for band edges), else is SI; it is converted to SI on parse and must be
 finite. The unit must convert to the key's own SI unit, so "20 lbf" is no
@@ -33,7 +34,7 @@ from pathlib import Path
 from . import fixtures
 from .errors import ConfigError
 from .force_control import GainSet
-from .simulation import BurrDisturbance, FmaScenario, ForceControlScenario
+from .scenario import BurrDisturbance, FmaScenario, ForceControlScenario
 from .units import UnitError, parse_quantity
 
 _SECTIONS = ("plant", "controller", "reference", "disturbance", "run")
@@ -54,15 +55,19 @@ class _Key:
 
 
 def _field_defaults(keys: dict, scenario: type, **owners: type) -> dict:
-    """The schema with each unset default filled in: required for a key
-    that sets no field, else the default of its field ``to``, a field of
-    ``scenario`` or of the section's class in ``owners``."""
+    """The schema with each key completed from its field ``to`` of ``scenario``
+    or of the section's class in ``owners``: an unset default from the field
+    (required if it sets none), the choices from the class's ``RULES``."""
     schema = {}
     for section, specs in keys.items():
-        found = {f.name: f.default for f in fields(owners.get(section, scenario))}
+        owner = owners.get(section, scenario)
+        found = {f.name: f.default for f in fields(owner)}
         schema[section] = {
-            key: replace(spec, default=found[spec.to] if spec.to else _REQUIRED)
-            if spec.default is _UNSET else spec
+            key: replace(
+                spec,
+                default=(found[spec.to] if spec.to else _REQUIRED) if spec.default is _UNSET else spec.default,
+                choices=rule if isinstance(rule := owner.RULES.get(spec.to), tuple) else spec.choices,
+            )
             for key, spec in specs.items()
         }
     return schema
@@ -84,7 +89,7 @@ _FMA_KEYS = {
         "tau_filter_window": _Key("int", to="tau_filter_window"),
     },
     "reference": {
-        "profile": _Key("str", choices=("trapezoid", "rest"), to="reference", default=_REQUIRED),
+        "profile": _Key("str", to="reference", default=_REQUIRED),
         "duration": _Key("quantity", unit="s", to="duration", default=_REQUIRED),
         "omega_peak": _Key("quantity", unit="rad/s", to="omega_peak"),
         "q0": _Key("quantity", unit="rad", to="q0"),
@@ -112,7 +117,7 @@ _FORCE_KEYS = {
         "home": _Key("vector", unit="rad", to="home"),
     },
     "controller": {
-        "law": _Key("str", choices=("force-pid", "compliant"), to="law", default=_REQUIRED),
+        "law": _Key("str", to="law", default=_REQUIRED),
         "kp": _Key("quantity", unit="m/N"),
         "kv": _Key("quantity", default=0.0, unit="m/N"),
         "ki": _Key("quantity", default=0.0, unit="m/N"),
@@ -218,9 +223,11 @@ def _parse_scalar(spec: _Key, section: str, key: str, text: str):
         return value
     if spec.parse == "int":
         try:
-            return int(text.strip())
+            if text.isascii() and "_" not in text:  # as parse_quantity reads a number
+                return int(text)
         except ValueError:
-            raise ConfigError(f"{where}: expected an integer, got {text!r}") from None
+            pass
+        raise ConfigError(f"{where}: expected an integer, got {text!r}")
     body, unit = _split_unit(text, spec.unit)
     if spec.parse == "quantity":
         return _quantities(where, [body], unit, spec.unit)[0]

@@ -32,11 +32,18 @@ FRICTION_KNEE_RATE = 0.0047
 SCALE_RATIO_BAND = (10.0, 15.0)
 
 
-def _check_finite_floats(value):
-    """Raise ValueError naming the first float field of the dataclass ``value`` that is not finite."""
+def _check_fields(value):
+    """Raise ValueError naming the first float field of the dataclass ``value``
+    that is not finite, then the first field that breaks its rule in the
+    class's ``RULES``, if it has one, in the order listed: "positive",
+    "nonnegative" or a tuple of the field's choices."""
     for f in fields(value):
         if f.type == "float" and not math.isfinite(getattr(value, f.name)):
             raise ValueError(f"{f.name} must be finite")
+    for name, rule in getattr(value, "RULES", {}).items():
+        x, text = getattr(value, name), rule if isinstance(rule, str) else f"one of {list(rule)}"
+        if not (x in rule if isinstance(rule, tuple) else x > 0 if rule == "positive" else x >= 0):
+            raise ValueError(f"{name} must be {text}, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -52,11 +59,10 @@ class StarCompoundGeometry:
     r12: float
     g_hypo: float
 
+    RULES = dict.fromkeys(("r9", "r10", "r11", "r12"), "positive")
+
     def __post_init__(self):
-        _check_finite_floats(self)
-        for name in ("r9", "r10", "r11", "r12"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        _check_fields(self)
         if not 0.0 < self.g_hypo < 1.0:
             raise ValueError("g_hypo must lie in (0, 1)")
         closure = self.r9 + self.r10 + self.r11
@@ -183,18 +189,13 @@ class PrimeMoverParams:
     back_emf_constant: float
     armature_resistance: float
 
+    RULES = {
+        "rotor_inertia": "positive", "damping": "nonnegative",
+        "torque_constant": "positive", "back_emf_constant": "positive", "armature_resistance": "positive",
+    }
+
     def __post_init__(self):
-        _check_finite_floats(self)
-        for name in (
-            "rotor_inertia",
-            "torque_constant",
-            "back_emf_constant",
-            "armature_resistance",
-        ):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.damping < 0.0:
-            raise ValueError("damping must be nonnegative")
+        _check_fields(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +207,7 @@ class WeightingPolicy:
     torque_threshold: float
 
     def __post_init__(self):
-        _check_finite_floats(self)
+        _check_fields(self)
         # Copies: the runner tells the two weights apart by identity.
         quiet = _check_weight(np.array(self.quiet, dtype=float), 2)
         disturbed = _check_weight(np.array(self.disturbed, dtype=float), 2)
@@ -239,10 +240,10 @@ class DualActuatorModel:
     link_com: float | None = None
     name: str = ""
 
+    RULES = {"link_mass": "positive", "link_length": "positive", "tool_mass": "nonnegative"}
+
     def __post_init__(self):
-        _check_finite_floats(self)
-        if self.link_mass <= 0.0 or self.tool_mass < 0.0 or self.link_length <= 0.0:
-            raise ValueError("link mass/length must be positive, tool mass nonnegative")
+        _check_fields(self)
         if self.link_com is None:
             object.__setattr__(self, "link_com", self.link_length / 2.0)
         if not 0.0 <= self.link_com <= self.link_length:

@@ -1,9 +1,9 @@
 """Scenario execution for the dual-actuator rig and the contact tasks.
 
 Reference generators, the burr-disturbance model, a classic fixed-step
-RK4 integrator, two scenario runners that produce uniformly sampled
-traces, the metrics extracted from those traces, and performance-envelope
-points. Runs are deterministic: all randomness flows from one seeded
+RK4 integrator, runners of the two ``scenario`` classes that produce
+uniformly sampled traces, the metrics extracted from those traces, and
+performance-envelope points. Runs are deterministic: all randomness flows from one seeded
 PCG64 generator per run, and repeated runs of the same scenario yield
 bit-identical traces.
 """
@@ -17,13 +17,8 @@ import numpy as np
 
 from . import fma
 from .errors import DegenerateConfigurationError, SimulationBlowUpError
-from .fma import DualActuatorModel, WeightingPolicy, _check_finite_floats
 from .force_control import (
-    DEFAULT_CONTACT_THRESHOLD,
-    DEFAULT_SETTLE_RATE,
     ContactPhase,
-    ContactSurface,
-    GainSet,
     _condition_axis,
     _force_axis,
     _penalty,
@@ -31,22 +26,8 @@ from .force_control import (
     contact_state_step,
     window_mean,
 )
-from .kinematics import SerialChainModel, _point_g, frame_floats, tool_height
-from .units import LBF_TO_N
-
-TRACE_COLUMNS = ("t", "q", "q_ref", "qd", "qd_ref", "qM1", "qM2", "v1", "v2", "tau_ext")
-
-# Default burr bands, (lo, hi, gain) with edges in rad: viscous gain over
-# two angle windows of the deburring sweep.
-DEFAULT_BURR_BANDS = ((1.0, 2.0, 5.0), (3.0, 4.0, 25.0))
-
-# Limits a scenario must keep, checked when it is built, before its runner
-# allocates or loops: the trace's bytes (rows x columns x 8), a filter
-# window's length in samples, and both the integration steps (ticks x
-# substeps) and the filter's reads (ticks x window).
-MAX_TRACE_BYTES = 2**30
-MAX_FILTER_WINDOW = 2**20
-MAX_STEPS = 10**8
+from .kinematics import _point_g, frame_floats, tool_height
+from .scenario import DEFAULT_BURR_BANDS, TRACE_COLUMNS, FmaScenario, ForceControlScenario
 
 # The largest joint step a force run may command in one control tick. A
 # resolved-rate step is a move along the Jacobian, which holds only near
@@ -62,33 +43,6 @@ MAX_JOINT_STEP = math.pi / 2.0
 # nonsense metrics. The built-in stays within 0.0142 rad, and its
 # envelope sweep at peak-speed multipliers up to 64 within 0.181 rad.
 MAX_TRACKING_ERROR = math.pi
-
-
-def _check_run_size(ticks: float, substeps: int, columns: int, window_key: str, window: int):
-    """Raise ValueError when a run of ``ticks`` control ticks would pass a limit above, or has no window."""
-    if not math.isfinite(ticks):
-        raise ValueError(f"the run would take {ticks} control ticks")
-    rows = round(ticks) + 1
-    size = rows * columns * 8
-    if size > MAX_TRACE_BYTES:
-        raise ValueError(
-            f"the trace would take {size:.3g} bytes ({rows} rows x {columns} columns x 8); "
-            f"the limit is {MAX_TRACE_BYTES} bytes"
-        )
-    if window < 1:
-        raise ValueError(f"{window_key} must be at least 1")
-    if window > MAX_FILTER_WINDOW:
-        raise ValueError(f"{window_key} = {window} samples; the limit is {MAX_FILTER_WINDOW}")
-    ticks = rows - 1
-    for work, what, per_tick in (
-        (ticks * substeps, "integration steps", f"{substeps} substeps"),
-        (ticks * window, "filter reads", f"{window} samples"),
-    ):
-        if work > MAX_STEPS:
-            raise ValueError(
-                f"the run would take {work:.3g} {what} ({ticks} ticks x {per_tick}); "
-                f"the limit is {MAX_STEPS:.0e}"
-            )
 
 
 def rk4_step(deriv, state, t: float, dt: float):
@@ -220,190 +174,6 @@ def burr_disturbance(q: float, qd: float, rng, bands=DEFAULT_BURR_BANDS, noise_s
     if noise_sigma > 0.0:
         tau += rng.normal(0.0, noise_sigma)
     return tau
-
-
-@dataclass(frozen=True)
-class BurrDisturbance:
-    """Banded viscous disturbance parameters; bands are (lo, hi, gain) in rad."""
-
-    bands: tuple = DEFAULT_BURR_BANDS
-    noise_sigma: float = 2.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.noise_sigma < math.inf:
-            raise ValueError("noise_sigma must be finite and nonnegative")
-        bands = tuple((float(lo), float(hi), float(g)) for lo, hi, g in self.bands)
-        if not all(math.isfinite(x) for band in bands for x in band):
-            raise ValueError("bands must be finite")
-        for lo, hi, _ in bands:
-            if hi <= lo:
-                raise ValueError("disturbance band must have hi > lo")
-        object.__setattr__(self, "bands", bands)
-
-
-@dataclass(frozen=True, eq=False)
-class FmaScenario:
-    """One dual-actuator run: plant, controller beliefs, reference, disturbance."""
-
-    plant: DualActuatorModel
-    controller_model: DualActuatorModel | None = None
-    weighting: WeightingPolicy | None = None
-    kp: float = 100.0
-    kv: float = 20.0
-    reference: str = "trapezoid"
-    duration: float = 10.0
-    omega_peak: float = 0.0  # 0: one sweep over the duration (peak_speed)
-    disturbance: BurrDisturbance | None = None
-    timestep: float = 1.0e-3
-    control_period: float = 1.0e-3
-    tau_filter_window: int = 16
-    seed: int = 0
-    q0: float = 0.0
-    qd0: float = 0.0
-    name: str = "fma"
-
-    def __post_init__(self):
-        _check_finite_floats(self)
-        if self.timestep <= 0.0:
-            raise ValueError(f"timestep must be positive, got {self.timestep}")
-        if self.duration <= 0.0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        if self.omega_peak < 0.0:
-            raise ValueError(f"omega_peak must be nonnegative, got {self.omega_peak}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.reference not in ("trapezoid", "rest"):
-            raise ValueError(f"unknown reference profile {self.reference!r}")
-        # The sweep's ramps last a quarter of the duration each; too short a
-        # duration makes 2π/duration, or the ramps' acceleration, overflow.
-        ramp = self.duration / 4.0
-        if self.reference == "trapezoid" and not (ramp > 0.0 and math.isfinite(self.peak_speed / ramp)):
-            raise ValueError(
-                f"duration = {self.duration} s is too short: a sweep at peak speed "
-                f"{self.peak_speed} rad/s overflows"
-            )
-        substeps = self.control_period / self.timestep
-        if not 1.0 - 1e-9 <= substeps < math.inf or abs(substeps - round(substeps)) > 1e-9 * substeps:
-            raise ValueError("control_period must be an integer multiple of timestep")
-        _check_run_size(
-            self.duration / self.control_period,
-            self.substeps,
-            len(TRACE_COLUMNS),
-            "tau_filter_window",
-            self.tau_filter_window,
-        )
-
-    @property
-    def substeps(self) -> int:
-        return round(self.control_period / self.timestep)
-
-    @property
-    def peak_speed(self) -> float:
-        return self.omega_peak or 2.0 * math.pi / self.duration
-
-
-@dataclass(frozen=True)
-class ForceControlScenario:
-    """One contact task: approach a surface, then regulate or track force.
-
-    The chain is driven in resolved-rate fashion (commanded joint motion
-    through the Jacobian inverse); the physical arm follows the commanded
-    joints through an optional first-order lag standing in for the inner
-    position servo. Forces are SI; the reference pushes along -Z.
-
-    The runner reads only the surface's effective stiffness. The plane's
-    point is set by ``start_height``, below the home tool point, whatever
-    the surface's ``point``; its normal must be +z and its damping zero.
-    """
-
-    chain: SerialChainModel
-    surface: ContactSurface
-    gains: GainSet
-    law: str = "force-pid"
-    control_rate: float = 15.0
-    approach_speed: float = 2.25e-3
-    start_height: float = 4.5e-3
-    force_target: float = 5.0 * LBF_TO_N
-    reference: str = "constant"
-    sine_amplitude: float = 3.0 * LBF_TO_N
-    sine_period: float = 50.0
-    duration: float = 10.0
-    deadband: float = 0.25 * LBF_TO_N
-    contact_threshold: float = DEFAULT_CONTACT_THRESHOLD
-    settle_rate: float = DEFAULT_SETTLE_RATE
-    filter_window: int = 16
-    arm_lag: float = 0.0
-    physics_timestep: float = 1.0e-3
-    home: tuple = (0.0, -0.6, 0.9, 0.0, 0.7, 0.0)
-    seed: int = 0
-    name: str = "force"
-
-    def __post_init__(self):
-        _check_finite_floats(self)
-        if self.law not in ("force-pid", "compliant"):
-            raise ValueError(f"unknown control law {self.law!r}")
-        if self.reference not in ("constant", "sine"):
-            raise ValueError(f"unknown force reference {self.reference!r}")
-        if self.control_rate <= 0.0:
-            raise ValueError(f"control_rate must be positive, got {self.control_rate}")
-        if self.duration <= 0.0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        period = 1.0 / self.control_rate
-        if self.physics_timestep <= 0.0 or self.physics_timestep > period + 1e-12:
-            raise ValueError("physics_timestep must be positive and within a control period")
-        if not max(period * period, period / self.physics_timestep) < math.inf:
-            raise ValueError(f"control_rate = {self.control_rate:g} Hz: its period squared or in steps overflows")
-        if self.reference == "sine" and self.sine_period <= 0.0:
-            raise ValueError("sine_period must be positive")
-        if self.deadband < 0.0:
-            raise ValueError(f"deadband must be nonnegative, got {self.deadband}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.approach_speed <= 0.0:
-            raise ValueError(f"approach_speed must be positive, got {self.approach_speed}")
-        if self.start_height < 0.0:
-            raise ValueError(f"start_height must be nonnegative, got {self.start_height}")
-        if self.arm_lag < 0.0:
-            raise ValueError("arm_lag must be nonnegative")
-        if self.surface.normal.tolist() != [0.0, 0.0, 1.0]:
-            raise ValueError(f"surface normal must be +z, got {self.surface.normal.tolist()}")
-        if self.surface.damping != 0.0:
-            raise ValueError(f"surface damping must be zero, got {self.surface.damping}")
-        if self.chain.dof != 6:
-            raise ValueError("resolved-rate drive needs a six-joint chain")
-        if len(self.home) != self.chain.dof:
-            raise ValueError("home configuration length must match the chain")
-        if not all(math.isfinite(x) for x in self.home):
-            raise ValueError("home configuration must be finite")
-        _check_run_size(
-            self.duration * self.control_rate,
-            self.substeps,
-            len(TRACE_COLUMNS) + 1,
-            "filter_window",
-            self.filter_window,
-        )
-        # Rules on what the runner derives. The sine's phase 2π·t/sine_period
-        # must be a float up to the last tick, and so must each rate-law gain
-        # of the PID law, kp/dt and ki/dt**2 with dt the control period.
-        n_ticks, dt = round(self.duration * self.control_rate), 1.0 / self.control_rate
-        if self.reference == "sine" and not math.isfinite(2.0 * math.pi * (n_ticks * dt) / self.sine_period):
-            raise ValueError(
-                f"sine_period = {self.sine_period} s is too short: the sine's phase "
-                f"2π·t/sine_period overflows within duration = {self.duration} s"
-            )
-        if self.law == "force-pid":
-            for name, scale, rate_gain in (("kp", dt, "kp/dt"), ("ki", dt**2, "ki/dt**2")):
-                for gain in getattr(self.gains, name).tolist():
-                    if not (scale > 0.0 and math.isfinite(gain / scale)):
-                        raise ValueError(
-                            f"{name} = {gain} m/N is too large: its rate-law gain {rate_gain} overflows "
-                            f"at control_rate = {self.control_rate} Hz"
-                        )
-        object.__setattr__(self, "home", tuple(float(x) for x in self.home))
-
-    @property
-    def substeps(self) -> int:
-        return max(1, round(1.0 / self.control_rate / self.physics_timestep))
 
 
 @dataclass(frozen=True, eq=False)

@@ -59,11 +59,13 @@ def parse_quantity(text: str, si: str | None = None) -> float:
     """Parse a config quantity like ``"25 lbf/in"`` or ``"164.5"`` to SI.
 
     A bare number is dimensionless. ``inf`` is accepted as a magnitude so
-    rigid stiffnesses can be written directly. Given ``si``, a unit must
-    convert to that SI unit; ``si=""`` takes a bare number only.
+    rigid stiffnesses can be written directly. The number is ASCII without
+    ``_``, which ``float`` would also read ("1_000", "٣", the full-width
+    "１"). Given ``si``, a unit must convert to that SI unit; ``si=""``
+    takes a bare number only.
     """
     parts = text.strip().split()
-    if not parts or len(parts) > 2:
+    if not parts or len(parts) > 2 or not parts[0].isascii() or "_" in parts[0]:
         raise UnitError(f"malformed quantity: {text!r}")
     try:
         value = float(parts[0])

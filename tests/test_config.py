@@ -17,7 +17,7 @@ from fmasim.config import (
 )
 from fmasim.errors import ConfigError
 from fmasim.force_control import contact_state_step
-from fmasim.simulation import BurrDisturbance, FmaScenario, ForceControlScenario
+from fmasim.scenario import BurrDisturbance, FmaScenario, ForceControlScenario
 
 MINIMAL_FMA = """
 [plant]
@@ -310,3 +310,52 @@ def test_kind_property_drives_schema():
     bad = MINIMAL_FORCE.replace("chain = powercube6", "chain = powercube6\nweighting = fma-paper")
     with pytest.raises(ConfigError, match="weighting"):
         parse_config(bad)
+
+
+# Values past every bound and parse rule: signs, subnormals, values near
+# and past the floats, non-numbers, wrong units, vectors, bands, and number
+# tokens that Python's float and int would also read.
+_BUILD_PATH_TOKENS = (
+    "0", "-0", "-1", "1", "1.5", "1e-300", "1e300", "4.9e-324", "1e-310", "1e-308", "1e-306", "1.7e308",
+    "nan", "inf", "-inf", "abc", "", "1 lbf", "1 s", "1 parsec", "1 2 3", "0 0.7 rad", "1:2:3", "1:2:3, 3:1:2",
+    "1_000", "٣", "１", "0x10",
+)
+
+
+def _set_key(text: str, section: str, key: str, value: str) -> str:
+    """The file text with ``key = value`` in [section], in place of the key's own line if it has one."""
+    out, current = [], None
+    for line in text.splitlines():
+        if line.startswith("["):
+            current = line[1:-1]
+        if current != section or line.partition("=")[0].strip() != key:
+            out.append(line)
+        if line == f"[{section}]":
+            out.append(f"{key} = {value}")
+    if f"[{section}]" not in out:
+        out += [f"[{section}]", f"{key} = {value}"]
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("name", builtin_scenario_names())
+@pytest.mark.filterwarnings("error")
+def test_every_key_of_a_builtin_builds_a_scenario_or_a_config_error(name):
+    # Every key of the built-in's schema, not only those its file lists, set
+    # to each token: parsing then building gives a scenario or a ConfigError,
+    # and a number key refuses a number that is not plain ASCII.
+    text = config._scenario_files()[name].read_text(encoding="utf-8")
+    schema = config._SCHEMAS[parse_config(text).kind]
+    faults = []
+    for section, keys in schema.items():
+        for key, spec in keys.items():
+            for token in _BUILD_PATH_TOKENS:
+                try:
+                    build_scenario(parse_config(_set_key(text, section, key, token)))
+                except ConfigError:
+                    pass
+                except Exception as exc:  # any other outcome is a fault
+                    faults.append(f"[{section}] {key} = {token!r}: {type(exc).__name__}: {exc}")
+                else:
+                    if spec.parse != "str" and token in ("1_000", "٣", "１"):
+                        faults.append(f"[{section}] {key} = {token!r}: read as a number")
+    assert not faults, "\n".join(faults)

@@ -326,3 +326,9 @@ def test_cli_import_does_not_load_dynamics():
     # plot writer, which only --svg uses.
     unused = ("fmasim.dynamics", "concurrent.futures.process", "fmasim.svg")
     _run_fresh(f"import fmasim.cli, sys; loaded = set({unused}) & set(sys.modules); assert not loaded, loaded")
+
+
+def test_config_import_loads_no_runner():
+    # The scenario classes live in fmasim.scenario, so reading and building
+    # a scenario needs no runner.
+    _run_fresh('import fmasim.config, sys; assert "fmasim.simulation" not in sys.modules')

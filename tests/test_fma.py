@@ -32,7 +32,7 @@ from fmasim.fma import (
     weighted_pseudo_inverse,
     weighting,
 )
-from fmasim.simulation import BurrDisturbance
+from fmasim.scenario import BurrDisturbance
 
 
 def test_star_gear_ratio_values():

@@ -77,11 +77,9 @@ from fmasim.kinematics import (
     h_function,
     tool_height,
 )
+from fmasim.scenario import TRACE_COLUMNS, BurrDisturbance, FmaScenario
 from fmasim.simulation import (
     _CSV_BLOCK_ROWS,
-    TRACE_COLUMNS,
-    BurrDisturbance,
-    FmaScenario,
     SimulationTrace,
     _rk4_reduced,
     burr_disturbance,

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 from collections import deque
@@ -15,12 +16,17 @@ from fmasim.fixtures import (
     fma_paper_weighting,
     powercube6,
 )
-from fmasim.fma import computed_torque_voltage, reduced_terms, stribeck_friction
+from fmasim.fma import (
+    DualActuatorModel,
+    PrimeMoverParams,
+    StarCompoundGeometry,
+    computed_torque_voltage,
+    reduced_terms,
+    stribeck_friction,
+)
 from fmasim.force_control import ContactSurface, GainSet, _condition_axis, _force_axis, _penalty, window_mean
+from fmasim.scenario import BurrDisturbance, FmaScenario, ForceControlScenario
 from fmasim.simulation import (
-    BurrDisturbance,
-    FmaScenario,
-    ForceControlScenario,
     Metrics,
     SimulationTrace,
     burr_disturbance,
@@ -287,6 +293,19 @@ def test_scenario_float_fields_must_be_finite(cls, name, value):
         replace(scenario, **{name: value})
 
 
+# The built-in that holds an instance of each class with rules, and the
+# path to it there. The force scenario tracks a sine, so that sine_period
+# has its rule.
+RULED = {
+    FmaScenario: ("fma-paper-deburr",),
+    ForceControlScenario: ("force-sine-tracking",),
+    BurrDisturbance: ("fma-paper-deburr", "disturbance"),
+    DualActuatorModel: ("fma-paper-deburr", "plant"),
+    PrimeMoverParams: ("fma-paper-deburr", "plant", "motion_pm"),
+    StarCompoundGeometry: ("fma-paper-deburr", "plant", "geometry"),
+}
+
+
 @pytest.mark.parametrize(
     "cls, name, value, rule",
     [
@@ -294,21 +313,34 @@ def test_scenario_float_fields_must_be_finite(cls, name, value):
         (FmaScenario, "duration", -1.0, "positive"),
         (FmaScenario, "omega_peak", -0.5, "nonnegative"),
         (FmaScenario, "seed", -1, "nonnegative"),
+        (FmaScenario, "reference", "cubic", "one of ['trapezoid', 'rest']"),
+        (FmaScenario, "tau_filter_window", 0, "positive"),
         (ForceControlScenario, "control_rate", 0.0, "positive"),
         (ForceControlScenario, "duration", 0.0, "positive"),
         (ForceControlScenario, "deadband", -1.0, "nonnegative"),
         (ForceControlScenario, "seed", -3, "nonnegative"),
         (ForceControlScenario, "approach_speed", -1e-3, "positive"),
         (ForceControlScenario, "start_height", -0.01, "nonnegative"),
+        (ForceControlScenario, "arm_lag", -2.0, "nonnegative"),
+        (ForceControlScenario, "sine_period", 0.0, "positive"),
+        (ForceControlScenario, "law", "impedance", "one of ['force-pid', 'compliant']"),
+        (BurrDisturbance, "noise_sigma", -1.0, "nonnegative"),
+        (StarCompoundGeometry, "r9", -1.0, "positive"),
+        (PrimeMoverParams, "rotor_inertia", 0.0, "positive"),
+        (PrimeMoverParams, "damping", -1e-6, "nonnegative"),
+        (DualActuatorModel, "link_mass", 0.0, "positive"),
+        (DualActuatorModel, "tool_mass", -0.5, "nonnegative"),
     ],
     ids=lambda x: getattr(x, "__name__", x),
 )
 def test_scenario_sign_checks_name_the_one_refused_field(cls, name, value, rule):
     # Each field is checked on its own, so a valid neighbour is never blamed.
-    scenario = build_scenario(load_scenario(BUILT_IN[cls]))
+    builtin, *path = RULED[cls]
+    owner = functools.reduce(getattr, path, build_scenario(load_scenario(builtin)))
+    assert isinstance(owner, cls)
     with pytest.raises(ValueError) as refused:
-        replace(scenario, **{name: value})
-    assert str(refused.value) == f"{name} must be {rule}, got {value}"
+        replace(owner, **{name: value})
+    assert str(refused.value) == f"{name} must be {rule}, got {value!r}"
 
 
 def test_force_scenario_validation():

@@ -52,7 +52,7 @@ def test_si_units_are_identity():
 
 
 def test_malformed_quantities():
-    for text in ("", "  ", "5 lbf extra", "abc", "5 parsec", "five lbf"):
+    for text in ("", "  ", "5 lbf extra", "abc", "5 parsec", "five lbf", "1_000", "٣ s", "１"):
         with pytest.raises(UnitError):
             parse_quantity(text)
 
