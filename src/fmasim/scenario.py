@@ -178,9 +178,16 @@ class ForceControlScenario:
         _check_fields(self)
         period = 1.0 / self.control_rate
         if self.physics_timestep <= 0.0 or self.physics_timestep > period + 1e-12:
-            raise ValueError("physics_timestep must be positive and within a control period")
-        if not max(period * period, period / self.physics_timestep) < math.inf:
+            raise ValueError(
+                f"physics_timestep must be positive and within a control period, got {self.physics_timestep!r}"
+            )
+        if not period * period < math.inf:
             raise ValueError(f"control_rate = {self.control_rate:g} Hz: its period squared or in steps overflows")
+        if not period / self.physics_timestep < math.inf:
+            raise ValueError(
+                f"physics_timestep = {self.physics_timestep} s is too small: "
+                f"the control period in steps overflows at control_rate = {self.control_rate:g} Hz"
+            )
         if self.reference == "sine" and self.sine_period <= 0.0:
             raise ValueError(f"sine_period must be positive, got {self.sine_period}")
         if self.surface.normal.tolist() != [0.0, 0.0, 1.0]:

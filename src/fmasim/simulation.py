@@ -10,6 +10,7 @@ bit-identical traces.
 from __future__ import annotations
 
 import math
+import struct
 from collections import deque
 from dataclasses import dataclass, fields
 
@@ -196,9 +197,13 @@ class SimulationTrace:
         if data.ndim != 2 or data.shape[1] != len(self.columns):
             raise ValueError("data shape does not match columns")
         t = data[:, 0]
+        finite = np.isfinite(t)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ValueError(f"time must be finite, got {t[row].item()} in row {row}")
         if data.shape[0] >= 2:
             dt = np.diff(t)
-            if np.any(dt <= 0.0):
+            if not np.all(dt > 0.0):
                 raise ValueError("time must be strictly increasing")
             if np.max(np.abs(dt - dt[0])) > 1e-9 * max(1.0, abs(dt[0])):
                 raise ValueError("sample interval must be constant")
@@ -238,10 +243,10 @@ def run_fma_scenario(scenario: FmaScenario) -> SimulationTrace:
     ctrl = scenario.controller_model if scenario.controller_model is not None else plant
     policy = scenario.weighting
 
-    # Terms per weight, indexed by whether the disturbed weight is active.
+    # The (plant, controller) terms per weight, indexed by whether the
+    # disturbed weight is active.
     weights = (policy.quiet, policy.disturbed) if policy else (None,)
-    plant_terms = [fma.reduced_terms(plant, w) for w in weights]
-    ctrl_terms = [fma.reduced_terms(ctrl, w) for w in weights]
+    terms = [(fma.reduced_terms(plant, w), fma.reduced_terms(ctrl, w)) for w in weights]
 
     tau_history = deque([0.0] * scenario.tau_filter_window, maxlen=scenario.tau_filter_window)
 
@@ -265,48 +270,62 @@ def run_fma_scenario(scenario: FmaScenario) -> SimulationTrace:
     burr = scenario.disturbance
     noise = None
     if burr is not None and burr.noise_sigma > 0.0:
-        noise = np.random.default_rng(scenario.seed).normal(0.0, burr.noise_sigma, n_ticks + 1)
+        noise = memoryview(np.random.default_rng(scenario.seed).normal(0.0, burr.noise_sigma, n_ticks + 1))
 
     # What depends on the state, a row per tick: q, qd, v1, v2, tau_ext,
     # the output torque, the filtered disturbance and the disturbed flag.
+    # Each row is one packed write of 8 native doubles, the bytes a numpy
+    # row assignment stores; the reference and the noise are read through
+    # memoryviews, which give Python floats without a list per column.
     states = np.empty((n_ticks + 1, 8))
+    store_row, state_bytes = struct.Struct("8d").pack_into, memoryview(states).cast("B")
+
+    # What the run holds fixed, bound once.
+    kp, kv = scenario.kp, scenario.kv
+    bands = None if burr is None else burr.bands
+    friction, weight_of, sin = fma.stribeck_friction, fma.weighting, math.sin
 
     q, qd = scenario.q0, scenario.qd0
-    for k in range(n_ticks + 1):
+    reference = zip(memoryview(q_refs), memoryview(qd_refs), memoryview(qdd_refs))
+    for k, (q_ref, qd_ref, qdd_ref) in enumerate(reference):
         t = k * tick
-        if not (math.isfinite(q) and math.isfinite(qd)) or abs(q) > 1e9 or abs(qd) > 1e9:
+        # A NaN state fails the comparisons too.
+        if not (-1e9 <= q <= 1e9 and -1e9 <= qd <= 1e9):
             raise SimulationBlowUpError(f"{scenario.name}: state diverged at t={t:.4f} s")
 
-        tau_ext = 0.0 if burr is None else _banded_drag(q, qd, burr.bands)
+        tau_ext = 0.0 if bands is None else _banded_drag(q, qd, bands)
         if noise is not None:
-            tau_ext += noise.item(k)
+            tau_ext += noise[k]
         tau_history.append(tau_ext)
         filt = window_mean(tau_history)
-        disturbed = policy is not None and fma.weighting(policy, filt) is policy.disturbed
-        pt, ct = plant_terms[disturbed], ctrl_terms[disturbed]
+        disturbed = policy is not None and weight_of(policy, filt) is policy.disturbed
+        pt, ct = terms[disturbed]
 
-        q_ref, qd_ref, qdd_ref = q_refs.item(k), qd_refs.item(k), qdd_refs.item(k)
         error = abs(q - q_ref)
         if error > MAX_TRACKING_ERROR:
             raise SimulationBlowUpError(
                 f"{scenario.name}: tracking error of {error:.3g} rad at t={t:.4f} s "
                 f"passes the bound of {MAX_TRACKING_ERROR:.4g} rad"
             )
-        sin_q, fric = math.sin(q), fma.stribeck_friction(qd)
-        v = ct.voltages(q, qd, sin_q, fric, q_ref, qd_ref, qdd_ref, scenario.kp, scenario.kv)
+        sin_q, fric = sin(q), friction(qd)
+        v = ct.voltages(q, qd, sin_q, fric, q_ref, qd_ref, qdd_ref, kp, kv)
         drive = pt.drive(v)
         qdd_now = pt.acceleration(qd, sin_q, fric, drive, tau_ext)
-        states[k] = (q, qd, *v, tau_ext, pt.output_torque(sin_q, fric, qdd_now, tau_ext), filt, disturbed)
+        tau_out = pt.output_torque(sin_q, fric, qdd_now, tau_ext)
+        store_row(state_bytes, 64 * k, q, qd, *v, tau_ext, tau_out, filt, disturbed)
 
         if k == n_ticks:
             break
-        for s in range(substeps):
-            q, qd = _rk4_reduced(pt, drive, tau_ext, q, qd, t + s * dt, dt, None if s else qdd_now)
+        # The first substep starts from the tick's state, whose
+        # acceleration is its first RK4 stage.
+        q, qd = _rk4_reduced(pt, drive, tau_ext, q, qd, t, dt, qdd_now)
+        for s in range(1, substeps):
+            q, qd = _rk4_reduced(pt, drive, tau_ext, q, qd, t + s * dt, dt)
 
     q, qd, v1, v2, tau_ext, tau_out, tau_filtered, disturbed = states.T
     disturbed = disturbed != 0.0
     # qM1 and qM2 are the active weight's g+ times qd, elementwise.
-    g_plus = np.array([pt.g_plus for pt in plant_terms])[disturbed.astype(int)]
+    g_plus = np.array([pt.g_plus for pt, _ in terms])[disturbed.astype(int)]
     rows = np.column_stack((times, q, q_refs, qd, qd_refs, g_plus[:, 0] * qd, g_plus[:, 1] * qd, v1, v2, tau_ext))
     aux = {"tau_out": tau_out.copy(), "tau_filtered": tau_filtered.copy(), "disturbed": disturbed}
     return SimulationTrace(TRACE_COLUMNS, rows, scenario, aux)
@@ -498,7 +517,7 @@ class Metrics:
 
     def __post_init__(self):
         if self.pvke_percent is not None:
-            if abs(sum(self.pvke_percent) - 100.0) > 1e-9:
+            if not abs(sum(self.pvke_percent) - 100.0) <= 1e-9:
                 raise ValueError("kinetic-energy partition must sum to 100%")
 
 

@@ -251,7 +251,7 @@ def test_unit_of_the_wrong_dimension_exits_2_naming_the_key(
                 "seed = 0\nphysics_timestep = 1e-200 s",
             ),
             [],
-            "control_rate = 1e-150 Hz: its period squared or in steps overflows",
+            "physics_timestep = 1e-200 s is too small: the control period in steps overflows at control_rate = 1e-150 Hz",
         ),
         (
             "fma-paper-deburr",
@@ -624,30 +624,46 @@ def test_near_singular_wrist_runs_as_the_built_in(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "controller, run, failure",
+    "controller, run, initial, failure",
     [
         # A stiff servo: the error passes half a turn a tick before the state overflows.
-        ("kp = 1e9\nkv = 1e6\n", "", "tracking error of 3.46e+03 rad at t=0.0040 s passes the bound of 3.142 rad"),
+        ("kp = 1e9\nkv = 1e6\n", "", "", "tracking error of 3.46e+03 rad at t=0.0040 s passes the bound of 3.142 rad"),
         # twenty RK4 substeps per control tick
         (
             "kp = 1e9\nkv = 1e6\n",
             "timestep = 0.02 s\ncontrol_period = 1 s\n",
+            "",
             "tracking error of 5.17e+06 rad at t=2.0000 s passes the bound of 3.142 rad",
         ),
         # The built-in gains with voltages held past the sampled loop's edge, 2/kv = 33 ms.
-        ("", "timestep = 40 ms\ncontrol_period = 40 ms\n", "tracking error of 3.32 rad at t=4.0000 s passes the bound of 3.142 rad"),
-        ("", "timestep = 1 ms\ncontrol_period = 40 ms\n", "tracking error of 3.54 rad at t=4.0000 s passes the bound of 3.142 rad"),
+        ("", "timestep = 40 ms\ncontrol_period = 40 ms\n", "", "tracking error of 3.32 rad at t=4.0000 s passes the bound of 3.142 rad"),
+        ("", "timestep = 1 ms\ncontrol_period = 40 ms\n", "", "tracking error of 3.54 rad at t=4.0000 s passes the bound of 3.142 rad"),
         # A speed past 1e9 rad/s with the error still inside the bound.
-        ("", "", "state diverged at t=0.0000 s"),
+        ("", "", "qd0 = 1e10 rad/s\n", "state diverged at t=0.0000 s"),
+        # The state guard's edge: |q| and |qd| up to 1e9 pass it, and the
+        # next float past 1e9, of either sign, stops the run at once.
+        ("", "", "qd0 = 1e9 rad/s\n", "tracking error of 9.72e+05 rad at t=0.0010 s passes the bound of 3.142 rad"),
+        ("", "", "qd0 = 1000000000.0000001 rad/s\n", "state diverged at t=0.0000 s"),
+        ("", "", "qd0 = -1000000000.0000001 rad/s\n", "state diverged at t=0.0000 s"),
+        ("", "", "q0 = 1000000000.0000001 rad\n", "state diverged at t=0.0000 s"),
     ],
-    ids=["stiff", "stiff-substeps", "held-40ms", "held-40ms-substeps", "overspeed"],
+    ids=[
+        "stiff",
+        "stiff-substeps",
+        "held-40ms",
+        "held-40ms-substeps",
+        "overspeed",
+        "qd0-at-bound",
+        "qd0-past-bound",
+        "qd0-past-negative-bound",
+        "q0-past-bound",
+    ],
 )
-def test_fma_divergence_exits_3(controller, run, failure, tmp_path, capsys):
+def test_fma_divergence_exits_3(controller, run, initial, failure, tmp_path, capsys):
     text = resources.files("fmasim").joinpath("scenarios", "fma-paper-deburr.ini").read_text()
     if controller:
         text = text.replace("kp = 900\nkv = 60\n", controller, 1)
-    if failure.startswith("state"):
-        text = text.replace("[reference]\n", "[reference]\nqd0 = 1e10 rad/s\n", 1)
+    text = text.replace("[reference]\n", "[reference]\n" + initial, 1)
     text = text.replace("[run]\n", "[run]\n" + run, 1)
     path = tmp_path / "diverging.ini"
     path.write_text(text)
@@ -687,8 +703,37 @@ def test_fma_divergence_exits_3(controller, run, failure, tmp_path, capsys):
             "duration = 10 s\nomega_peak = 1.7e308 rad/s",
             "omega_peak = 1.7e+308 rad/s is too large: the sweep's end position ",
         ),
+        (
+            "force-regulation",
+            "seed = 0",
+            "seed = 0\nphysics_timestep = 4.9e-324 s",
+            "physics_timestep = 5e-324 s is too small: the control period in steps overflows at control_rate = 15 Hz",
+        ),
+        (
+            "force-regulation",
+            "seed = 0",
+            "seed = 0\nphysics_timestep = 1e-310 s",
+            "physics_timestep = 1e-310 s is too small: the control period in steps overflows at control_rate = 15 Hz",
+        ),
+        (
+            "force-regulation",
+            "control_rate = 15 Hz",
+            "control_rate = 1e-160 Hz",
+            "control_rate = 1e-160 Hz: its period squared or in steps overflows",
+        ),
     ],
-    ids=["duration", "duration-with-omega_peak", "sine_period-subnormal", "sine_period", "ki", "kp", "omega_peak"],
+    ids=[
+        "duration",
+        "duration-with-omega_peak",
+        "sine_period-subnormal",
+        "sine_period",
+        "ki",
+        "kp",
+        "omega_peak",
+        "physics_timestep-subnormal",
+        "physics_timestep",
+        "control_rate",
+    ],
 )
 @pytest.mark.filterwarnings("error")
 def test_overflowing_key_exits_2_in_one_line(name, old, new, message, tmp_path, monkeypatch, capsys):

@@ -451,6 +451,32 @@ def test_simulation_trace_validation():
         trace.column("missing")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "times, row",
+    [
+        ([math.nan, 0.1, 0.2], 0),
+        ([0.0, math.nan, 0.2], 1),
+        ([0.0, 0.1, math.nan], 2),
+        ([0.0, 0.1, math.inf], 2),
+        ([-math.inf, 0.1, 0.2], 0),
+        ([math.nan], 0),
+        ([math.inf], 0),
+    ],
+    ids=["nan-first", "nan-middle", "nan-last", "inf", "-inf", "nan-one-row", "inf-one-row"],
+)
+def test_simulation_trace_refuses_non_finite_times(times, row):
+    data = np.column_stack((times, np.arange(len(times), dtype=float)))
+    with pytest.raises(ValueError, match=rf"^time must be finite, got {times[row]} in row {row}$"):
+        SimulationTrace(("t", "x"), data, None, {})
+
+
+@pytest.mark.parametrize("partition", [(math.nan, math.nan), (math.nan, 100.0), (math.inf, -math.inf)])
+def test_metrics_refuses_a_partition_off_100_percent(partition):
+    with pytest.raises(ValueError, match="^kinetic-energy partition must sum to 100%$"):
+        Metrics(kind="fma", pvke_percent=partition)
+
+
 def test_metrics_validation_and_dispatch():
     with pytest.raises(ValueError):
         Metrics(kind="fma", pvke_percent=(50.0, 60.0))
