@@ -33,7 +33,6 @@ from pathlib import Path
 
 from . import fixtures
 from .errors import ConfigError
-from .force_control import GainSet
 from .scenario import BurrDisturbance, FmaScenario, ForceControlScenario
 from .units import UnitError, parse_quantity
 
@@ -118,9 +117,9 @@ _FORCE_KEYS = {
     },
     "controller": {
         "law": _Key("str", to="law", default=_REQUIRED),
-        "kp": _Key("quantity", unit="m/N"),
-        "kv": _Key("quantity", default=0.0, unit="m/N"),
-        "ki": _Key("quantity", default=0.0, unit="m/N"),
+        "kp": _Key("quantity", unit="m/N", to="kp", default=_REQUIRED),
+        "kv": _Key("quantity", unit="m/N", to="kv"),
+        "ki": _Key("quantity", unit="m/N", to="ki"),
         "control_rate": _Key("quantity", unit="Hz", to="control_rate"),
         "deadband": _Key("quantity", unit="N", to="deadband"),
         "contact_threshold": _Key("quantity", unit="N", to="contact_threshold"),
@@ -350,11 +349,9 @@ def _build_fma(cfg: ScenarioConfig) -> FmaScenario:
 
 
 def _build_force(cfg: ScenarioConfig) -> ForceControlScenario:
-    ctl = cfg.controller
     return ForceControlScenario(
         chain=fixtures.chain_fixture(cfg.plant["chain"]),
         surface=fixtures.surface_fixture(cfg.plant["surface"]),
-        gains=GainSet(**{k: (0.0, 0.0, ctl[k], 0.0, 0.0, 0.0) for k in ("kp", "kv", "ki")}),
         reference=cfg.reference["profile"].removesuffix("-force"),
         **_copies(cfg, *_SECTIONS),
     )

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .fma import DualActuatorModel, WeightingPolicy, _check_fields
-from .force_control import DEFAULT_CONTACT_THRESHOLD, DEFAULT_SETTLE_RATE, ContactSurface, GainSet
+from .force_control import DEFAULT_CONTACT_THRESHOLD, DEFAULT_SETTLE_RATE, ContactSurface
 from .units import LBF_TO_N
 
 if TYPE_CHECKING:
@@ -143,11 +143,14 @@ class ForceControlScenario:
     The runner reads only the surface's effective stiffness. The plane's
     point is set by ``start_height``, below the home tool point, whatever
     the surface's ``point``; its normal must be +z and its damping zero.
+    ``kp``, ``kv`` and ``ki`` are the force law's gains along that normal, in m/N.
     """
 
     chain: SerialChainModel
     surface: ContactSurface
-    gains: GainSet
+    kp: float
+    kv: float = 0.0
+    ki: float = 0.0
     law: str = "force-pid"
     control_rate: float = 15.0
     approach_speed: float = 2.25e-3
@@ -171,7 +174,7 @@ class ForceControlScenario:
         "law": ("force-pid", "compliant"), "reference": ("constant", "sine"),
         "control_rate": "positive", "duration": "positive", "deadband": "nonnegative", "seed": "nonnegative",
         "approach_speed": "positive", "start_height": "nonnegative", "arm_lag": "nonnegative",
-        "filter_window": "positive",
+        "filter_window": "positive", "kp": "nonnegative", "kv": "nonnegative", "ki": "nonnegative",
     }
 
     def __post_init__(self):
@@ -211,13 +214,15 @@ class ForceControlScenario:
                 f"2π·t/sine_period overflows within duration = {self.duration} s"
             )
         if self.law == "force-pid":
-            for name, scale, rate_gain in (("kp", dt, "kp/dt"), ("ki", dt**2, "ki/dt**2")):
-                for gain in getattr(self.gains, name).tolist():
-                    if not (scale > 0.0 and math.isfinite(gain / scale)):
-                        raise ValueError(
-                            f"{name} = {gain} m/N is too large: its rate-law gain {rate_gain} overflows "
-                            f"at control_rate = {self.control_rate} Hz"
-                        )
+            for name, gain, scale, rate_gain in (("kp", self.kp, dt, "kp/dt"), ("ki", self.ki, dt**2, "ki/dt**2")):
+                if not (scale > 0.0 and math.isfinite(gain / scale)):
+                    raise ValueError(
+                        f"{name} = {gain} m/N is too large: its rate-law gain {rate_gain} overflows "
+                        f"at control_rate = {self.control_rate} Hz"
+                    )
+        elif self.kv or self.ki:  # the compliant law reads kp alone
+            name = "kv" if self.kv else "ki"
+            raise ValueError(f"{name} must be 0 under law = compliant, got {getattr(self, name)!r}")
         object.__setattr__(self, "home", tuple(float(x) for x in self.home))
 
     @property

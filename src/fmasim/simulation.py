@@ -202,9 +202,12 @@ class SimulationTrace:
             row = int(np.argmin(finite))
             raise ValueError(f"time must be finite, got {t[row].item()} in row {row}")
         if data.shape[0] >= 2:
-            dt = np.diff(t)
+            with np.errstate(over="ignore"):
+                dt = np.diff(t)
             if not np.all(dt > 0.0):
                 raise ValueError("time must be strictly increasing")
+            if not np.isfinite(dt).all():
+                raise ValueError(f"sample interval must be finite, got {dt.max().item()}")
             if np.max(np.abs(dt - dt[0])) > 1e-9 * max(1.0, abs(dt[0])):
                 raise ValueError("sample interval must be constant")
         data = data.copy()
@@ -381,17 +384,16 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
         for s in range(max(1, substeps - scenario.filter_window + 1), substeps + 1)
     ]
 
-    # The force laws act on the normal force only: their error vectors are
-    # along z, and the gains are nonnegative and finite, so every other
-    # axis of the law's right-hand side is +0.0. The runner forms the z
-    # axis alone through the laws' float core.
-    gains = scenario.gains
+    # The force laws act on the normal force only, so the scenario holds
+    # one gain of each kind, along the normal (+z), and the runner forms
+    # that axis alone through the laws' float core. The library laws with
+    # these gains on z and zero gains off it give +0.0 on every other axis.
     if scenario.law == "force-pid":
         # Per-period gains mapped onto the rate law: theta_dot * dt gives
         # kp*e + kv*de + ki*sum(e) meters of motion per tick.
-        kp_z, kv_z, ki_z = gains.kp.item(2) / dt, gains.kv.item(2), gains.ki.item(2) / dt**2
+        kp_z, kv_z, ki_z = scenario.kp / dt, scenario.kv, scenario.ki / dt**2
     else:
-        kp_z = gains.kp.item(2)
+        kp_z = scenario.kp
 
     def along_z(value):  # a task vector; the law acts on the normal force only
         return np.array((0.0, 0.0, value, 0.0, 0.0, 0.0))

@@ -259,11 +259,24 @@ def test_unit_of_the_wrong_dimension_exits_2_naming_the_key(
             [],
             "control_period must be an integer multiple of timestep",
         ),
+        (
+            "compliant-kp03",
+            ("kp = 0.03 mm/lbf", "kp = 0.03 mm/lbf\nkv = 5 m/N"),
+            [],
+            "kv must be 0 under law = compliant, got 5.0",
+        ),
+        (
+            "compliant-kp03",
+            ("kp = 0.03 mm/lbf", "kp = 0.03 mm/lbf\nki = 5 m/N"),
+            [],
+            "ki must be 0 under law = compliant, got 5.0",
+        ),
     ],
 )
 def test_out_of_range_scenario_exits_2_when_built(tmp_path, monkeypatch, capsys, name, edits, args, rule):
     # Each rule is the scenario's, checked when it is built. Without it the
-    # runner fails inside its loop, or the build divides by 0 or rounds inf.
+    # runner fails inside its loop, the build divides by 0 or rounds inf, or
+    # the compliant law ignores a gain it does not read.
     def unreachable(scenario):
         raise AssertionError("an out-of-range scenario reached its runner")
 

@@ -18,6 +18,7 @@ from fmasim.config import (
 from fmasim.errors import ConfigError
 from fmasim.force_control import contact_state_step
 from fmasim.scenario import BurrDisturbance, FmaScenario, ForceControlScenario
+from fmasim.units import MM_PER_LBF_TO_M_PER_N
 
 MINIMAL_FMA = """
 [plant]
@@ -81,7 +82,7 @@ def test_contact_defaults_are_the_law_defaults():
     # and each key sets the field of its own name (or its one rename).
     set_by_minimal = {
         MINIMAL_FMA: {"plant", "reference", "duration"},
-        MINIMAL_FORCE: {"chain", "surface", "gains", "law", "reference", "duration"},
+        MINIMAL_FORCE: {"chain", "surface", "kp", "law", "reference", "duration"},
     }
     for text, given in set_by_minimal.items():
         scenario = build_scenario(parse_config(text))
@@ -100,6 +101,8 @@ def test_contact_defaults_are_the_law_defaults():
         for specs in schema.values():
             for key, spec in specs.items():
                 assert spec.to in ("", renamed.get(key, key)), key
+                # A number sets a field as is; only a name is looked up or renamed.
+                assert spec.to or spec.parse == "str", key
 
 
 def test_unknown_section_is_named():
@@ -243,7 +246,7 @@ def test_build_force_scenario():
     assert isinstance(scenario, ForceControlScenario)
     assert scenario.control_rate == 15.0
     assert scenario.force_target == pytest.approx(5.0 * 4.4482216)
-    assert np.count_nonzero(scenario.gains.kp) == 1
+    assert scenario.kp == pytest.approx(0.1 * MM_PER_LBF_TO_M_PER_N)
 
 
 def test_build_unknown_fixture_is_config_error():
@@ -254,10 +257,10 @@ def test_build_unknown_fixture_is_config_error():
 
 def test_key_error_while_building_propagates(monkeypatch):
     # Fixture lookups raise ConfigError themselves; any KeyError is a bug.
-    def broken(**gains):
+    def broken(name):
         raise KeyError("bug")
 
-    monkeypatch.setattr(config, "GainSet", broken)
+    monkeypatch.setattr(config.fixtures, "surface_fixture", broken)
     with pytest.raises(KeyError, match="bug"):
         build_scenario(load_scenario("force-regulation"))
 

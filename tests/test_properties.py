@@ -1025,6 +1025,8 @@ def config_texts(draw):
             else:
                 if key == "omega_peak":
                     number = st.just(0.0) | number  # 0: one sweep over the duration
+                elif key in ("kv", "ki") and "law = compliant" in lines:
+                    number = number.map(lambda _: 0.0)  # the compliant law reads kp alone
                 elif key == "control_period":
                     step = numbers["timestep"]
                     number = st.integers(1, 4).map(lambda k: k * step)

@@ -24,7 +24,7 @@ from fmasim.fma import (
     reduced_terms,
     stribeck_friction,
 )
-from fmasim.force_control import ContactSurface, GainSet, _condition_axis, _force_axis, _penalty, window_mean
+from fmasim.force_control import ContactSurface, _condition_axis, _force_axis, _penalty, window_mean
 from fmasim.scenario import BurrDisturbance, FmaScenario, ForceControlScenario
 from fmasim.simulation import (
     Metrics,
@@ -324,6 +324,9 @@ RULED = {
         (ForceControlScenario, "arm_lag", -2.0, "nonnegative"),
         (ForceControlScenario, "sine_period", 0.0, "positive"),
         (ForceControlScenario, "law", "impedance", "one of ['force-pid', 'compliant']"),
+        (ForceControlScenario, "kp", -1e-5, "nonnegative"),
+        (ForceControlScenario, "kv", -1.0, "nonnegative"),
+        (ForceControlScenario, "ki", -0.5, "nonnegative"),
         (BurrDisturbance, "noise_sigma", -1.0, "nonnegative"),
         (StarCompoundGeometry, "r9", -1.0, "positive"),
         (PrimeMoverParams, "rotor_inertia", 0.0, "positive"),
@@ -343,20 +346,29 @@ def test_scenario_sign_checks_name_the_one_refused_field(cls, name, value, rule)
     assert str(refused.value) == f"{name} must be {rule}, got {value!r}"
 
 
+def test_force_pid_overflow_names_the_configured_gain():
+    # dt**2 underflows to 0 at this rate, so ki/dt**2 cannot be formed; the
+    # message names the scenario's own ki.
+    scenario = build_scenario(load_scenario("force-regulation"))
+    with pytest.raises(ValueError) as refused:
+        replace(scenario, control_rate=1e170, physics_timestep=1e-171, duration=1e-170)
+    assert str(refused.value).startswith("ki = 2.248089438709618e-06 m/N is too large: ")
+
+
 def test_force_scenario_validation():
     chain = powercube6()
     surface = compliant_scale_surface()
-    gains = GainSet(kp=np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]) * MM_PER_LBF_TO_M_PER_N)
+    kp = MM_PER_LBF_TO_M_PER_N
     with pytest.raises(ValueError):
-        ForceControlScenario(chain, surface, gains, law="impedance")
+        ForceControlScenario(chain, surface, kp, law="impedance")
     with pytest.raises(ValueError):
-        ForceControlScenario(chain, surface, gains, reference="square")
+        ForceControlScenario(chain, surface, kp, reference="square")
     with pytest.raises(ValueError):
-        ForceControlScenario(chain, surface, gains, home=(0.0, 0.0))
+        ForceControlScenario(chain, surface, kp, home=(0.0, 0.0))
     with pytest.raises(ValueError, match="home configuration must be finite"):
-        ForceControlScenario(chain, surface, gains, home=(0.0, math.nan, 0.9, 0.0, 0.7, 0.0))
+        ForceControlScenario(chain, surface, kp, home=(0.0, math.nan, 0.9, 0.0, 0.7, 0.0))
     with pytest.raises(ValueError):
-        ForceControlScenario(chain, surface, gains, physics_timestep=1.0)
+        ForceControlScenario(chain, surface, kp, physics_timestep=1.0)
 
 
 @pytest.mark.parametrize(
@@ -471,6 +483,16 @@ def test_simulation_trace_refuses_non_finite_times(times, row):
         SimulationTrace(("t", "x"), data, None, {})
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("times", [[-1.7e308, 1.7e308], [-1.7e308, 1.7e308, 1.71e308]], ids=["2-rows", "3-rows"])
+def test_simulation_trace_refuses_an_interval_that_overflows(times):
+    # Finite times whose difference is past the floats; in the 3-row case
+    # the intervals inf and 1e306 would read as constant, inf - inf being nan.
+    data = np.column_stack((times, np.zeros(len(times))))
+    with pytest.raises(ValueError, match="^sample interval must be finite, got inf$"):
+        SimulationTrace(("t", "x"), data, None, {})
+
+
 @pytest.mark.parametrize("partition", [(math.nan, math.nan), (math.nan, 100.0), (math.inf, -math.inf)])
 def test_metrics_refuses_a_partition_off_100_percent(partition):
     with pytest.raises(ValueError, match="^kinetic-energy partition must sum to 100%$"):
@@ -506,11 +528,9 @@ def test_force_run_reaches_contact():
     scenario = ForceControlScenario(
         chain=powercube6(),
         surface=compliant_scale_surface(),
-        gains=GainSet(
-            kp=np.array([0.0, 0.0, 0.1, 0.0, 0.0, 0.0]) * MM_PER_LBF_TO_M_PER_N,
-            kv=np.array([0.0, 0.0, 0.1, 0.0, 0.0, 0.0]) * MM_PER_LBF_TO_M_PER_N,
-            ki=np.array([0.0, 0.0, 0.01, 0.0, 0.0, 0.0]) * MM_PER_LBF_TO_M_PER_N,
-        ),
+        kp=0.1 * MM_PER_LBF_TO_M_PER_N,
+        kv=0.1 * MM_PER_LBF_TO_M_PER_N,
+        ki=0.01 * MM_PER_LBF_TO_M_PER_N,
         duration=12.0,
         name="contact-smoke",
     )
