@@ -14,7 +14,9 @@ task acceleration is ``G @ qdd + qd . H . qd``.
 
 G and H of every target come from one pair of float kernels on
 ``frame_floats``'s lists, each cross product in ``np.cross``'s order of
-operations. Only a COM target's point, ``o + R @ c``, is a BLAS product.
+operations. The G kernel gives G's columns, six floats a joint, and the
+H kernel reads them. Only a COM target's point, ``o + R @ c``, is a BLAS
+product.
 ``tool_height`` is ``frame_floats`` cut to the last origin's z, with the
 same bits, for a caller that reads nothing else.
 """
@@ -242,7 +244,7 @@ def g_function(model: SerialChainModel, theta: np.ndarray, target="ee") -> np.nd
     Rows 0..2 map joint rates to the target point's linear velocity, rows
     3..5 to the angular velocity of the link carrying it.
     """
-    return np.array(_target_g(model, theta, target)[0])
+    return _g_array(_target_g(model, theta, target)[0])
 
 
 def h_function(model: SerialChainModel, theta: np.ndarray, target="ee") -> np.ndarray:
@@ -260,11 +262,16 @@ def h_function(model: SerialChainModel, theta: np.ndarray, target="ee") -> np.nd
 def compute_gkic(model: SerialChainModel, theta: np.ndarray, target="ee") -> GKICSet:
     """Both coefficient orders for one target in a single sweep."""
     g, last = _target_g(model, theta, target)
-    return GKICSet(np.array(g), _point_h(g, last))
+    return GKICSet(_g_array(g), _point_h(g, last))
 
 
-def _target_g(model, theta, target) -> tuple[list[list[float]], int]:
-    """G's six rows of a target, in floats from ``frame_floats``, and the last joint moving it."""
+def _g_array(g: list[float]) -> np.ndarray:
+    """G (6 x n, C-contiguous) from ``_point_g``'s columns."""
+    return np.array(g).reshape(-1, 6).T.copy()
+
+
+def _target_g(model, theta, target) -> tuple[list[float], int]:
+    """G's columns of a target, in floats from ``frame_floats``, and the last joint moving it."""
     rots, origins = frame_floats(model, _check_theta(model, theta))
     last, at_com = _resolve_target(model, target)
     point = origins[3 * last : 3 * last + 3]
@@ -274,36 +281,30 @@ def _target_g(model, theta, target) -> tuple[list[list[float]], int]:
     return _point_g(rots, origins, last, point), last
 
 
-def _point_g(rots, origins, last, point) -> list[list[float]]:
-    """G's six rows (n floats each) of a point moved by joints 0..last, from ``frame_floats``'s lists.
+def _point_g(rots, origins, last, point) -> list[float]:
+    """G's columns of a point moved by joints 0..last, six floats a joint, from ``frame_floats``'s lists.
 
     Column i is ``[z_i x (p - o_i); z_i]`` for i <= last, each cross
     product in ``np.cross``'s order of operations, and 0.0 past ``last``.
     """
     px, py, pz = point
-    rows = l0, l1, l2, z0s, z1s, z2s = [], [], [], [], [], []
+    cols = []
     for i in range(last + 1):
         z0, z1, z2 = rots[9 * i + 2 : 9 * i + 9 : 3]
         d0, d1, d2 = px - origins[3 * i], py - origins[3 * i + 1], pz - origins[3 * i + 2]
-        l0.append(z1 * d2 - z2 * d1)
-        l1.append(z2 * d0 - z0 * d2)
-        l2.append(z0 * d1 - z1 * d0)
-        z0s.append(z0)
-        z1s.append(z1)
-        z2s.append(z2)
-    pad = [0.0] * (len(origins) // 3 - last - 1)
-    return [row + pad for row in rows] if pad else list(rows)
+        cols += (z1 * d2 - z2 * d1, z2 * d0 - z0 * d2, z0 * d1 - z1 * d0, z0, z1, z2)
+    return cols + [0.0] * (2 * len(origins) - len(cols))
 
 
 def _point_h(g, last) -> np.ndarray:
-    """H (n, 6, n) from ``_point_g``'s rows, in ``np.cross``'s order of operations.
+    """H (n, 6, n) from ``_point_g``'s columns, in ``np.cross``'s order of operations.
 
     For i, j <= last, ``H[i, :3, j] = z_min(i,j) x G[:3, max(i,j)]`` and
     ``H[i, 3:, j] = z_i x z_j`` if i < j. Every other entry is 0.0.
     """
-    n = len(g[0])
-    zs = list(zip(g[3], g[4], g[5]))
-    lin = list(zip(g[0], g[1], g[2]))
+    n = len(g) // 6
+    lin = list(zip(g[0::6], g[1::6], g[2::6]))
+    zs = list(zip(g[3::6], g[4::6], g[5::6]))
     h = [0.0] * (6 * n * n)
     for i in range(last + 1):
         a0, a1, a2 = zs[i]

@@ -214,10 +214,15 @@ class ForceControlScenario:
                 f"2π·t/sine_period overflows within duration = {self.duration} s"
             )
         if self.law == "force-pid":
-            for name, gain, scale, rate_gain in (("kp", self.kp, dt, "kp/dt"), ("ki", self.ki, dt**2, "ki/dt**2")):
+            for name, gain, scale, power in (("kp", self.kp, dt, "dt"), ("ki", self.ki, dt**2, "dt**2")):
+                if not scale > 0.0 and gain == 0.0:  # 0/0: the rate alone is at fault
+                    raise ValueError(
+                        f"control_rate = {self.control_rate} Hz is too high: {power} underflows to 0, "
+                        f"so the rate-law gain {name}/{power} cannot be formed"
+                    )
                 if not (scale > 0.0 and math.isfinite(gain / scale)):
                     raise ValueError(
-                        f"{name} = {gain} m/N is too large: its rate-law gain {rate_gain} overflows "
+                        f"{name} = {gain} m/N is too large: its rate-law gain {name}/{power} overflows "
                         f"at control_rate = {self.control_rate} Hz"
                     )
         elif self.kv or self.ki:  # the compliant law reads kp alone

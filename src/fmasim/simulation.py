@@ -10,6 +10,7 @@ bit-identical traces.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from collections import deque
 from dataclasses import dataclass, fields
@@ -36,6 +37,15 @@ from .scenario import DEFAULT_BURR_BANDS, TRACE_COLUMNS, FmaScenario, ForceContr
 # a near-singular Jacobian, not from a force law. The built-in runs step
 # at most 0.0046 rad.
 MAX_JOINT_STEP = math.pi / 2.0
+
+# How far a force tick's step may land from where its Jacobian put it. The
+# step predicts the commanded tool height's change as G's row 2 dotted with
+# the joint step; near a singular pose a step well within MAX_JOINT_STEP
+# can move that height tens of times more than predicted. The bound is a
+# tenth of the predicted change plus a floor for a zero step. The built-in
+# runs land within 1.1e-3 of their predictions, and within 4e-16 m where
+# the predicted change is under 1e-8 m.
+MAX_STEP_GAP, STEP_GAP_FLOOR = 0.1, 1.0e-9
 
 # The largest tracking error |q - q_ref| an FMA run may reach. Half a turn
 # of the output link is no tracking at all. A loop made unstable by its
@@ -388,29 +398,33 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
     # one gain of each kind, along the normal (+z), and the runner forms
     # that axis alone through the laws' float core. The library laws with
     # these gains on z and zero gains off it give +0.0 on every other axis.
-    if scenario.law == "force-pid":
+    pid = scenario.law == "force-pid"
+    if pid:
         # Per-period gains mapped onto the rate law: theta_dot * dt gives
         # kp*e + kv*de + ki*sum(e) meters of motion per tick.
         kp_z, kv_z, ki_z = scenario.kp / dt, scenario.kv, scenario.ki / dt**2
     else:
         kp_z = scenario.kp
 
-    def along_z(value):  # a task vector; the law acts on the normal force only
-        return np.array((0.0, 0.0, value, 0.0, 0.0, 0.0))
+    # Written in place every tick: G's columns as the rows of jac_t, so the
+    # solve reads G as jac_t.T; the task vector's z entry alone; a trace
+    # row's 6 nonzero cells, its 5 zero columns staying +0.0.
+    jac_t, task = np.empty((6, 6)), np.zeros(6)
+    store_jac, jac_bytes = struct.Struct("36d").pack_into, memoryview(jac_t).cast("B")
+    columns = TRACE_COLUMNS + ("f_ref",)
+    rows = np.zeros((n_ticks + 1, len(columns)))
+    store_row, row_bytes = struct.Struct("4d40x2d").pack_into, memoryview(rows).cast("B")
+    approach = -scenario.approach_speed * dt
+    threshold, settle_rate, last = scenario.contact_threshold, scenario.settle_rate, chain.dof - 1
 
-    approach = along_z(-scenario.approach_speed * dt)
     phase = ContactPhase.APPROACH
     contact_time = None
     integral = e_prev = 0.0
     f_meas = 0.0
     f_prev = 0.0
     z_prev = z_now
-
-    columns = TRACE_COLUMNS + ("f_ref",)
-    rows = np.empty((n_ticks + 1, len(columns)))
-    raw_force = np.empty(n_ticks + 1)
-    raw_force[0] = -_penalty(surface, z_surface - z_now)
-    phase_code = np.empty(n_ticks + 1, dtype=int)
+    raw_force = [-_penalty(surface, z_surface - z_now)]
+    phase_code = []
 
     for k in range(n_ticks + 1):
         t = k * dt
@@ -420,11 +434,7 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
         f_rate = (f_meas - f_prev) / dt
         prev_phase = phase
         phase = contact_state_step(
-            phase,
-            f_meas,
-            force_rate=f_rate,
-            contact_threshold=scenario.contact_threshold,
-            settle_rate=scenario.settle_rate,
+            phase, f_meas, force_rate=f_rate, contact_threshold=threshold, settle_rate=settle_rate
         )
         if prev_phase is ContactPhase.APPROACH and phase is not ContactPhase.APPROACH:
             contact_time = t
@@ -444,29 +454,38 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
         # One transform of the commanded pose gives the row's z and the Jacobian.
         if k and fade != 0.0:
             rots, origins = frame_floats(chain, theta_cmd)
-        rows[k] = (
-            t, z_now, origins[-1], (z_now - z_prev) / dt if k else 0.0,
-            0.0, 0.0, 0.0, 0.0, 0.0, f_meas, f_ref,
-        )
-        phase_code[k] = _PHASE_CODES[phase]
-        z_prev = z_now
+        z_cmd = origins[-1]
+        # The last tick's step must land where its Jacobian put it. The
+        # handover tick, which resets the command to the actual pose and
+        # sets contact_time to t, has no such step to check.
+        if k and contact_time != t:
+            realized = z_cmd - z_cmd_prev
+            if not abs(realized - predicted) <= MAX_STEP_GAP * abs(predicted) + STEP_GAP_FLOOR:
+                raise DegenerateConfigurationError(
+                    f"{scenario.name}: the joint step at t={(k - 1) * dt:.4f} s moved the commanded "
+                    f"tool height {realized:.3g} m where its Jacobian predicted {predicted:.3g} m"
+                )
+        store_row(row_bytes, 88 * k, t, z_now, z_cmd, (z_now - z_prev) / dt if k else 0.0, f_meas, f_ref)
+        phase_code.append(_PHASE_CODES[phase])
+        z_prev, z_cmd_prev = z_now, z_cmd
         f_prev = f_meas
         if k == n_ticks:
             break
 
-        jac = np.array(_point_g(rots, origins, chain.dof - 1, origins[-3:]))
+        jac_cols = _point_g(rots, origins, last, origins[-3:])
+        store_jac(jac_bytes, 0, *jac_cols)
         if phase is ContactPhase.APPROACH:
-            dtheta = _solve_jacobian(jac, approach)
-        else:
+            task[2] = approach
+        elif pid:
             e = f_ref - f_meas
-            if scenario.law == "force-pid":
-                integral += e
-                rate = _force_axis(kp_z, e, kv_z, (e - e_prev) / dt, ki_z, integral * dt)
-                dtheta = _solve_jacobian(jac, along_z(rate)) * dt
-            else:
-                dtheta = _solve_jacobian(jac, along_z(_force_axis(kp_z, e)))
+            integral += e
+            task[2] = _force_axis(kp_z, e, kv_z, (e - e_prev) / dt, ki_z, integral * dt)
             e_prev = e
-        dtheta = dtheta.tolist()
+        else:
+            task[2] = _force_axis(kp_z, f_ref - f_meas)
+        dtheta = _solve_jacobian(jac_t.T, task).tolist()
+        if pid and phase is not ContactPhase.APPROACH:  # the PID law gives joint rates
+            dtheta = [d * dt for d in dtheta]
         theta_cmd = [c + d for c, d in zip(theta_cmd, dtheta)]
 
         # Advance the arm and the sensor stream to the next tick. The arm
@@ -484,6 +503,9 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
                 f"{scenario.name}: joint step of {step:.3g} rad at t={t:.4f} s "
                 f"passes the bound of {MAX_JOINT_STEP:.4g} rad per tick"
             )
+        # The change of the commanded tool height that the step predicts:
+        # G's row 2 dotted with it, summed exactly, checked at the next row.
+        predicted = math.fsum(map(operator.mul, jac_cols[2::6], dtheta))
         if fade == 0.0:
             rots, origins = frame_floats(chain, theta_act)
             z_end = origins[-1]
@@ -491,11 +513,11 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
             z_end = tool_height(chain, theta_act)
         dz = z_end - z_now
         sensed = [-_penalty(surface, z_surface - (z_now + w * dz)) for w in weights]
-        raw_force[k + 1] = -_penalty(surface, z_surface - z_end)
+        raw_force.append(-_penalty(surface, z_surface - z_end))
         f_meas = _condition_axis(history, sensed, 0.0, scenario.deadband)
         z_now = z_end
 
-    aux = {"raw_force": raw_force, "phase": phase_code}
+    aux = {"raw_force": np.array(raw_force), "phase": np.array(phase_code)}
     return SimulationTrace(columns, rows, scenario, aux)
 
 

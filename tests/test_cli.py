@@ -636,6 +636,27 @@ def test_near_singular_wrist_runs_as_the_built_in(tmp_path, capsys):
     assert metrics == (tmp_path / "built-in" / "metrics.txt").read_bytes()
 
 
+# The elbow moved from 0.9 rad toward the stretched-out arm. Every joint
+# step stays far within MAX_JOINT_STEP, but the commanded tool height moves
+# by more than a tenth off its Jacobian prediction. Unchecked, these runs
+# exit 0 with a force that never settles or never reaches contact.
+@pytest.mark.parametrize(
+    "elbow, failure",
+    [
+        ("0.001", "at t=0.0000 s moved the commanded tool height 0.00957 m where its Jacobian predicted -0.00015 m"),
+        ("0.01", "at t=0.0000 s moved the commanded tool height -6.09e-05 m where its Jacobian predicted -0.00015 m"),
+        ("0.1", "at t=1.6667 s moved the commanded tool height -0.000127 m where its Jacobian predicted -0.00015 m"),
+    ],
+)
+def test_jacobian_step_that_does_not_land_exits_3(elbow, failure, tmp_path, capsys):
+    home = f"[plant]\nhome = 0 -0.6 {elbow} 0 0.7 0 rad\n"
+    cfg = _builtin_variant(tmp_path, "force-regulation", "[plant]\n", home, "duration = 20 s", "duration = 10 s")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: force-regulation: the joint step {failure}\n"
+    assert not (tmp_path / "o" / "metrics.txt").exists()
+
+
 @pytest.mark.parametrize(
     "controller, run, initial, failure",
     [

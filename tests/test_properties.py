@@ -52,6 +52,7 @@ from fmasim.fma import (
     weighting,
 )
 from fmasim.force_control import (
+    ContactPhase,
     ContactSurface,
     GainSet,
     SignalConditioner,
@@ -59,6 +60,7 @@ from fmasim.force_control import (
     _condition_axis,
     _penalty,
     compliant_control_step,
+    contact_state_step,
     contact_wrench,
     pure_force_control_step,
     window_mean,
@@ -85,6 +87,8 @@ from fmasim.simulation import (
     burr_disturbance,
     rk4_step,
     run_fma_scenario,
+    run_force_control_scenario,
+    sinusoidal_force_reference,
     trapezoidal_profile,
     write_trace_csv,
 )
@@ -286,9 +290,10 @@ def test_influence_coefficients_are_the_loop_oracle(case):
     assert both.G.tobytes() == g_ref.tobytes()
     assert h_function(model, theta, target).tobytes() == h_ref.tobytes()
     assert both.H.tobytes() == h_ref.tobytes()
-    # The tool-point G as the force runner forms it from the float chain.
+    # The tool-point G as the force runner forms it from the float chain:
+    # its columns, six floats a joint, are the rows of G's transpose.
     rots, origins = frame_floats(model, theta.tolist())
-    tool = np.array(_point_g(rots, origins, model.dof - 1, origins[-3:]))
+    tool = np.array(_point_g(rots, origins, model.dof - 1, origins[-3:])).reshape(-1, 6).T
     assert tool.tobytes() == g_function(model, theta).tobytes()
 
 
@@ -887,6 +892,125 @@ def test_fma_runner_is_the_loop_over_the_public_laws(sc):
     for name, values in aux.items():
         assert trace.aux[name].dtype == values.dtype
         assert _same_bits(trace.aux[name], values), name
+
+
+_FORCE_REGULATION = build_scenario(load_scenario("force-regulation"))
+
+
+@st.composite
+def short_force_scenarios(draw):
+    """A force run of 5-40 ticks from the built-in home, starting at or
+    near the surface, with each of the runner's switches drawn."""
+    rate = draw(st.sampled_from([15.0, 25.0, 60.0, 100.0]))
+    substeps = draw(st.integers(1, 24))
+    window = draw(st.integers(1, substeps) | st.integers(substeps + 1, substeps + 8))
+    law = draw(st.sampled_from(["force-pid", "compliant"]))
+    gains = {} if law == "force-pid" else {"kv": 0.0, "ki": 0.0}
+    return replace(
+        _FORCE_REGULATION,
+        law=law,
+        **gains,
+        reference=draw(st.sampled_from(["constant", "sine"])),
+        sine_period=draw(st.floats(0.2, 50.0)),
+        control_rate=rate,
+        physics_timestep=1.0 / (rate * substeps),
+        duration=draw(st.integers(5, 40)) / rate,
+        filter_window=window,
+        arm_lag=draw(st.just(0.0) | st.floats(0.01, 2.0)),
+        start_height=draw(st.just(0.0) | st.floats(0.0, 1.0e-3)),
+        approach_speed=draw(st.sampled_from([2.25e-3, 1.0e-2])),
+        deadband=draw(st.just(0.0) | st.floats(0.0, 2.0)),
+    )
+
+
+def _reference_force_run(sc):
+    """run_force_control_scenario as a plain loop over the public laws:
+    a fresh g_function and transform of each pose every tick, the force
+    laws on (6,) vectors with the gains on z, and every substep's sensed
+    wrench stepped through a SignalConditioner."""
+    chain = sc.chain
+    dt = 1.0 / sc.control_rate
+    n_ticks = round(sc.duration * sc.control_rate)
+    substeps = sc.substeps
+    gamma = 0.0 if sc.arm_lag == 0.0 else math.exp(-dt / (substeps * sc.arm_lag))
+    fade = gamma**substeps
+    weights = [
+        s / substeps if 1.0 - fade < 1e-15 else (1.0 - gamma**s) / (1.0 - fade) for s in range(1, substeps + 1)
+    ]
+
+    def height(theta):
+        return frame_transforms(chain, theta)[1][-1, 2].item()
+
+    def on_z(value):
+        return np.array([0.0, 0.0, value, 0.0, 0.0, 0.0])
+
+    theta_cmd = theta_act = np.array(sc.home)
+    z_prev = z_now = z0 = height(theta_act)
+    surface = replace(sc.surface, point=(0.0, 0.0, z0 - sc.start_height))
+
+    def sensed(z):
+        return Wrench(-contact_wrench(surface, (0.0, 0.0, z)).force, np.zeros(3))
+
+    conditioner = SignalConditioner(window=sc.filter_window, deadband=sc.deadband)
+    if sc.law == "force-pid":
+        gains = GainSet(kp=on_z(sc.kp / dt), kv=on_z(sc.kv), ki=on_z(sc.ki / dt**2))
+    phase, contact_time = ContactPhase.APPROACH, None
+    integral = e_prev = f_meas = f_prev = 0.0
+    rows, raw_force, phases = [], [sensed(z_now).force[2].item()], []
+    for k in range(n_ticks + 1):
+        t = k * dt
+        prev_phase = phase
+        phase = contact_state_step(
+            phase, f_meas, force_rate=(f_meas - f_prev) / dt,
+            contact_threshold=sc.contact_threshold, settle_rate=sc.settle_rate,
+        )
+        if prev_phase is ContactPhase.APPROACH and phase is not ContactPhase.APPROACH:
+            contact_time, theta_cmd = t, theta_act
+        if phase is ContactPhase.APPROACH:
+            f_ref = 0.0
+        elif sc.reference == "constant":
+            f_ref = -abs(sc.force_target)
+        else:
+            f_ref = sinusoidal_force_reference(t - contact_time, -abs(sc.sine_amplitude), sc.sine_period)
+        rate = (z_now - z_prev) / dt if k else 0.0
+        rows.append((t, z_now, height(theta_cmd), rate, 0, 0, 0, 0, 0, f_meas, f_ref))
+        phases.append(list(ContactPhase).index(phase))
+        z_prev, f_prev = z_now, f_meas
+        if k == n_ticks:
+            break
+
+        jac = g_function(chain, theta_cmd)
+        if phase is ContactPhase.APPROACH:
+            dtheta = np.linalg.solve(jac, on_z(-sc.approach_speed * dt))
+        else:
+            e = f_ref - f_meas
+            if sc.law == "force-pid":
+                integral += e
+                errors = on_z(e), on_z((e - e_prev) / dt), on_z(integral * dt)
+                dtheta = pure_force_control_step(jac, gains, *errors) * dt
+            else:
+                dtheta = compliant_control_step(jac, on_z(sc.kp), on_z(e))
+            e_prev = e
+        theta_cmd = theta_cmd + dtheta
+        theta_act = theta_cmd + (theta_act - theta_cmd) * fade
+        z_end = height(theta_act)
+        for w in weights:
+            f_meas = conditioner.step(sensed(z_now + w * (z_end - z_now))).force[2].item()
+        raw_force.append(sensed(z_end).force[2].item())
+        z_now = z_end
+    return np.array(rows), {"raw_force": np.array(raw_force), "phase": np.array(phases)}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(short_force_scenarios())
+def test_force_runner_is_the_loop_over_the_public_laws(sc):
+    trace = run_force_control_scenario(sc)
+    rows, aux = _reference_force_run(sc)
+    assert trace.data.tobytes() == rows.tobytes()
+    assert trace.aux.keys() == aux.keys()
+    for name, values in aux.items():
+        assert trace.aux[name].dtype == values.dtype
+        assert trace.aux[name].tobytes() == values.tobytes(), name
 
 
 @st.composite

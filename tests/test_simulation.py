@@ -346,13 +346,21 @@ def test_scenario_sign_checks_name_the_one_refused_field(cls, name, value, rule)
     assert str(refused.value) == f"{name} must be {rule}, got {value!r}"
 
 
-def test_force_pid_overflow_names_the_configured_gain():
+@pytest.mark.parametrize(
+    "ki, blamed",
+    [
+        (2.248089438709618e-06, "ki = 2.248089438709618e-06 m/N is too large: "),
+        # 0/0: no ki is small enough, so the rate is named.
+        (0.0, "control_rate = 1e+170 Hz is too high: dt**2 underflows to 0, "),
+    ],
+)
+def test_force_pid_overflow_names_the_configured_gain(ki, blamed):
     # dt**2 underflows to 0 at this rate, so ki/dt**2 cannot be formed; the
-    # message names the scenario's own ki.
+    # message names the scenario's own ki, or the rate when ki is 0.
     scenario = build_scenario(load_scenario("force-regulation"))
     with pytest.raises(ValueError) as refused:
-        replace(scenario, control_rate=1e170, physics_timestep=1e-171, duration=1e-170)
-    assert str(refused.value).startswith("ki = 2.248089438709618e-06 m/N is too large: ")
+        replace(scenario, ki=ki, control_rate=1e170, physics_timestep=1e-171, duration=1e-170)
+    assert str(refused.value).startswith(blamed)
 
 
 def test_force_scenario_validation():
@@ -579,3 +587,19 @@ def test_lagging_arm_transforms_command_and_actual_each_tick(monkeypatch, tmp_pa
     transforms, heights, n_ticks = _counted_run(monkeypatch, tmp_path, "compliant-kp03")
     assert transforms == n_ticks + 1
     assert heights == n_ticks
+
+
+@pytest.mark.parametrize("name", ["force-regulation", "compliant-kp03"])
+def test_force_run_solves_the_jacobian_once_per_tick(monkeypatch, name):
+    # Every tick before the last takes one step, the last tick none.
+    solves = []
+    solve = simulation._solve_jacobian
+
+    def counting(g, rhs):
+        solves.append(None)
+        return solve(g, rhs)
+
+    monkeypatch.setattr(simulation, "_solve_jacobian", counting)
+    scenario = build_scenario(load_scenario(name))
+    run_force_control_scenario(scenario)
+    assert len(solves) == round(scenario.duration * scenario.control_rate)
