@@ -323,8 +323,18 @@ def _point_h(g, last) -> np.ndarray:
 
 
 def ee_velocity(g: np.ndarray, theta_dot: np.ndarray) -> Twist:
-    """Task-space twist from joint rates."""
-    rate = np.asarray(g, dtype=float) @ np.asarray(theta_dot, dtype=float)
+    """Task-space twist from joint rates.
+
+    A non-finite ``g`` or ``theta_dot`` is refused with a ``ValueError``
+    that names it, before the product can warn.
+    """
+    g = np.asarray(g, dtype=float)
+    theta_dot = np.asarray(theta_dot, dtype=float)
+    if not np.isfinite(g).all():
+        raise ValueError("g must be finite")
+    if not np.isfinite(theta_dot).all():
+        raise ValueError(f"theta_dot must be finite, got {theta_dot.tolist()}")
+    rate = g @ theta_dot
     return Twist(rate[:3], rate[3:])
 
 

@@ -180,7 +180,17 @@ def _banded_drag(q: float, qd: float, bands) -> float:
 
 
 def burr_disturbance(q: float, qd: float, rng, bands=DEFAULT_BURR_BANDS, noise_sigma: float = 2.0) -> float:
-    """Disturbance torque: banded viscous drag plus Gaussian sensor noise."""
+    """Disturbance torque: banded viscous drag plus Gaussian sensor noise.
+
+    A non-finite ``q``, ``qd``, band edge or gain, or ``noise_sigma`` is
+    refused with a ``ValueError`` that names it: a NaN angle or edge would
+    read as outside every band, and a NaN sigma as no noise.
+    """
+    for name, value in (("q", q), ("qd", qd), ("noise_sigma", noise_sigma)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not all(math.isfinite(x) for band in bands for x in band):
+        raise ValueError(f"bands must be finite, got {bands}")
     tau = _banded_drag(q, qd, bands)
     if noise_sigma > 0.0:
         tau += rng.normal(0.0, noise_sigma)
@@ -709,28 +719,174 @@ def envelope_points(traces) -> list:
     return points
 
 
-# Rows formatted by one ``%`` in ``write_trace_csv``. One row per ``%``
-# spends about a fifth of the deburr CSV on per-row Python calls; the whole
-# trace in one ``%`` is slower still and holds every cell as a Python float
-# at once (6 MiB more peak memory on the deburr trace). 64 to 1024 rows
-# time about the same.
+# Rows formatted together in ``write_trace_csv``. A small block spends
+# its time on the fixed cost of ``_csv_block``'s numpy calls, and the
+# whole trace at once would hold every cell's intermediates at once. On
+# the deburr trace (2-core VM, best of 15) 128 and 256 rows took 12-15
+# ms, 64 rows 21 ms and 512 or 1024 rows 18-20 ms.
 _CSV_BLOCK_ROWS = 256
+
+# ``_csv_block`` lays each cell out in a slot of _CSV_SLOT bytes, zero
+# where it writes nothing: byte 0 the sign, 1-5 a fixed-point lead such
+# as "0.000", digit j of 17 at byte 6 + 2j with a slot for the point at
+# 7 + 2j, 40-43 an exponent such as "e-07", and the last byte the comma
+# or newline. 5**27 < 2**63, so 10**p for p up to 27 splits exactly into
+# 5**p times a power of two.
+_CSV_SLOT = 48
+_POW5 = np.array([5**p for p in range(28)], dtype=np.uint64)
+
+
+def _csv_tables():
+    """``_csv_block``'s tables, each built from bytes and read as words.
+
+    Indexed by a 4-digit group g: its digits at every other byte, and the
+    significant-digit count of a 17-digit N whose last nonzero group is
+    group 1-4 with value g. Indexed by (k, ndig, sign), where k is E + 11
+    for a decimal exponent E from -11 to 16, 28 for a zero and 29 for a
+    cell ``%`` formats: which digit bytes ``%.17g`` keeps, and the bytes
+    it adds around them (sign, lead, point, exponent, comma). Each is
+    built by broadcasting arrays of ten: built from 10,000-row int64
+    arrays they took twice as long and left about 0.4 MiB more RSS.
+    """
+    ten = np.arange(10, dtype=np.uint8)
+    axes = [ten.reshape([10 if i == j else 1 for i in range(4)]) for j in range(4)]
+    spaced = np.zeros((10, 10, 10, 10, 8), np.uint8)
+    last = np.zeros((10, 10, 10, 10), np.int8)
+    for j, d in enumerate(axes):
+        spaced[..., 2 * j] = d + ord("0")
+        last = np.maximum(last, np.int8(j + 1) * (d > 0))
+    ndig = np.where(last > 0, last + np.arange(1, 17, 4, dtype=np.int8).reshape(4, 1, 1, 1, 1), np.int8(1))
+    first = np.zeros((10, 8), np.uint8)
+    first[:, 6] = ten + ord("0")
+
+    keep = np.zeros((30, 18, 2, _CSV_SLOT), np.uint8)
+    add = np.zeros((30, 18, 2, _CSV_SLOT), np.uint8)
+    add[:, :, 1, 0] = ord("-")
+    add[..., -1] = ord(",")
+    add[28, :, :, 1] = ord("0")
+    digit, count = np.arange(17), np.arange(18)
+    for k, exp in enumerate(range(-11, 17)):
+        if exp >= 0:  # 123.45: E + 1 whole digits, then the point
+            whole, point = exp + 1, 7 + 2 * exp
+        elif exp >= -4:  # 0.0012345
+            lead = b"0." + b"0" * (-1 - exp)
+            add[k, :, :, 1 : 1 + len(lead)] = np.frombuffer(lead, np.uint8)
+            whole, point = 0, None
+        else:  # 1.2345e-07
+            add[k, :, :, 40:44] = np.frombuffer(b"e-%02d" % -exp, np.uint8)
+            whole, point = 1, 7
+        shown = np.maximum(count, whole)
+        keep[k, :, :, 6:40:2] = np.where(digit < shown[:, None], 0xFF, 0)[:, None, :]
+        if point is not None:
+            add[k, shown > whole, :, point] = ord(".")
+    words = (-1, _CSV_SLOT // 8)
+    return (
+        first.view(np.uint64).ravel(),
+        spaced.view(np.uint64).ravel(),
+        ndig.reshape(4, 10000),
+        keep.view(np.uint64).reshape(words),
+        add.view(np.uint64).reshape(words),
+    )
+
+
+_FIRST_DIGIT, _DIGIT_GROUP, _GROUP_NDIG, _KEEP, _ADD = _csv_tables()
+
+
+def _csv_scaled(m, e, exp):
+    """floor(m * 2**e * 10**(16 - exp)) in uint64, and whether rounding
+    that product half to even goes up.
+
+    The product m * 5**p is formed exactly in two uint64 halves and
+    shifted by e + p, which lies in [-63, 5] for 1e-11 <= |x| < 1e17
+    and an ``exp`` within one of x's decimal exponent.
+    """
+    p = 16 - exp
+    f = _POW5.take(p, mode="clip")
+    m0, m1 = m & 0xFFFFFFFF, m >> 32
+    f0, f1 = f & 0xFFFFFFFF, f >> 32
+    mid = m0 * f1 + m1 * f0
+    lo = m0 * f0
+    low = lo + (mid << 32)
+    high = m1 * f1 + (mid >> 32) + (low < lo)
+    s = e + p
+    right = np.maximum(-s, 0).astype(np.uint64)
+    gap = 63 - right
+    n = (((high << 1) << gap) | (low >> right)) << np.maximum(s, 0).astype(np.uint64)
+    frac = (low << 1) << gap  # the bits shifted out, at the top
+    return n, (frac > 2**63) | ((frac == 2**63) & (n & 1).astype(bool))
+
+
+def _csv_block(block: np.ndarray) -> bytes:
+    """A block of trace rows as CSV lines, each cell exactly ``%.17g``.
+
+    A cell with 1e-11 <= |x| < 1e17 is formatted in integers: its 17
+    digits N = round(x * 10**(16 - E)) come from ``_csv_scaled``; E is
+    log10's estimate, corrected by one where N falls outside [1e16, 1e17).
+    So no libm or SIMD target can move a byte. Zeros are written directly;
+    any other cell, and one whose corrected E leaves -11..16, goes through
+    ``%``.
+    """
+    x = block.ravel()
+    a = np.abs(x)
+    exact = (a >= 1e-11) & (a < 1e17)
+    a = np.where(exact, a, 1.0)
+    bits = a.view(np.uint64)
+    m = (bits & 0xFFFFFFFFFFFFF) | 0x10000000000000
+    e = (bits >> 52).astype(np.int64) - 1075
+    exp = np.floor(np.log10(a)).astype(np.int64)
+    n, up = _csv_scaled(m, e, exp)
+    off = np.flatnonzero(n - 10**16 >= 9 * 10**16)
+    if off.size:
+        exp[off] += np.where(n[off] < 10**16, -1, 1)
+        n[off], up[off] = _csv_scaled(m[off], e[off], exp[off])
+        exact[off] &= n[off] - 10**16 < 9 * 10**16
+    n += up
+    carry = np.flatnonzero(n == 10**17)
+    n[carry] = 10**16
+    exp[carry] += 1
+    k = exp + 11
+    exact &= k.view(np.uint64) < 28  # unsigned: a negative k is out too
+    k = np.where(exact, k, 29 - (x == 0.0))
+
+    # N's digits: the first, then four groups of four, split off in place
+    # (n - q * d is cheaper than numpy's uint64 %).
+    first = n // 10**16
+    n -= first * 10**16
+    upper = n // 10**8
+    n -= upper * 10**8
+    g1, g3 = upper // 10**4, n // 10**4
+    upper -= g1 * 10**4
+    n -= g3 * 10**4
+    groups = (g1, upper, g3, n)
+    ndig = np.maximum.reduce([table.take(g) for table, g in zip(_GROUP_NDIG, groups)])
+    row = (k * 18 + ndig) * 2 + np.signbit(x)
+    words = np.empty((len(x), _CSV_SLOT // 8), np.uint64)
+    words[:, 0] = _FIRST_DIGIT.take(first, mode="clip")  # a cell left to % may hold any n
+    for i, g in enumerate(groups, 1):
+        words[:, i] = _DIGIT_GROUP.take(g)
+    words &= _KEEP.take(row, axis=0)  # also clears the unset last word
+    words |= _ADD.take(row, axis=0)
+    cells = words.view(np.uint8)
+    for i in np.flatnonzero(k == 29):
+        text = b"%.17g" % x[i]
+        cells[i, :-1] = 0
+        cells[i, : len(text)] = np.frombuffer(text, np.uint8)
+    cells.reshape(len(block), -1, _CSV_SLOT)[:, -1, -1] = ord("\n")
+    return cells.tobytes().translate(None, b"\0")
 
 
 def write_trace_csv(trace: SimulationTrace, path) -> None:
     """Write the header, then one line per sample with each value as ``%.17g``.
 
-    A block of ``_CSV_BLOCK_ROWS`` rows is formatted by one ``%`` of the row
-    format repeated once per row, and written with one ``write``, so the
-    whole text is never built. Lines end in ``\\n`` on every platform.
+    Each block of ``_CSV_BLOCK_ROWS`` rows is formatted by ``_csv_block``
+    and written with one ``write``, so the whole text is never built.
+    Lines end in ``\\n`` on every platform.
     """
     data = trace.data
-    row_format = b",".join([b"%.17g"] * len(trace.columns)) + b"\n"
     with open(path, "wb") as fh:
         fh.write((",".join(trace.columns) + "\n").encode("ascii"))
         for start in range(0, len(data), _CSV_BLOCK_ROWS):
-            block = data[start : start + _CSV_BLOCK_ROWS]
-            fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
+            fh.write(_csv_block(data[start : start + _CSV_BLOCK_ROWS]))
 
 
 def metrics_text(metrics: Metrics) -> str:

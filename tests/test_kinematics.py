@@ -153,6 +153,18 @@ def test_task_acceleration_matches_trajectory_differentiation():
     assert np.allclose(vel.linear, vel_fd, atol=1e-7)
 
 
+def test_ee_velocity_refuses_non_finite_arguments():
+    """Refused by name before numpy's matmul can warn on inf * 0."""
+    kic = compute_gkic(powercube6(), np.zeros(6))
+    with pytest.raises(ValueError) as info:
+        ee_velocity(kic.G, [np.inf] * 6)
+    assert str(info.value) == f"theta_dot must be finite, got {[np.inf] * 6}"
+    g = np.array(kic.G)
+    g[0, 0] = np.nan
+    with pytest.raises(ValueError, match="^g must be finite$"):
+        ee_velocity(g, np.ones(6))
+
+
 def test_g_function_targets():
     model = powercube6()
     theta = np.array([0.1, 0.2, -0.3, 0.4, 0.5, -0.6])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -83,6 +83,7 @@ from fmasim.scenario import TRACE_COLUMNS, BurrDisturbance, FmaScenario
 from fmasim.simulation import (
     _CSV_BLOCK_ROWS,
     SimulationTrace,
+    _csv_block,
     _rk4_reduced,
     burr_disturbance,
     rk4_step,
@@ -1095,6 +1096,59 @@ def test_trace_csv_is_the_header_then_each_row_as_17g(trace):
     lines = [",".join(trace.columns) + "\n"]
     lines += [",".join("%.17g" % x for x in row) + "\n" for row in trace.data.tolist()]
     assert written == "".join(lines).encode("ascii")
+
+
+def _as_float(bits: int) -> float:
+    return np.array(bits, dtype=np.uint64).view(np.float64).item()
+
+
+def _neighbours(x: float, n: int) -> list:
+    """x and the n doubles on each side of it."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(np.nextafter(below[-1], -math.inf))
+        above.append(np.nextafter(above[-1], math.inf))
+    return [float(v) for v in below[:0:-1] + above]
+
+
+# Cells where the writer's integer path could go wrong, each with its
+# negation: every power of ten the path reaches and its neighbours
+# (1e-4, 1e-8 and 1e-10 round up to the next power at 17 digits, and
+# 1e-4's rounding switches the notation); 9.9999999999999995e-08, whose
+# log10 is exactly -7.0; 1e-11, which lies just under 10**-11 and so
+# outside the path; 0.001, whose N has 16 trailing zeros; ties that
+# round half to even; the notation switches at 1e-5/1e-4 and
+# 1e16/1e17; zeros, subnormals, the normal limits and non-finite cells.
+_CSV_EDGE_CELLS = [
+    sign * x
+    for x in [v for k in range(-12, 18) for v in _neighbours(float(f"1e{k}"), 2)]
+    + [9.9999999999999995e-08, 1e-11, 0.001, 2251799813685247.25, 2251799813685247.75, 0.5]
+    + [9.99995e-05, 9.9999999999999999e-06, 9999999999999998.0, 99999999999999984.0]
+    + [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308, math.inf, math.nan]
+    for sign in (1.0, -1.0)
+]
+_EXACT_BITS = (np.float64(1e-11).view(np.uint64).item(), np.float64(1e17).view(np.uint64).item())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.integers(0, 2**64 - 1).map(_as_float)
+        | st.builds(lambda bits, sign: sign * _as_float(bits), st.integers(*_EXACT_BITS), st.sampled_from([1.0, -1.0]))
+        | st.floats()
+        | st.sampled_from(_CSV_EDGE_CELLS),
+        min_size=1,
+        max_size=120,
+    ),
+    st.integers(1, 11),
+)
+@example(_CSV_EDGE_CELLS, 7)
+def test_csv_block_writes_each_cell_as_17g(cells, width):
+    """A block's bytes are ``%.17g`` of each cell, by integers or by ``%``."""
+    cells = cells + [0.0] * (-len(cells) % width)
+    block = np.array(cells).reshape(-1, width)
+    expected = b"".join(b",".join(b"%.17g" % x for x in row) + b"\n" for row in block.tolist())
+    assert _csv_block(block) == expected
 
 
 # Values a key may take, by what it names: fixtures by their registries, a

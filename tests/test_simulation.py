@@ -244,6 +244,24 @@ def test_burr_disturbance_band_gating():
     assert burr_disturbance(1.5, 3.0, rng, bands, noise_sigma=0.0) == pytest.approx(15.0)
 
 
+@pytest.mark.parametrize(
+    "q, qd, bands, sigma, message",
+    [
+        (math.nan, 1.0, ((1.0, 2.0, 5.0),), 2.0, "q must be finite, got nan"),
+        (math.inf, 1.0, ((1.0, 2.0, 5.0),), 2.0, "q must be finite, got inf"),
+        (1.5, -math.inf, ((1.0, 2.0, 5.0),), 2.0, "qd must be finite, got -inf"),
+        (1.5, 1.0, ((math.nan, 2.0, 5.0),), 0.0, "bands must be finite, got ((nan, 2.0, 5.0),)"),
+        (0.0, 1.0, ((1.0, 2.0, 5.0),), math.nan, "noise_sigma must be finite, got nan"),
+    ],
+)
+def test_burr_disturbance_refuses_non_finite_arguments(q, qd, bands, sigma, message):
+    """A NaN angle or band edge read as outside every band, and a NaN
+    sigma as no noise."""
+    with pytest.raises(ValueError) as info:
+        burr_disturbance(q, qd, np.random.default_rng(0), bands, noise_sigma=sigma)
+    assert str(info.value) == message
+
+
 def test_burr_disturbance_noise_statistics():
     rng = np.random.default_rng(7)
     samples = np.array([burr_disturbance(0.0, 0.0, rng) for _ in range(100_000)])
