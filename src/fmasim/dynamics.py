@@ -34,7 +34,6 @@ P*[i,l,j] = dI*_lj/dq_i - dI*_ij/dq_l / 2.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,7 +41,7 @@ import numpy as np
 
 from .errors import DegenerateConfigurationError
 from .kinematics import JointState, SerialChainModel, _resolve_target, _world_coms, frame_transforms
-from .spatial import Wrench, frozen_array, skew
+from .spatial import Wrench, checked_vector, frozen_array, skew
 from .units import GRAVITY
 
 CONDITION_LIMIT = 1.0e12
@@ -77,22 +76,8 @@ class DynamicsQuantities:
     gravity: np.ndarray
 
 
-def _checked(x, name: str, n: int) -> np.ndarray:
-    """``x`` as a float array, refused unless it has shape (n,) and is finite.
-
-    ``frozen_array``'s check and wording without its copy, for arguments
-    read once per call.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"{name} must have shape {(n,)}, got {x.shape}")
-    if not all(map(math.isfinite, x.tolist())):
-        raise ValueError(f"{name} must be finite, got {x.tolist()}")
-    return x
-
-
 def _gravity_vector(gravity) -> np.ndarray:
-    return _DEFAULT_GRAVITY if gravity is None else _checked(gravity, "gravity", 3)
+    return _DEFAULT_GRAVITY if gravity is None else checked_vector(gravity, "gravity", 3)
 
 
 @lru_cache(maxsize=None)
@@ -137,9 +122,9 @@ def compute_dynamics(
 
 def _joint_terms(model, theta, theta_dot, gravity, loads, viscous) -> tuple[np.ndarray, np.ndarray]:
     """I* and the bias: the velocity-product, gravity, load and viscous torques at zero qdd."""
-    theta_dot = _checked(theta_dot, "theta_dot", model.dof)
+    theta_dot = checked_vector(theta_dot, "theta_dot", model.dof)
     if viscous is not None:
-        viscous = _checked(viscous, "viscous", model.dof)
+        viscous = checked_vector(viscous, "viscous", model.dof)
     rots, origins = frame_transforms(model, theta)
     axes, inert, _, inertia, bias = _composite_terms(model, rots, origins, _gravity_vector(gravity))
     upper = _upper_ones(model.dof)
@@ -162,7 +147,8 @@ def _joint_terms(model, theta, theta_dot, gravity, loads, viscous) -> tuple[np.n
 
 
 def coriolis_torque(power: np.ndarray, theta_dot: np.ndarray) -> np.ndarray:
-    qd = np.asarray(theta_dot, dtype=float)
+    """Velocity-product torque qd . P* . qd; a wrongly shaped or non-finite theta_dot is refused by name."""
+    qd = checked_vector(theta_dot, "theta_dot", len(power))
     return np.einsum("i,ilj,j->l", qd, power, qd)
 
 
@@ -194,7 +180,7 @@ def forward_dynamics(
     DegenerateConfigurationError when the effective inertia is not positive
     definite or its condition number exceeds CONDITION_LIMIT.
     """
-    tau = _checked(tau, "tau", model.dof)
+    tau = checked_vector(tau, "tau", model.dof)
     inertia, bias = _joint_terms(model, theta, theta_dot, gravity, loads, viscous)
     # The extreme eigenvalues of the symmetric inertia give its exact
     # 2-norm condition number; a matrix that is not positive definite fails too.

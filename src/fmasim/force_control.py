@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateConfigurationError
-from .spatial import Wrench, frozen_array
+from .spatial import Wrench, checked_vector, frozen_array
 from .units import LBF_TO_N
 
 # Contact retention threshold and touchdown settle rate used when a
@@ -94,15 +94,20 @@ def window_mean(history):
     all ``-0.0`` window into ``+0.0``. ``np.mean`` sums pairwise and
     does not match, so do not swap it in.
 
-    A per-tick kernel, it checks nothing: a NaN sample gives NaN, an
+    A per-tick kernel, it checks no sample: a NaN sample gives NaN, an
     infinite one gives that infinity, and both infinities give NaN. Its
     callers pass only finite samples (``_condition_axis`` refuses the
-    others, and the FMA runner checks its state every tick).
+    others, and the FMA runner checks its state every tick). An empty
+    window is refused with a ``ValueError`` raised from the division's
+    own error, so a nonempty window pays for no check.
     """
     acc = 0.0
     for sample in history:
         acc = acc + sample
-    return acc / len(history)
+    try:
+        return acc / len(history)
+    except ZeroDivisionError:
+        raise ValueError("history must hold at least one sample, got none") from None
 
 
 def _condition_axis(history: deque, samples, bias: float, deadband: float) -> float:
@@ -214,7 +219,7 @@ def fixture_projector(p1, p2, p3) -> VirtualFixture:
     The projector is the least-squares one onto span{P2-P1, P3-P1};
     Omega = A (A^T A)^-1 A^T, insensitive to the choice of in-plane basis.
     """
-    p1, p2, p3 = (np.array(_finite_vector(p, f"p{i}")) for i, p in enumerate((p1, p2, p3), 1))
+    p1, p2, p3 = (checked_vector(p, f"p{i}", 3) for i, p in enumerate((p1, p2, p3), 1))
     u1 = p2 - p1
     u2 = p3 - p1
     n1, n2 = np.linalg.norm(u1), np.linalg.norm(u2)
@@ -325,13 +330,6 @@ def _penalty(surface: ContactSurface, depth: float, speed: float | None = None) 
     return 0.0 if magnitude < 0.0 else magnitude
 
 
-def _finite_vector(value, name: str) -> list[float]:
-    v = np.asarray(value, dtype=float).reshape(3).tolist()
-    if not all(map(math.isfinite, v)):
-        raise ValueError(f"{name} must be finite, got {v}")
-    return v
-
-
 def contact_wrench(surface: ContactSurface, ee_position, ee_velocity=None) -> Wrench:
     """Frictionless penalty-contact wrench on the end effector.
 
@@ -339,16 +337,16 @@ def contact_wrench(surface: ContactSurface, ee_position, ee_velocity=None) -> Wr
     the penetration depth (less an optional viscous term on the normal
     velocity), pushes the tool back out along the surface normal, and is
     never tensile. Depth and normal speed are dot products with the
-    normal in floats, summed in index order from 0.0. A non-finite
-    position or velocity is refused wherever the point is, and so is an
-    infinite force, as from a rigid surface pressed.
+    normal in floats, summed in index order from 0.0. A position or
+    velocity that is not a finite (3,) vector is refused wherever the
+    point is, and so is an infinite force, as from a rigid surface pressed.
     """
     n0, n1, n2 = surface.normal.tolist()
     q0, q1, q2 = surface.point.tolist()
-    x, y, z = _finite_vector(ee_position, "position")
+    x, y, z = checked_vector(ee_position, "position", 3).tolist()
     speed = None
     if ee_velocity is not None:
-        a, b, c = _finite_vector(ee_velocity, "velocity")
+        a, b, c = checked_vector(ee_velocity, "velocity", 3).tolist()
         speed = 0.0 + a * n0 + b * n1 + c * n2
     depth = 0.0 + (q0 - x) * n0 + (q1 - y) * n1 + (q2 - z) * n2
     magnitude = _penalty(surface, depth, speed)

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spatial import Pose, Rotation, Twist, Wrench, frozen_array, skew
+from .spatial import Pose, Rotation, Twist, Wrench, checked_vector, frozen_array, skew
 
 
 @dataclass(frozen=True)
@@ -192,19 +192,9 @@ def frame_transforms(model: SerialChainModel, theta: np.ndarray) -> tuple[np.nda
 
     ``frame_floats`` on the checked joint values, as arrays.
     """
-    rots, origins = frame_floats(model, _check_theta(model, theta))
+    rots, origins = frame_floats(model, checked_vector(theta, "theta", model.dof).tolist())
     n = model.dof
     return np.array(rots).reshape(n, 3, 3), np.array(origins).reshape(n, 3)
-
-
-def _check_theta(model: SerialChainModel, theta: np.ndarray) -> list[float]:
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (model.dof,):
-        raise ValueError(f"expected {model.dof} joint values, got shape {theta.shape}")
-    values = theta.tolist()
-    if not all(map(math.isfinite, values)):
-        raise ValueError("joint values must be finite")
-    return values
 
 
 def forward_kinematics(model: SerialChainModel, theta: np.ndarray) -> Pose:
@@ -272,7 +262,7 @@ def _g_array(g: list[float]) -> np.ndarray:
 
 def _target_g(model, theta, target) -> tuple[list[float], int]:
     """G's columns of a target, in floats from ``frame_floats``, and the last joint moving it."""
-    rots, origins = frame_floats(model, _check_theta(model, theta))
+    rots, origins = frame_floats(model, checked_vector(theta, "theta", model.dof).tolist())
     last, at_com = _resolve_target(model, target)
     point = origins[3 * last : 3 * last + 3]
     if at_com:
@@ -325,26 +315,32 @@ def _point_h(g, last) -> np.ndarray:
 def ee_velocity(g: np.ndarray, theta_dot: np.ndarray) -> Twist:
     """Task-space twist from joint rates.
 
-    A non-finite ``g`` or ``theta_dot`` is refused with a ``ValueError``
-    that names it, before the product can warn.
+    A non-finite ``g``, or a ``theta_dot`` that is non-finite or not one
+    rate per column of ``g``, is refused with a ``ValueError`` that names
+    it. Finite arguments whose product overflows give a twist that
+    ``Twist`` refuses by name, without numpy's warning.
     """
     g = np.asarray(g, dtype=float)
-    theta_dot = np.asarray(theta_dot, dtype=float)
     if not np.isfinite(g).all():
         raise ValueError("g must be finite")
-    if not np.isfinite(theta_dot).all():
-        raise ValueError(f"theta_dot must be finite, got {theta_dot.tolist()}")
-    rate = g @ theta_dot
+    theta_dot = checked_vector(theta_dot, "theta_dot", g.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rate = g @ theta_dot
     return Twist(rate[:3], rate[3:])
 
 
 def ee_acceleration(
     g: np.ndarray, h: np.ndarray, theta_dot: np.ndarray, theta_ddot: np.ndarray
 ) -> np.ndarray:
-    """Task acceleration ``G qdd + qd . H . qd`` as a 6-vector."""
-    qd = np.asarray(theta_dot, dtype=float)
-    qdd = np.asarray(theta_ddot, dtype=float)
-    return np.asarray(g) @ qdd + np.einsum("i,ikj,j->k", qd, np.asarray(h), qd)
+    """Task acceleration ``G qdd + qd . H . qd`` as a 6-vector.
+
+    A wrongly shaped or non-finite ``theta_dot`` or ``theta_ddot`` is
+    refused with a ``ValueError`` that names it.
+    """
+    g = np.asarray(g)
+    qd = checked_vector(theta_dot, "theta_dot", g.shape[-1])
+    qdd = checked_vector(theta_ddot, "theta_ddot", g.shape[-1])
+    return g @ qdd + np.einsum("i,ikj,j->k", qd, np.asarray(h), qd)
 
 
 def static_joint_torques(g: np.ndarray, wrench: Wrench) -> np.ndarray:

@@ -11,6 +11,7 @@ from typing import TYPE_CHECKING
 
 from .fma import DualActuatorModel, WeightingPolicy, _check_fields
 from .force_control import DEFAULT_CONTACT_THRESHOLD, DEFAULT_SETTLE_RATE, ContactSurface
+from .spatial import checked_vector
 from .units import LBF_TO_N
 
 if TYPE_CHECKING:
@@ -199,10 +200,7 @@ class ForceControlScenario:
             raise ValueError(f"surface damping must be zero, got {self.surface.damping}")
         if self.chain.dof != 6:
             raise ValueError("resolved-rate drive needs a six-joint chain")
-        if len(self.home) != self.chain.dof:
-            raise ValueError("home configuration length must match the chain")
-        if not all(math.isfinite(x) for x in self.home):
-            raise ValueError("home configuration must be finite")
+        home = checked_vector(self.home, "home", self.chain.dof)
         _check_run_size(self, self.duration * self.control_rate, len(TRACE_COLUMNS) + 1, "filter_window")
         # Rules on what the runner derives. The sine's phase 2π·t/sine_period
         # must be a float up to the last tick, and so must each rate-law gain
@@ -228,7 +226,7 @@ class ForceControlScenario:
         elif self.kv or self.ki:  # the compliant law reads kp alone
             name = "kv" if self.kv else "ki"
             raise ValueError(f"{name} must be 0 under law = compliant, got {getattr(self, name)!r}")
-        object.__setattr__(self, "home", tuple(float(x) for x in self.home))
+        object.__setattr__(self, "home", tuple(home.tolist()))
 
     @property
     def substeps(self) -> int:

@@ -144,7 +144,10 @@ def sinusoidal_force_reference(t_c: float, f_max: float, period: float) -> float
         raise ValueError(f"period must be positive and finite, got {period}")
     if not -math.inf < f_max < math.inf:
         raise ValueError(f"f_max must be finite, got {f_max}")
-    return f_max * abs(math.sin(2.0 * math.pi * t_c / period))
+    phase = 2.0 * math.pi * t_c / period
+    if not math.isfinite(phase):
+        raise ValueError(f"the phase 2π·t_c/period overflows at t_c = {t_c}, period = {period}")
+    return f_max * abs(math.sin(phase))
 
 
 def pcb_insertion_profile(t: float) -> float:

@@ -13,6 +13,7 @@ Conventions used throughout:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,20 @@ def frozen_array(a, name: str, shape: tuple[int, ...]) -> np.ndarray:
     if not np.isfinite(out).all():
         raise ValueError(f"{name} must be finite, got {out.tolist()}")
     out.flags.writeable = False
+    return out
+
+
+def checked_vector(a, name: str, n: int) -> np.ndarray:
+    """``a`` as a float array, refused unless it has shape (n,) and is finite.
+
+    ``frozen_array``'s check and wording without its copy, for arguments
+    read once per call: the result may share memory with ``a``.
+    """
+    out = np.asarray(a, dtype=float)
+    if out.shape != (n,):
+        raise ValueError(f"{name} must have shape {(n,)}, got {out.shape}")
+    if not all(map(math.isfinite, out.tolist())):
+        raise ValueError(f"{name} must be finite, got {out.tolist()}")
     return out
 
 

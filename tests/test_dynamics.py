@@ -225,6 +225,7 @@ def test_forward_dynamics_refuses_non_finite_arguments():
     # Every dynamics entry point refuses each array argument it reads when
     # it is one entry short or a column, or holds a NaN or an infinity, by name.
     model, n, q = powercube6(), 6, np.zeros(6)
+    power = compute_dynamics(model, q).power
     calls = {
         "forward_dynamics": lambda a: forward_dynamics(
             model, q, a["theta_dot"], a["tau"], gravity=a["gravity"], viscous=a["viscous"]
@@ -233,11 +234,13 @@ def test_forward_dynamics_refuses_non_finite_arguments():
             model, JointState(q, a["theta_dot"]), gravity=a["gravity"], viscous=a["viscous"]
         ),
         "compute_dynamics": lambda a: compute_dynamics(model, q, gravity=a["gravity"]),
+        "coriolis_torque": lambda a: coriolis_torque(power, a["theta_dot"]),
     }
     reads = {
         "forward_dynamics": ("theta_dot", "tau", "gravity", "viscous"),
         "inverse_dynamics": ("gravity", "viscous"),
         "compute_dynamics": ("gravity",),
+        "coriolis_torque": ("theta_dot",),
     }
     good = dict(theta_dot=np.zeros(n), tau=np.zeros(n), gravity=np.array([0.0, 0.0, -9.81]), viscous=np.zeros(n))
     for entry, names in reads.items():

@@ -163,6 +163,22 @@ def test_ee_velocity_refuses_non_finite_arguments():
     g[0, 0] = np.nan
     with pytest.raises(ValueError, match="^g must be finite$"):
         ee_velocity(g, np.ones(6))
+    # Finite rates whose product overflows: the twist refuses it, and numpy does not warn.
+    with pytest.raises(ValueError, match=r"^angular velocity must be finite, got \[0.0, -inf, inf\]$"):
+        ee_velocity(kic.G, [1e308] * 6)
+
+
+def test_ee_acceleration_refuses_wrong_or_non_finite_rates():
+    kic = compute_gkic(powercube6(), np.zeros(6))
+    good = dict(theta_dot=np.ones(6), theta_ddot=np.ones(6))
+    for name in good:
+        for value, message in (
+            (np.ones(5), "must have shape (6,), got (5,)"),
+            (np.full(6, np.nan), f"must be finite, got {[np.nan] * 6}"),
+        ):
+            with pytest.raises(ValueError) as refused:
+                ee_acceleration(kic.G, kic.H, **dict(good, **{name: value}))
+            assert str(refused.value) == f"{name} {message}"
 
 
 def test_g_function_targets():

@@ -115,6 +115,11 @@ def test_trapezoid_profile_domain():
         (trapezoidal_profile, (0.5, 1.0, math.nan), "omega_peak must be finite, got nan"),
         (trapezoidal_profile, (0.5, 1.0, math.inf), "omega_peak must be finite, got inf"),
         (sinusoidal_force_reference, (1.0, math.nan, 50.0), "f_max must be finite, got nan"),
+        (
+            sinusoidal_force_reference,
+            (1e300, -1.0, 1e-300),
+            "the phase 2π·t_c/period overflows at t_c = 1e+300, period = 1e-300",
+        ),
     ],
 )
 def test_reference_profiles_refuse_non_finite_arguments(profile, args, message):
@@ -151,6 +156,7 @@ def _rk4(drive, q):
         (window_mean, ([1.0, _NAN],), _NAN),
         (window_mean, ([1.0, _INF],), _INF),
         (window_mean, ([_INF, -_INF],), _NAN),
+        (window_mean, ([],), (ValueError, "history must hold at least one sample, got none")),
         (
             _condition_axis,
             (_window(), [1.0, _NAN], 0.0, 0.0),
@@ -391,7 +397,7 @@ def test_force_scenario_validation():
         ForceControlScenario(chain, surface, kp, reference="square")
     with pytest.raises(ValueError):
         ForceControlScenario(chain, surface, kp, home=(0.0, 0.0))
-    with pytest.raises(ValueError, match="home configuration must be finite"):
+    with pytest.raises(ValueError, match="home must be finite"):
         ForceControlScenario(chain, surface, kp, home=(0.0, math.nan, 0.9, 0.0, 0.7, 0.0))
     with pytest.raises(ValueError):
         ForceControlScenario(chain, surface, kp, physics_timestep=1.0)

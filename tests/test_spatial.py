@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from fmasim.fixtures import compliant_scale_surface, powercube6
+from fmasim.force_control import ContactSurface, contact_wrench, fixture_projector
+from fmasim.kinematics import compute_gkic, frame_transforms, g_function
+from fmasim.scenario import ForceControlScenario
 from fmasim.spatial import (
     Pose,
     Rotation,
@@ -139,3 +143,43 @@ def test_identity_transform_is_neutral():
     w = Wrench(np.array([1.0, -2.0, 3.0]), np.array([0.5, 0.0, -1.0]))
     out = SpatialTransform.identity().apply(w)
     assert np.array_equal(out.as_array(), w.as_array())
+
+
+_CHAIN = powercube6()
+_SURFACE = ContactSurface(stiffness=1000.0)
+_NAN_THETA = [0.0, 0.0, np.nan, 0.0, 0.0, 0.0]
+
+
+def _vector_cases():
+    for f in (frame_transforms, g_function, compute_gkic):
+        call = lambda theta, f=f: f(_CHAIN, theta)
+        yield pytest.param(call, np.zeros(5), "theta must have shape (6,), got (5,)", id=f"{f.__name__}-short")
+        yield pytest.param(call, _NAN_THETA, f"theta must be finite, got {_NAN_THETA}", id=f"{f.__name__}-nan")
+    for name, call in (
+        ("position", lambda p: contact_wrench(_SURFACE, p)),
+        ("velocity", lambda v: contact_wrench(_SURFACE, (0.0, 0.0, 1.0), v)),
+    ):
+        for value, got, kind in (([[0.0, 0.0, -1.0e-3]], "(1, 3)", "row"), (np.zeros(4), "(4,)", "long")):
+            message = f"{name} must have shape (3,), got {got}"
+            yield pytest.param(call, value, message, id=f"contact_wrench-{name}-{kind}")
+    yield pytest.param(
+        lambda p: fixture_projector(p, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+        [[0.0, 0.0, 0.0]],
+        "p1 must have shape (3,), got (1, 3)",
+        id="fixture_projector-row",
+    )
+    yield pytest.param(
+        lambda home: ForceControlScenario(_CHAIN, compliant_scale_surface(), 1.0e-4, home=home),
+        (0.0,) * 5,
+        "home must have shape (6,), got (5,)",
+        id="ForceControlScenario-home",
+    )
+
+
+@pytest.mark.parametrize("call, value, message", _vector_cases())
+def test_vector_arguments_are_refused_by_name(call, value, message):
+    # One line naming the argument, through spatial.checked_vector: no
+    # reshape of a row or a too-long vector, no unnamed joint count.
+    with pytest.raises(ValueError) as refused:
+        call(value)
+    assert str(refused.value) == message
