@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DegenerateConfigurationError
 from .kinematics import JointState, SerialChainModel, _resolve_target, _world_coms, frame_transforms
-from .spatial import Wrench, checked_vector, frozen_array, skew
+from .spatial import Wrench, _lapack_eigvalsh, _lapack_solve, checked_vector, frozen_array, skew
 from .units import GRAVITY
 
 CONDITION_LIMIT = 1.0e12
@@ -184,9 +184,9 @@ def forward_dynamics(
     inertia, bias = _joint_terms(model, theta, theta_dot, gravity, loads, viscous)
     # The extreme eigenvalues of the symmetric inertia give its exact
     # 2-norm condition number; a matrix that is not positive definite fails too.
-    w = np.linalg.eigvalsh(inertia)
+    w = _lapack_eigvalsh(inertia)
     if not w[0] * CONDITION_LIMIT >= w[-1] > 0.0:
         raise DegenerateConfigurationError(
             "effective inertia is numerically singular at this configuration"
         )
-    return np.linalg.solve(inertia, tau - bias)
+    return _lapack_solve(inertia, tau - bias)

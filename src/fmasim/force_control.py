@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateConfigurationError
-from .spatial import Wrench, checked_vector, frozen_array
+from .spatial import Wrench, _lapack_solve, checked_vector, frozen_array
 from .units import LBF_TO_N
 
 # Contact retention threshold and touchdown settle rate used when a
@@ -236,8 +236,8 @@ def fixture_projector(p1, p2, p3) -> VirtualFixture:
 
 
 def project_force(fixture: VirtualFixture, force) -> np.ndarray:
-    """Component of a force lying in the fixture plane."""
-    return fixture.omega @ np.asarray(force, dtype=float).reshape(3)
+    """Component of a force lying in the fixture plane; a force that is not a finite (3,) vector is refused."""
+    return fixture.omega @ checked_vector(force, "force", 3)
 
 
 def virtual_inertia_damper_step(k, w_b: Wrench) -> np.ndarray:
@@ -247,17 +247,15 @@ def virtual_inertia_damper_step(k, w_b: Wrench) -> np.ndarray:
     a constant force produces a constant drift velocity K F / Δt. Driven
     instead by the deviation from the registered equilibrium wrench, the
     same law is a spring: releasing the disturbance returns the commanded
-    pose to the equilibrium point.
+    pose to the equilibrium point. A gain ``k`` that is not a finite (6,)
+    vector is refused.
     """
-    k = np.asarray(k, dtype=float)
-    if k.shape != (6,):
-        raise ValueError("gain must be a (6,) diagonal")
-    return k * w_b.as_array()
+    return checked_vector(k, "k", 6) * w_b.as_array()
 
 
 def _solve_jacobian(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
-        return np.linalg.solve(g, rhs)
+        return _lapack_solve(g, rhs)
     except np.linalg.LinAlgError as exc:
         raise DegenerateConfigurationError("jacobian is singular") from exc
 
@@ -277,23 +275,27 @@ def _force_axis(kp: float, e: float, kv: float = 0.0, de: float = -0.0, ki: floa
 def pure_force_control_step(
     g, gains: GainSet, e_f: np.ndarray, e_f_dot: np.ndarray, e_f_int: np.ndarray
 ) -> np.ndarray:
-    """Joint rates from PID action on force error, θ̇ = G⁻¹(Kp e + Kv ė + Ki ∫e), gains diagonal."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != (6, 6):
-        raise ValueError("jacobian must be 6x6")
-    e, de, ie = (np.asarray(x, dtype=float).reshape(6).tolist() for x in (e_f, e_f_dot, e_f_int))
+    """Joint rates from PID action on force error, θ̇ = G⁻¹(Kp e + Kv ė + Ki ∫e), gains diagonal.
+
+    A ``g`` that is not a finite 6x6 matrix, or an error that is not a
+    finite (6,) vector, is refused by name.
+    """
+    g = frozen_array(g, "g", (6, 6))
+    errors = {"e_f": e_f, "e_f_dot": e_f_dot, "e_f_int": e_f_int}
+    e, de, ie = (checked_vector(x, name, 6).tolist() for name, x in errors.items())
     kp, kv, ki = gains.kp.tolist(), gains.kv.tolist(), gains.ki.tolist()
     return _solve_jacobian(g, np.array(list(map(_force_axis, kp, e, kv, de, ki, ie))))
 
 
 def compliant_control_step(g, kp, e_f: np.ndarray) -> np.ndarray:
-    """Differential joint motion per control period, Δθ = G⁻¹ Kp e, Kp a (6,) diagonal."""
-    g = np.asarray(g, dtype=float)
-    kp = np.asarray(kp, dtype=float)
-    if g.shape != (6, 6) or kp.shape != (6,):
-        raise ValueError("jacobian must be 6x6 and gain a (6,) diagonal")
-    e = np.asarray(e_f, dtype=float).reshape(6).tolist()
-    return _solve_jacobian(g, np.array(list(map(_force_axis, kp.tolist(), e))))
+    """Differential joint motion per control period, Δθ = G⁻¹ Kp e, Kp a (6,) diagonal.
+
+    A ``g`` that is not a finite 6x6 matrix, or a ``kp`` or ``e_f`` that
+    is not a finite (6,) vector, is refused by name.
+    """
+    g = frozen_array(g, "g", (6, 6))
+    kp, e = checked_vector(kp, "kp", 6).tolist(), checked_vector(e_f, "e_f", 6).tolist()
+    return _solve_jacobian(g, np.array(list(map(_force_axis, kp, e))))
 
 
 def effective_stiffness(k_sensor: float, k_tool: float, k_env: float) -> float:

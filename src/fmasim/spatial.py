@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 # Row j is the cross-product matrix [e_j]x, flattened; [v]x = sum_j v_j [e_j]x.
 _SKEW_BASIS = np.array([np.cross(e, np.eye(3)).T.ravel() for e in np.eye(3)])
@@ -56,6 +57,30 @@ def checked_vector(a, name: str, n: int) -> np.ndarray:
     if not all(map(math.isfinite, out.tolist())):
         raise ValueError(f"{name} must be finite, got {out.tolist()}")
     return out
+
+
+# numpy's LAPACK gufuncs under the error state ``np.linalg.solve`` and
+# ``np.linalg.eigvalsh`` set around them, without the wrappers' per-call
+# conversions: for float64 arguments the same bits and the same errors.
+# Checked on numpy 2.4.6; a per-tick path calls these, a cold one np.linalg.
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+def _raise_no_convergence(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _lapack_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` for a float (n, n) ``a`` and (n,) ``b``."""
+    return _umath_linalg.solve1(a, b)
+
+
+@np.errstate(call=_raise_no_convergence, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _lapack_eigvalsh(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(a)``, ascending, for a float symmetric (n, n) ``a``; reads the lower triangle."""
+    return _umath_linalg.eigvalsh_lo(a)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,7 @@ import pytest
 
 import fmasim.simulation as simulation
 from fmasim.config import build_scenario, load_scenario
+from fmasim.dynamics import forward_dynamics
 from fmasim.errors import SimulationBlowUpError
 from fmasim.fixtures import (
     compliant_scale_surface,
@@ -627,3 +628,19 @@ def test_force_run_solves_the_jacobian_once_per_tick(monkeypatch, name):
     scenario = build_scenario(load_scenario(name))
     run_force_control_scenario(scenario)
     assert len(solves) == round(scenario.duration * scenario.control_rate)
+
+
+def test_hot_paths_call_lapack_without_the_linalg_wrapper(monkeypatch):
+    # The force tick's solve and forward_dynamics' guard and solve go to
+    # numpy's gufuncs through spatial's helpers; np.linalg's wrappers are
+    # left to the cold paths, such as the checks made when a chain is built.
+    scenario = build_scenario(load_scenario("force-regulation"))
+    chain = powercube6()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a hot path called np.linalg's wrapper")
+
+    monkeypatch.setattr(np.linalg, "solve", refused)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    assert len(run_force_control_scenario(scenario).data) == 301
+    assert np.isfinite(forward_dynamics(chain, np.full(6, 0.3), np.full(6, 0.1), np.zeros(6))).all()

@@ -1,8 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fmasim.fixtures import compliant_scale_surface, powercube6
-from fmasim.force_control import ContactSurface, contact_wrench, fixture_projector
+from fmasim.force_control import (
+    ContactSurface,
+    GainSet,
+    compliant_control_step,
+    contact_wrench,
+    fixture_projector,
+    project_force,
+    pure_force_control_step,
+    virtual_inertia_damper_step,
+)
 from fmasim.kinematics import compute_gkic, frame_transforms, g_function
 from fmasim.scenario import ForceControlScenario
 from fmasim.spatial import (
@@ -11,6 +23,8 @@ from fmasim.spatial import (
     SpatialTransform,
     Twist,
     Wrench,
+    _lapack_eigvalsh,
+    _lapack_solve,
     compose,
     rotation_from_fixed_euler,
     skew,
@@ -174,6 +188,29 @@ def _vector_cases():
         "home must have shape (6,), got (5,)",
         id="ForceControlScenario-home",
     )
+    ones, zeros, gains = np.ones(6), np.zeros(6), GainSet(kp=np.ones(6))
+    fixture = fixture_projector((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    for law, name, n, call in (
+        ("compliant", "kp", 6, lambda v: compliant_control_step(np.eye(6), v, ones)),
+        ("compliant", "e_f", 6, lambda v: compliant_control_step(np.eye(6), ones, v)),
+        ("pure", "e_f", 6, lambda v: pure_force_control_step(np.eye(6), gains, v, zeros, zeros)),
+        ("pure", "e_f_dot", 6, lambda v: pure_force_control_step(np.eye(6), gains, ones, v, zeros)),
+        ("pure", "e_f_int", 6, lambda v: pure_force_control_step(np.eye(6), gains, ones, zeros, v)),
+        ("damper", "k", 6, lambda v: virtual_inertia_damper_step(v, Wrench())),
+        ("project_force", "force", 3, lambda v: project_force(fixture, v)),
+    ):
+        for value, got, kind in ((np.ones((1, n)), f"(1, {n})", "row"), (np.ones((n, 1)), f"({n}, 1)", "column")):
+            yield pytest.param(call, value, f"{name} must have shape ({n},), got {got}", id=f"{law}-{name}-{kind}")
+        nan = [np.nan] + [1.0] * (n - 1)
+        yield pytest.param(call, nan, f"{name} must be finite, got {nan}", id=f"{law}-{name}-nan")
+    g_nan = np.eye(6)
+    g_nan[0, 0] = np.nan
+    for law, call in (
+        ("compliant", lambda g: compliant_control_step(g, ones, ones)),
+        ("pure", lambda g: pure_force_control_step(g, gains, ones, zeros, zeros)),
+    ):
+        yield pytest.param(call, np.eye(5), "g must have shape (6, 6), got (5, 5)", id=f"{law}-g-small")
+        yield pytest.param(call, g_nan, f"g must be finite, got {g_nan.tolist()}", id=f"{law}-g-nan")
 
 
 @pytest.mark.parametrize("call, value, message", _vector_cases())
@@ -183,3 +220,56 @@ def test_vector_arguments_are_refused_by_name(call, value, message):
     with pytest.raises(ValueError) as refused:
         call(value)
     assert str(refused.value) == message
+
+
+# Square matrices of every size the chains use, and right-hand sides that
+# reach the signed zeros, subnormals and both ends of the float range.
+_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 5.0e-324, -5.0e-324, -2.0e-310]),
+    st.floats(-1.0e3, 1.0e3),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def _square_systems(draw):
+    n = draw(st.integers(1, 6))
+    # Each entry drawn on its own: arrays' default fill makes most matrices rank one.
+    a = draw(arrays(np.float64, (n, n), elements=_entries, fill=st.nothing()))
+    b = draw(arrays(np.float64, (n,), elements=_entries, fill=st.nothing()))
+    # The force runner passes the transposed view of its C-ordered Jacobian.
+    return (a.T if draw(st.booleans()) else a), b
+
+
+def _outcome(f, *args):
+    """The bytes of ``f``'s result with its dtype and shape, or the message of its LinAlgError."""
+    try:
+        out = f(*args)
+    except np.linalg.LinAlgError as exc:
+        return str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_square_systems())
+def test_lapack_helpers_are_the_linalg_calls_byte_for_byte(system):
+    a, b = system
+    assert _outcome(_lapack_solve, a, b) == _outcome(np.linalg.solve, a, b)
+    assert _outcome(_lapack_eigvalsh, a) == _outcome(np.linalg.eigvalsh, a)
+
+
+def test_lapack_solve_raises_numpys_singular_matrix_error():
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    for solve in (_lapack_solve, np.linalg.solve):
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            solve(singular, np.ones(2))
+
+
+def test_lapack_solve_of_an_infinite_rhs_is_numpys_nan_vector():
+    # No error: a non-finite joint command is caught after the solve, by
+    # the runner's finiteness check on the joint state.
+    a, b = np.diag([2.0, 3.0, 4.0]), np.array([np.inf, 1.0, 1.0])
+    with np.errstate(all="raise"):
+        ours, numpys = _lapack_solve(a, b), np.linalg.solve(a, b)
+    assert ours.tobytes() == numpys.tobytes()
+    assert np.isnan(ours).all()
