@@ -39,9 +39,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateConfigurationError
+from .errors import DegenerateConfigurationError, checked_vector, frozen_array
 from .kinematics import JointState, SerialChainModel, _resolve_target, _world_coms, frame_transforms
-from .spatial import Wrench, _lapack_eigvalsh, _lapack_solve, checked_vector, frozen_array, skew
+from .spatial import Wrench, _lapack_eigvalsh, _lapack_solve, skew
 from .units import GRAVITY
 
 CONDITION_LIMIT = 1.0e12
@@ -147,7 +147,8 @@ def _joint_terms(model, theta, theta_dot, gravity, loads, viscous) -> tuple[np.n
 
 
 def coriolis_torque(power: np.ndarray, theta_dot: np.ndarray) -> np.ndarray:
-    """Velocity-product torque qd . P* . qd; a wrongly shaped or non-finite theta_dot is refused by name."""
+    """Velocity-product torque qd . P* . qd; a wrongly shaped or non-finite power or theta_dot is refused by name."""
+    power = frozen_array(power, "power", np.shape(power)[:1] * 3)
     qd = checked_vector(theta_dot, "theta_dot", len(power))
     return np.einsum("i,ilj,j->l", qd, power, qd)
 

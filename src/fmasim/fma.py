@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_fields, checked_vector, frozen_array
 from .units import GRAVITY
 
 # Static, viscous, and exponential-knee coefficients of the transmission
@@ -30,20 +31,6 @@ FRICTION_KNEE_GAIN = 0.9602
 FRICTION_KNEE_RATE = 0.0047
 
 SCALE_RATIO_BAND = (10.0, 15.0)
-
-
-def _check_fields(value):
-    """Raise ValueError naming the first float field of the dataclass ``value``
-    that is not finite, then the first field that breaks its rule in the
-    class's ``RULES``, if it has one, in the order listed: "positive",
-    "nonnegative" or a tuple of the field's choices."""
-    for f in fields(value):
-        if f.type == "float" and not math.isfinite(getattr(value, f.name)):
-            raise ValueError(f"{f.name} must be finite")
-    for name, rule in getattr(value, "RULES", {}).items():
-        x, text = getattr(value, name), rule if isinstance(rule, str) else f"one of {list(rule)}"
-        if not (x in rule if isinstance(rule, tuple) else x > 0 if rule == "positive" else x >= 0):
-            raise ValueError(f"{name} must be {text}, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +49,7 @@ class StarCompoundGeometry:
     RULES = dict.fromkeys(("r9", "r10", "r11", "r12"), "positive")
 
     def __post_init__(self):
-        _check_fields(self)
+        check_fields(self)
         if not 0.0 < self.g_hypo < 1.0:
             raise ValueError("g_hypo must lie in (0, 1)")
         closure = self.r9 + self.r10 + self.r11
@@ -87,23 +74,18 @@ def scale_ratio(g1: float, g2: float) -> float:
 
 def output_velocity(g_row: np.ndarray, omega_p: np.ndarray) -> float:
     """Output shaft speed for prime-mover speeds (motion, force)."""
-    g_row = np.asarray(g_row, dtype=float)
-    omega_p = np.asarray(omega_p, dtype=float)
-    if g_row.shape != omega_p.shape:
-        raise ValueError("gear row and speed vector shapes differ")
-    return float(g_row @ omega_p)
+    g = checked_vector(g_row, "g_row", np.size(g_row))
+    return float(g @ checked_vector(omega_p, "omega_p", len(g)))
 
 
-def _check_weight(weight: np.ndarray | None, m: int) -> np.ndarray:
-    if weight is None:
-        return np.eye(m)
-    w = np.asarray(weight, dtype=float)
-    if w.shape != (m, m):
-        raise ValueError(f"weight must be {m}x{m}")
+def _check_weight(weight: np.ndarray, m: int, name: str = "weight") -> np.ndarray:
+    """A frozen copy of ``weight``, refused by ``name`` unless it is a finite
+    symmetric positive definite (m, m) matrix."""
+    w = frozen_array(weight, name, (m, m))
     if np.max(np.abs(w - w.T)) > 1.0e-9:
-        raise ValueError("weight must be symmetric")
+        raise ValueError(f"{name} must be symmetric, got {w.tolist()}")
     if np.min(np.linalg.eigvalsh(w)) <= 0.0:
-        raise ValueError("weight must be positive definite")
+        raise ValueError(f"{name} must be positive definite, got {w.tolist()}")
     return w
 
 
@@ -115,8 +97,8 @@ def weighted_pseudo_inverse(g_row: np.ndarray, weight: np.ndarray | None = None)
     from Gaussian elimination without pivoting, which a positive definite
     W does not need; a diagonal W gives g_i / W_ii.
     """
-    g = np.asarray(g_row, dtype=float).reshape(-1)
-    w = _check_weight(weight, g.shape[0]).tolist()
+    g = checked_vector(g_row, "g_row", np.size(g_row))
+    w = (np.eye(len(g)) if weight is None else _check_weight(weight, len(g))).tolist()
     x, m = g.tolist(), len(w)
     for k in range(m):
         for i in range(k + 1, m):
@@ -138,9 +120,8 @@ def weighted_pseudo_inverse(g_row: np.ndarray, weight: np.ndarray | None = None)
 
 def null_space_projector(g_row: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
     """Projector I - G+ G onto self-motions of the allocation."""
-    g = np.asarray(g_row, dtype=float).reshape(-1)
-    gp = weighted_pseudo_inverse(g, weight)
-    return np.eye(g.shape[0]) - np.outer(gp, g)
+    gp = weighted_pseudo_inverse(g_row, weight)
+    return np.eye(len(gp)) - np.outer(gp, g_row)
 
 
 def allocate_velocities(
@@ -150,14 +131,11 @@ def allocate_velocities(
     qd_seed: np.ndarray | None = None,
 ) -> np.ndarray:
     """Prime-mover speeds realizing ``qd_out`` plus an optional self-motion seed."""
-    g = np.asarray(g_row, dtype=float).reshape(-1)
-    gp = weighted_pseudo_inverse(g, weight)
+    gp = weighted_pseudo_inverse(g_row, weight)
     qd_m = gp * float(qd_out)
     if qd_seed is not None:
-        seed = np.asarray(qd_seed, dtype=float).reshape(-1)
-        if seed.shape != g.shape:
-            raise ValueError("seed shape must match the number of prime movers")
-        qd_m = qd_m + null_space_projector(g, weight) @ seed
+        seed = checked_vector(qd_seed, "qd_seed", len(gp))
+        qd_m = qd_m + null_space_projector(g_row, weight) @ seed
     return qd_m
 
 
@@ -195,7 +173,7 @@ class PrimeMoverParams:
     }
 
     def __post_init__(self):
-        _check_fields(self)
+        check_fields(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,14 +185,10 @@ class WeightingPolicy:
     torque_threshold: float
 
     def __post_init__(self):
-        _check_fields(self)
+        check_fields(self)
         # Copies: the runner tells the two weights apart by identity.
-        quiet = _check_weight(np.array(self.quiet, dtype=float), 2)
-        disturbed = _check_weight(np.array(self.disturbed, dtype=float), 2)
-        quiet.flags.writeable = False
-        disturbed.flags.writeable = False
-        object.__setattr__(self, "quiet", quiet)
-        object.__setattr__(self, "disturbed", disturbed)
+        for name in ("quiet", "disturbed"):
+            object.__setattr__(self, name, _check_weight(getattr(self, name), 2, name))
 
 
 def weighting(policy: WeightingPolicy, tau_ext: float) -> np.ndarray:
@@ -243,7 +217,7 @@ class DualActuatorModel:
     RULES = {"link_mass": "positive", "link_length": "positive", "tool_mass": "nonnegative"}
 
     def __post_init__(self):
-        _check_fields(self)
+        check_fields(self)
         if self.link_com is None:
             object.__setattr__(self, "link_com", self.link_length / 2.0)
         if not 0.0 <= self.link_com <= self.link_length:
@@ -369,11 +343,9 @@ def reduced_dynamics(
     should build the terms once per weight and call their
     ``acceleration``, as ``simulation.run_fma_scenario`` does.
     """
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.shape != (2,):
-        raise ValueError("v must hold two armature voltages")
+    v = checked_vector(v, "v", 2).tolist()
     terms = reduced_terms(model, weight)
-    return terms.acceleration(qd, math.sin(q), stribeck_friction(qd), terms.drive(v.tolist()), tau_ext)
+    return terms.acceleration(qd, math.sin(q), stribeck_friction(qd), terms.drive(v), tau_ext)
 
 
 def computed_torque_voltage(

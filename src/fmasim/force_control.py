@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateConfigurationError
-from .spatial import Wrench, _lapack_solve, checked_vector, frozen_array
+from .errors import DegenerateConfigurationError, checked_vector, frozen_array
+from .spatial import Wrench, _lapack_solve
 from .units import LBF_TO_N
 
 # Contact retention threshold and touchdown settle rate used when a

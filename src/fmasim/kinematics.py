@@ -28,7 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .spatial import Pose, Rotation, Twist, Wrench, checked_vector, frozen_array, skew
+from .errors import check_fields, checked_vector, frozen_array
+from .spatial import Pose, Rotation, Twist, Wrench, skew
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,7 @@ class DHRow:
     theta_offset: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha_prev", "a_prev", "d", "theta_offset"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        check_fields(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,14 +314,12 @@ def _point_h(g, last) -> np.ndarray:
 def ee_velocity(g: np.ndarray, theta_dot: np.ndarray) -> Twist:
     """Task-space twist from joint rates.
 
-    A non-finite ``g``, or a ``theta_dot`` that is non-finite or not one
-    rate per column of ``g``, is refused with a ``ValueError`` that names
-    it. Finite arguments whose product overflows give a twist that
-    ``Twist`` refuses by name, without numpy's warning.
+    A ``g`` that is not a finite (6, n) matrix, or a ``theta_dot`` that is
+    non-finite or not one rate per column of ``g``, is refused with a
+    ``ValueError`` that names it. Finite arguments whose product overflows
+    give a twist that ``Twist`` refuses by name, without numpy's warning.
     """
-    g = np.asarray(g, dtype=float)
-    if not np.isfinite(g).all():
-        raise ValueError("g must be finite")
+    g = frozen_array(g, "g", (6, *np.shape(g)[-1:]))
     theta_dot = checked_vector(theta_dot, "theta_dot", g.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
         rate = g @ theta_dot
@@ -344,5 +341,8 @@ def ee_acceleration(
 
 
 def static_joint_torques(g: np.ndarray, wrench: Wrench) -> np.ndarray:
-    """Joint torques statically equivalent to a task wrench: G^T w."""
-    return np.asarray(g, dtype=float).T @ wrench.as_array()
+    """Joint torques statically equivalent to a task wrench: G^T w.
+
+    A ``g`` that is not a finite (6, n) matrix is refused by name.
+    """
+    return frozen_array(g, "g", (6, *np.shape(g)[-1:])).T @ wrench.as_array()

@@ -1,7 +1,7 @@
 """Scenarios: one run of the dual-actuator rig or of a contact task, checked when built.
 
 Each class lists its single-field rules once, as ``RULES`` read by
-``fma._check_fields``, and writes out the rules that tie fields together.
+``errors.check_fields``, and writes out the rules that tie fields together.
 """
 from __future__ import annotations
 
@@ -9,12 +9,12 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .fma import DualActuatorModel, WeightingPolicy, _check_fields
+from .errors import check_fields, checked_vector
 from .force_control import DEFAULT_CONTACT_THRESHOLD, DEFAULT_SETTLE_RATE, ContactSurface
-from .spatial import checked_vector
 from .units import LBF_TO_N
 
 if TYPE_CHECKING:
+    from .fma import DualActuatorModel, WeightingPolicy
     from .kinematics import SerialChainModel
 
 TRACE_COLUMNS = ("t", "q", "q_ref", "qd", "qd_ref", "qM1", "qM2", "v1", "v2", "tau_ext")
@@ -67,7 +67,7 @@ class BurrDisturbance:
     RULES = {"noise_sigma": "nonnegative"}
 
     def __post_init__(self):
-        _check_fields(self)
+        check_fields(self)
         bands = tuple((float(lo), float(hi), float(g)) for lo, hi, g in self.bands)
         if not all(math.isfinite(x) for band in bands for x in band):
             raise ValueError("bands must be finite")
@@ -103,7 +103,7 @@ class FmaScenario:
     }
 
     def __post_init__(self):
-        _check_fields(self)
+        check_fields(self)
         # The sweep's ramps last a quarter of the duration each; too short a
         # duration makes 2π/duration, or the ramps' acceleration, overflow,
         # and too high a peak speed the end position 3·peak_speed·ramp.
@@ -179,7 +179,7 @@ class ForceControlScenario:
     }
 
     def __post_init__(self):
-        _check_fields(self)
+        check_fields(self)
         period = 1.0 / self.control_rate
         if self.physics_timestep <= 0.0 or self.physics_timestep > period + 1e-12:
             raise ValueError(

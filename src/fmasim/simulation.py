@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import fma
-from .errors import DegenerateConfigurationError, SimulationBlowUpError
+from .errors import DegenerateConfigurationError, SimulationBlowUpError, check_fields
 from .force_control import (
     ContactPhase,
     _condition_axis,
@@ -703,8 +703,7 @@ class EnvelopePoint:
     tag: str
 
     def __post_init__(self):
-        if not (math.isfinite(self.torque) and math.isfinite(self.speed)):
-            raise ValueError("envelope point must be finite")
+        check_fields(self)
 
 
 def envelope_points(traces) -> list:

@@ -13,11 +13,12 @@ Conventions used throughout:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
+
+from .errors import frozen_array
 
 # Row j is the cross-product matrix [e_j]x, flattened; [v]x = sum_j v_j [e_j]x.
 _SKEW_BASIS = np.array([np.cross(e, np.eye(3)).T.ravel() for e in np.eye(3)])
@@ -28,35 +29,6 @@ def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrices (..., 3, 3) of vectors (..., 3): skew(v) @ u == np.cross(v, u)."""
     v = np.asarray(v, dtype=float)
     return (v @ _SKEW_BASIS).reshape(v.shape + (3,))
-
-
-def frozen_array(a, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Read-only float copy of ``a``, refused unless it has ``shape`` and is finite.
-
-    Every value class takes its arrays through this, so a value never
-    shares memory with, nor freezes, the array its caller passed in.
-    """
-    out = np.array(a, dtype=float)
-    if out.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {out.shape}")
-    if not np.isfinite(out).all():
-        raise ValueError(f"{name} must be finite, got {out.tolist()}")
-    out.flags.writeable = False
-    return out
-
-
-def checked_vector(a, name: str, n: int) -> np.ndarray:
-    """``a`` as a float array, refused unless it has shape (n,) and is finite.
-
-    ``frozen_array``'s check and wording without its copy, for arguments
-    read once per call: the result may share memory with ``a``.
-    """
-    out = np.asarray(a, dtype=float)
-    if out.shape != (n,):
-        raise ValueError(f"{name} must have shape {(n,)}, got {out.shape}")
-    if not all(map(math.isfinite, out.tolist())):
-        raise ValueError(f"{name} must be finite, got {out.tolist()}")
-    return out
 
 
 # numpy's LAPACK gufuncs under the error state ``np.linalg.solve`` and

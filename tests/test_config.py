@@ -110,6 +110,13 @@ def test_unknown_section_is_named():
         parse_config(MINIMAL_FMA + "\n[telemetry]\nrate = 1\n")
 
 
+def test_malformed_file_and_missing_kind_are_config_errors():
+    with pytest.raises(ConfigError, match=r"^malformed scenario file: File contains no section headers\."):
+        parse_config("[plant\nkind = fma\n")
+    with pytest.raises(ConfigError, match=r"^\[plant\] must declare kind = fma or kind = chain$"):
+        parse_config("[plant]\nactuator = fma-paper\n\n[reference]\nprofile = trapezoid\nduration = 10 s\n")
+
+
 def test_unknown_key_is_named():
     with pytest.raises(ConfigError, match="warp_factor"):
         parse_config(MINIMAL_FMA + "\nwarp_factor = 9\n")
@@ -198,6 +205,8 @@ def test_replace_values_revalidates():
     assert cfg.run["seed"] == 0
     with pytest.raises(ConfigError):
         replace_values(cfg, "run", warp=1)
+    with pytest.raises(ConfigError, match=r"^unknown section 'telemetry'$"):
+        replace_values(cfg, "telemetry", seed=7)
     with pytest.raises(ConfigError, match="finite"):
         replace_values(cfg, "reference", duration=float("nan"))
     # ranges are the scenario's rules, checked when the variant is built

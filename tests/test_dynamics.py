@@ -324,6 +324,17 @@ def test_fma_import_loads_no_chain_or_contact_module():
     _run_fresh(f"import fmasim.fma, sys; loaded = set({unused}) & set(sys.modules); assert not loaded, loaded")
 
 
+def test_fma_and_scenario_imports_load_no_module_above_their_checks():
+    # The argument checks live in fmasim.errors, the bottom module, so fma
+    # loads errors and units alone, and scenario, which names fma's
+    # classes only in annotations, does not load fma.
+    _run_fresh(
+        'import fmasim.fma, sys; loaded = {m for m in sys.modules if m.startswith("fmasim.")}; '
+        'assert loaded <= {"fmasim.errors", "fmasim.fma", "fmasim.units"}, loaded'
+    )
+    _run_fresh('import fmasim.scenario, sys; assert "fmasim.fma" not in sys.modules')
+
+
 def test_cli_import_does_not_load_dynamics():
     # Nor the process pool, which only envelope --parallel uses, nor the
     # plot writer, which only --svg uses.

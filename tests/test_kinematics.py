@@ -58,6 +58,9 @@ def test_chain_model_validation():
     bad[0, 0, 1] = 5.0  # asymmetric
     with pytest.raises(ValueError):
         SerialChainModel(dh, np.array([1.0, 1.0]), np.zeros((2, 3)), bad)
+    indefinite = np.array([good[0], np.diag([1.0, 1.0, -1.0])])
+    with pytest.raises(ValueError, match="^inertia 1 is not positive semidefinite$"):
+        SerialChainModel(dh, np.array([1.0, 1.0]), np.zeros((2, 3)), indefinite)
     with pytest.raises(ValueError):
         SerialChainModel((), np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3, 3)))
 
@@ -161,7 +164,7 @@ def test_ee_velocity_refuses_non_finite_arguments():
     assert str(info.value) == f"theta_dot must be finite, got {[np.inf] * 6}"
     g = np.array(kic.G)
     g[0, 0] = np.nan
-    with pytest.raises(ValueError, match="^g must be finite$"):
+    with pytest.raises(ValueError, match=r"^g must be finite, got \[\[nan, "):
         ee_velocity(g, np.ones(6))
     # Finite rates whose product overflows: the twist refuses it, and numpy does not warn.
     with pytest.raises(ValueError, match=r"^angular velocity must be finite, got \[0.0, -inf, inf\]$"):

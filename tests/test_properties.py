@@ -484,11 +484,12 @@ _gains = st.one_of(st.just(0.0), st.floats(0.0, 1.0e6))
 _errors = st.one_of(st.sampled_from([0.0, -0.0, 5.0e-324, -5.0e-324, -2.0e-310]), st.floats(-1.0e3, 1.0e3))
 
 
+# Each entry drawn on its own: arrays' default fill repeats one value over most of an array.
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
-    arrays(np.float64, (3, 6), elements=_gains),
-    arrays(np.float64, (3, 6), elements=_errors),
-    arrays(np.float64, (6, 6), elements=st.floats(-1.0, 1.0)),
+    arrays(np.float64, (3, 6), elements=_gains, fill=st.nothing()),
+    arrays(np.float64, (3, 6), elements=_errors, fill=st.nothing()),
+    arrays(np.float64, (6, 6), elements=st.floats(-1.0, 1.0), fill=st.nothing()),
 )
 def test_force_laws_are_the_diagonal_matrix_laws(diagonals, errors, jitter):
     """The elementwise gain products solve to the values of the 6x6 diagonal-matrix form."""

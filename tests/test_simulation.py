@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fmasim.simulation as simulation
-from fmasim.config import build_scenario, load_scenario
+from fmasim.config import build_scenario, load_scenario, replace_values
 from fmasim.dynamics import forward_dynamics
 from fmasim.errors import SimulationBlowUpError
 from fmasim.fixtures import (
@@ -26,6 +26,7 @@ from fmasim.fma import (
     stribeck_friction,
 )
 from fmasim.force_control import ContactSurface, _condition_axis, _force_axis, _penalty, window_mean
+from fmasim.kinematics import SerialChainModel
 from fmasim.scenario import BurrDisturbance, FmaScenario, ForceControlScenario
 from fmasim.simulation import (
     Metrics,
@@ -402,6 +403,9 @@ def test_force_scenario_validation():
         ForceControlScenario(chain, surface, kp, home=(0.0, math.nan, 0.9, 0.0, 0.7, 0.0))
     with pytest.raises(ValueError):
         ForceControlScenario(chain, surface, kp, physics_timestep=1.0)
+    one_joint = SerialChainModel((chain.dh[0],), chain.masses[:1], chain.coms[:1], chain.inertias[:1])
+    with pytest.raises(ValueError, match="^resolved-rate drive needs a six-joint chain$"):
+        ForceControlScenario(one_joint, surface, kp)
 
 
 @pytest.mark.parametrize(
@@ -541,6 +545,30 @@ def test_metrics_validation_and_dispatch():
     bogus = SimulationTrace(("t",), np.zeros((1, 1)), None, {})
     with pytest.raises(ValueError):
         compute_metrics(bogus)
+
+
+@pytest.mark.parametrize(
+    "name, updates, field, value, notes",
+    [
+        # A zero target has no overshoot ratio.
+        ("force-regulation", dict(force=0.0), "overshoot_percent", None, ()),
+        # Cut before the contact force comes within 10% of its target.
+        (
+            "force-regulation", dict(duration=2.2), "overshoot_percent", 0.0,
+            ("transient never reached the regulation target; duration runs to end of trace",),
+        ),
+        # Cut on the tick of contact: too few samples to read a phase delay.
+        (
+            "force-sine-tracking", dict(duration=15.5), "lag_percent", None,
+            ("transient never reached the regulation target; duration runs to end of trace",),
+        ),
+    ],
+)
+def test_force_metrics_that_a_short_or_zero_target_run_leaves_undefined(name, updates, field, value, notes):
+    scenario = build_scenario(replace_values(load_scenario(name), "reference", **updates))
+    metrics = compute_metrics(run_force_control_scenario(scenario))
+    assert getattr(metrics, field) == value
+    assert metrics.notes == notes
 
 
 def test_envelope_points_pool_and_dedup():

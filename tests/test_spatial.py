@@ -1,10 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fmasim.fixtures import compliant_scale_surface, powercube6
+from fmasim.dynamics import coriolis_torque
+from fmasim.fixtures import compliant_scale_surface, fma_paper_plant, powercube6
+from fmasim.fma import (
+    WeightingPolicy,
+    allocate_velocities,
+    output_velocity,
+    reduced_dynamics,
+    weighted_pseudo_inverse,
+)
 from fmasim.force_control import (
     ContactSurface,
     GainSet,
@@ -15,7 +25,7 @@ from fmasim.force_control import (
     pure_force_control_step,
     virtual_inertia_damper_step,
 )
-from fmasim.kinematics import compute_gkic, frame_transforms, g_function
+from fmasim.kinematics import compute_gkic, ee_velocity, frame_transforms, g_function, static_joint_torques
 from fmasim.scenario import ForceControlScenario
 from fmasim.spatial import (
     Pose,
@@ -211,13 +221,45 @@ def _vector_cases():
     ):
         yield pytest.param(call, np.eye(5), "g must have shape (6, 6), got (5, 5)", id=f"{law}-g-small")
         yield pytest.param(call, g_nan, f"g must be finite, got {g_nan.tolist()}", id=f"{law}-g-nan")
+    yield pytest.param(lambda g: ee_velocity(g, ones), ones, "g must have shape (6, 6), got (6,)", id="ee_velocity-g-vector")
+    torques = lambda g: static_joint_torques(g, Wrench())
+    yield pytest.param(torques, g_nan, f"g must be finite, got {g_nan.tolist()}", id="static_joint_torques-g-nan")
+    yield pytest.param(torques, np.ones((5, 6)), "g must have shape (6, 6), got (5, 6)", id="static_joint_torques-g-5x6")
+    power = np.zeros((6, 6, 6))
+    power[1, 2, 3] = np.nan
+    yield pytest.param(
+        lambda p: coriolis_torque(p, ones), power, f"power must be finite, got {power.tolist()}", id="coriolis-power-nan"
+    )
+    # The actuator's gear row, speeds, seed, voltages and weights.
+    gear = [1.0, 2.0]
+    for name, weight, call in (
+        ("quiet", [[1.0, 0.0], [0.0, np.inf]], lambda w: WeightingPolicy(w, np.eye(2), 4.0)),
+        ("disturbed", [[np.nan, 0.0], [0.0, 1.0]], lambda w: WeightingPolicy(np.eye(2), w, 4.0)),
+    ):
+        yield pytest.param(call, weight, f"{name} must be finite, got {weight}", id=f"WeightingPolicy-{name}")
+    yield pytest.param(
+        lambda w: weighted_pseudo_inverse(gear, w), np.diag([1.0, np.inf]),
+        "weight must be finite, got [[1.0, 0.0], [0.0, inf]]", id="weighted_pseudo_inverse-weight-inf",
+    )
+    yield pytest.param(
+        weighted_pseudo_inverse, [[1.0], [2.0]], "g_row must have shape (2,), got (2, 1)", id="weighted_pseudo_inverse-g-column"
+    )
+    nan = [np.nan, 1.0]
+    for name, call in (
+        ("omega_p", lambda v: output_velocity(gear, v)),
+        ("qd_seed", lambda v: allocate_velocities(gear, 1.0, qd_seed=v)),
+        ("v", lambda v: reduced_dynamics(fma_paper_plant(), 0.0, 0.0, v, 0.0)),
+    ):
+        yield pytest.param(call, nan, f"{name} must be finite, got {nan}", id=f"fma-{name}-nan")
 
 
 @pytest.mark.parametrize("call, value, message", _vector_cases())
 def test_vector_arguments_are_refused_by_name(call, value, message):
-    # One line naming the argument, through spatial.checked_vector: no
-    # reshape of a row or a too-long vector, no unnamed joint count.
-    with pytest.raises(ValueError) as refused:
+    # One line naming the argument, through errors.checked_vector or
+    # errors.frozen_array: no reshape of a row or a too-long vector, no
+    # unnamed joint count, and no numpy warning before the refusal.
+    with pytest.raises(ValueError) as refused, warnings.catch_warnings():
+        warnings.simplefilter("error")
         call(value)
     assert str(refused.value) == message
 
