@@ -281,6 +281,12 @@ def parse_config(text: str) -> ScenarioConfig:
     parser.optionxform = str
     try:
         parser.read_string(text)
+    except configparser.ParsingError as exc:  # configparser's message runs over several lines
+        lineno = getattr(exc, "lineno", None) or exc.errors[0][0]
+        line = text.split("\n")[lineno - 1].strip()
+        raise ConfigError(
+            f"malformed scenario file: line {lineno}: {line!r} is not a key = value line under a [section] header"
+        ) from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed scenario file: {exc}") from None
 

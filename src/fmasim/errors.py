@@ -49,15 +49,27 @@ def checked_vector(a, name: str, n: int) -> np.ndarray:
     return out
 
 
+def checked_scalar(x, name: str, rule: str = "finite"):
+    """``x``, refused unless finite and, under ``rule``, positive or nonnegative.
+
+    Compared with the infinities: ``math.isfinite`` overflows on an int past the floats.
+    """
+    if not -math.inf < x < math.inf:
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    if not (x > 0 if rule == "positive" else x >= 0 if rule == "nonnegative" else rule == "finite"):
+        raise ValueError(f"{name} must be {rule}, got {x!r}")
+    return x
+
+
 def check_fields(value):
     """Raise ValueError naming the first float field of the dataclass ``value``
     that is not finite, then the first field that breaks its rule in the
-    class's ``RULES``, if it has one, in the order listed: "positive",
-    "nonnegative" or a tuple of the field's choices."""
-    for f in fields(value):
-        if f.type == "float" and not math.isfinite(getattr(value, f.name)):
-            raise ValueError(f"{f.name} must be finite")
-    for name, rule in getattr(value, "RULES", {}).items():
-        x, text = getattr(value, name), rule if isinstance(rule, str) else f"one of {list(rule)}"
-        if not (x in rule if isinstance(rule, tuple) else x > 0 if rule == "positive" else x >= 0):
-            raise ValueError(f"{name} must be {text}, got {x!r}")
+    class's ``RULES``, if it has one, in the order listed: a rule of
+    ``checked_scalar`` or a tuple of the field's choices."""
+    finite = [(f.name, "finite") for f in fields(value) if f.type == "float"]
+    for name, rule in finite + list(getattr(value, "RULES", {}).items()):
+        x = getattr(value, name)
+        if isinstance(rule, str):
+            checked_scalar(x, name, rule)
+        elif x not in rule:
+            raise ValueError(f"{name} must be one of {list(rule)}, got {x!r}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_fields, checked_vector, frozen_array
+from .errors import check_fields, checked_scalar, checked_vector, frozen_array
 from .units import GRAVITY
 
 # Static, viscous, and exponential-knee coefficients of the transmission
@@ -67,9 +67,9 @@ def gear_ratios(geom: StarCompoundGeometry) -> tuple[float, float]:
 
 def scale_ratio(g1: float, g2: float) -> float:
     """Kinematic force:motion scaling |g2 / g1|."""
-    if g1 == 0.0:
+    if checked_scalar(g1, "g1") == 0.0:
         raise ValueError("g1 must be nonzero")
-    return abs(g2 / g1)
+    return abs(checked_scalar(g2, "g2") / g1)
 
 
 def output_velocity(g_row: np.ndarray, omega_p: np.ndarray) -> float:
@@ -132,7 +132,7 @@ def allocate_velocities(
 ) -> np.ndarray:
     """Prime-mover speeds realizing ``qd_out`` plus an optional self-motion seed."""
     gp = weighted_pseudo_inverse(g_row, weight)
-    qd_m = gp * float(qd_out)
+    qd_m = gp * float(checked_scalar(qd_out, "qd_out"))
     if qd_seed is not None:
         seed = checked_vector(qd_seed, "qd_seed", len(gp))
         qd_m = qd_m + null_space_projector(g_row, weight) @ seed
@@ -192,7 +192,7 @@ class WeightingPolicy:
 
 
 def weighting(policy: WeightingPolicy, tau_ext: float) -> np.ndarray:
-    """Active weight matrix: quiet strictly below the torque threshold."""
+    """Active weight matrix: quiet strictly below the torque threshold, so a NaN torque is disturbed."""
     return policy.quiet if tau_ext < policy.torque_threshold else policy.disturbed
 
 
@@ -317,8 +317,7 @@ def reduced_terms(model: DualActuatorModel, weight: np.ndarray | None = None) ->
     # with their zero terms dropped.
     (i0, i1), (b0, b1), (k0, k1) = (np.diag(m).tolist() for m in motor_dynamics_matrices(model))
     inertia = model.output_inertia() + (p0 * i0 * p0 + p1 * i1 * p1)
-    if inertia <= 0.0:
-        raise ValueError("reduced inertia must be positive")
+    checked_scalar(inertia, "reduced inertia", "positive")
     return _ReducedTerms(
         (p0, p1), inertia, p0 * b0 * p0 + p1 * b1 * p1, (p0 * k0, p1 * k1), (g0 / k0, g1 / k1),
         model.gravity_arm, model.output_inertia(),
@@ -344,6 +343,8 @@ def reduced_dynamics(
     ``acceleration``, as ``simulation.run_fma_scenario`` does.
     """
     v = checked_vector(v, "v", 2).tolist()
+    for name, x in (("q", q), ("qd", qd), ("tau_ext", tau_ext)):
+        checked_scalar(x, name)
     terms = reduced_terms(model, weight)
     return terms.acceleration(qd, math.sin(q), stribeck_friction(qd), terms.drive(v), tau_ext)
 
@@ -367,6 +368,8 @@ def computed_torque_voltage(
     many times should build the terms once per weight and call their
     ``voltages``.
     """
+    for name, x in zip(("q", "qd", "q_ref", "qd_ref", "qdd_ref", "kp", "kv"), (q, qd, q_ref, qd_ref, qdd_ref, kp, kv)):
+        checked_scalar(x, name)
     terms = reduced_terms(model, weight)
     return np.array(terms.voltages(q, qd, math.sin(q), stribeck_friction(qd), q_ref, qd_ref, qdd_ref, kp, kv))
 
@@ -376,10 +379,12 @@ def electromagnetic_torques(
 ) -> np.ndarray:
     """Air-gap torques K_m (v - K_b qd_M) / R_a of both prime movers.
 
-    ``v`` and ``qd_m`` are (..., 2) arrays, (motion, force) on the last axis.
+    ``v`` and ``qd_m`` are finite (..., 2) arrays, (motion, force) on the last axis.
     """
+    v = frozen_array(v, "v", np.shape(v)[:-1] + (2,))
+    qd_m = frozen_array(qd_m, "qd_m", np.shape(qd_m)[:-1] + (2,))
     pms = (model.motion_pm, model.force_pm)
     km, kb, ra = np.array(
         [(pm.torque_constant, pm.back_emf_constant, pm.armature_resistance) for pm in pms]
     ).T
-    return km * (np.asarray(v, dtype=float) - kb * np.asarray(qd_m, dtype=float)) / ra
+    return km * (v - kb * qd_m) / ra

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateConfigurationError, checked_vector, frozen_array
+from .errors import DegenerateConfigurationError, checked_scalar, checked_vector, frozen_array
 from .spatial import Wrench, _lapack_solve
 from .units import LBF_TO_N
 
@@ -68,9 +68,8 @@ class ContactSurface:
     def __post_init__(self):
         for name in ("stiffness", "sensor_stiffness", "tool_stiffness"):
             if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 <= self.damping < math.inf:
-            raise ValueError(f"damping must be nonnegative and finite, got {self.damping}")
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        checked_scalar(self.damping, "damping", "nonnegative")
         object.__setattr__(self, "point", frozen_array(self.point, "point", (3,)))
         normal = frozen_array(self.normal, "normal", (3,))
         norm = np.linalg.norm(normal)
@@ -137,12 +136,10 @@ class SignalConditioner:
     """
 
     def __init__(self, bias: Wrench | None = None, window: int = 16, deadband: float = 0.0):
-        if not 1 <= window < math.inf:
-            raise ValueError(f"window must be at least 1 sample and finite, got {window}")
+        checked_scalar(window, "window", "positive")
         if window % 1:
             raise ValueError(f"window must be a whole number of samples, got {window}")
-        if not 0.0 <= deadband < math.inf:
-            raise ValueError(f"deadband must be nonnegative and finite, got {deadband}")
+        checked_scalar(deadband, "deadband", "nonnegative")
         self.bias = bias if bias is not None else Wrench(np.zeros(3), np.zeros(3))
         self.window = int(window)
         self.deadband = float(deadband)
@@ -304,9 +301,9 @@ def effective_stiffness(k_sensor: float, k_tool: float, k_env: float) -> float:
     Rigid (infinite) members contribute no compliance.
     """
     total = 0.0
-    for k in (k_sensor, k_tool, k_env):
+    for name, k in (("k_sensor", k_sensor), ("k_tool", k_tool), ("k_env", k_env)):
         if not k > 0.0:
-            raise ValueError("stiffnesses must be positive")
+            raise ValueError(f"{name} must be positive, got {k!r}")
         if math.isfinite(k):
             total += 1.0 / k
     return math.inf if total == 0.0 else 1.0 / total
@@ -360,8 +357,6 @@ def contact_wrench(surface: ContactSurface, ee_position, ee_velocity=None) -> Wr
 
 def natural_frequency(k_eff: float, mass: float) -> float:
     """Undamped contact-interface natural frequency in Hz."""
-    if not 0.0 < k_eff < math.inf:
-        raise ValueError(f"k_eff must be positive and finite, got {k_eff}")
-    if not 0.0 < mass < math.inf:
-        raise ValueError(f"mass must be positive and finite, got {mass}")
+    checked_scalar(k_eff, "k_eff", "positive")
+    checked_scalar(mass, "mass", "positive")
     return math.sqrt(k_eff / mass) / (2.0 * math.pi)

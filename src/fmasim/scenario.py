@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import check_fields, checked_vector
+from .errors import check_fields, checked_scalar, checked_vector
 from .force_control import DEFAULT_CONTACT_THRESHOLD, DEFAULT_SETTLE_RATE, ContactSurface
 from .units import LBF_TO_N
 
@@ -18,6 +18,7 @@ if TYPE_CHECKING:
     from .kinematics import SerialChainModel
 
 TRACE_COLUMNS = ("t", "q", "q_ref", "qd", "qd_ref", "qM1", "qM2", "v1", "v2", "tau_ext")
+FORCE_TRACE_COLUMNS = TRACE_COLUMNS + ("f_ref",)
 
 # Default burr bands, (lo, hi, gain) with edges in rad: viscous gain over
 # two angle windows of the deburring sweep.
@@ -70,7 +71,7 @@ class BurrDisturbance:
         check_fields(self)
         bands = tuple((float(lo), float(hi), float(g)) for lo, hi, g in self.bands)
         if not all(math.isfinite(x) for band in bands for x in band):
-            raise ValueError("bands must be finite")
+            raise ValueError(f"bands must be finite, got {bands}")
         if any(hi <= lo for lo, hi, _ in bands):
             raise ValueError("disturbance band must have hi > lo")
         object.__setattr__(self, "bands", bands)
@@ -176,15 +177,14 @@ class ForceControlScenario:
         "control_rate": "positive", "duration": "positive", "deadband": "nonnegative", "seed": "nonnegative",
         "approach_speed": "positive", "start_height": "nonnegative", "arm_lag": "nonnegative",
         "filter_window": "positive", "kp": "nonnegative", "kv": "nonnegative", "ki": "nonnegative",
+        "physics_timestep": "positive",
     }
 
     def __post_init__(self):
         check_fields(self)
         period = 1.0 / self.control_rate
-        if self.physics_timestep <= 0.0 or self.physics_timestep > period + 1e-12:
-            raise ValueError(
-                f"physics_timestep must be positive and within a control period, got {self.physics_timestep!r}"
-            )
+        if self.physics_timestep > period + 1e-12:
+            raise ValueError(f"physics_timestep must be within a control period, got {self.physics_timestep!r}")
         if not period * period < math.inf:
             raise ValueError(f"control_rate = {self.control_rate:g} Hz: its period squared or in steps overflows")
         if not period / self.physics_timestep < math.inf:
@@ -192,8 +192,8 @@ class ForceControlScenario:
                 f"physics_timestep = {self.physics_timestep} s is too small: "
                 f"the control period in steps overflows at control_rate = {self.control_rate:g} Hz"
             )
-        if self.reference == "sine" and self.sine_period <= 0.0:
-            raise ValueError(f"sine_period must be positive, got {self.sine_period}")
+        if self.reference == "sine":
+            checked_scalar(self.sine_period, "sine_period", "positive")
         if self.surface.normal.tolist() != [0.0, 0.0, 1.0]:
             raise ValueError(f"surface normal must be +z, got {self.surface.normal.tolist()}")
         if self.surface.damping != 0.0:
@@ -201,18 +201,18 @@ class ForceControlScenario:
         if self.chain.dof != 6:
             raise ValueError("resolved-rate drive needs a six-joint chain")
         home = checked_vector(self.home, "home", self.chain.dof)
-        _check_run_size(self, self.duration * self.control_rate, len(TRACE_COLUMNS) + 1, "filter_window")
+        _check_run_size(self, self.duration * self.control_rate, len(FORCE_TRACE_COLUMNS), "filter_window")
         # Rules on what the runner derives. The sine's phase 2π·t/sine_period
         # must be a float up to the last tick, and so must each rate-law gain
         # of the PID law, kp/dt and ki/dt**2 with dt the control period.
-        n_ticks, dt = round(self.duration * self.control_rate), 1.0 / self.control_rate
-        if self.reference == "sine" and not math.isfinite(2.0 * math.pi * (n_ticks * dt) / self.sine_period):
+        n_ticks = round(self.duration * self.control_rate)
+        if self.reference == "sine" and not math.isfinite(2.0 * math.pi * (n_ticks * period) / self.sine_period):
             raise ValueError(
                 f"sine_period = {self.sine_period} s is too short: the sine's phase "
                 f"2π·t/sine_period overflows within duration = {self.duration} s"
             )
         if self.law == "force-pid":
-            for name, gain, scale, power in (("kp", self.kp, dt, "dt"), ("ki", self.ki, dt**2, "dt**2")):
+            for name, gain, scale, power in (("kp", self.kp, period, "dt"), ("ki", self.ki, period**2, "dt**2")):
                 if not scale > 0.0 and gain == 0.0:  # 0/0: the rate alone is at fault
                     raise ValueError(
                         f"control_rate = {self.control_rate} Hz is too high: {power} underflows to 0, "

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import fma
-from .errors import DegenerateConfigurationError, SimulationBlowUpError, check_fields
+from .errors import DegenerateConfigurationError, SimulationBlowUpError, check_fields, checked_scalar
 from .force_control import (
     ContactPhase,
     _condition_axis,
@@ -29,7 +29,7 @@ from .force_control import (
     window_mean,
 )
 from .kinematics import _point_g, frame_floats, tool_height
-from .scenario import DEFAULT_BURR_BANDS, TRACE_COLUMNS, FmaScenario, ForceControlScenario
+from .scenario import DEFAULT_BURR_BANDS, FORCE_TRACE_COLUMNS, TRACE_COLUMNS, FmaScenario, ForceControlScenario
 
 # The largest joint step a force run may command in one control tick. A
 # resolved-rate step is a move along the Jacobian, which holds only near
@@ -58,8 +58,7 @@ MAX_TRACKING_ERROR = math.pi
 
 def rk4_step(deriv, state, t: float, dt: float):
     """One classic fourth-order Runge-Kutta step of d(state)/dt = deriv(t, state)."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    checked_scalar(dt, "dt", "positive")
     y = np.asarray(state, dtype=float)
     k1 = np.asarray(deriv(t, y), dtype=float)
     k2 = np.asarray(deriv(t + 0.5 * dt, y + 0.5 * dt * k1), dtype=float)
@@ -112,14 +111,12 @@ def trapezoidal_profile(t, total_time: float, omega_peak: float):
     of the call on that element alone. A peak speed large enough to
     overflow gives inf or nan, as Python floats do, and no warning.
     """
-    if not 0.0 < total_time < math.inf:
-        raise ValueError(f"total_time must be positive and finite, got {total_time}")
+    checked_scalar(total_time, "total_time", "positive")
     times = np.asarray(t, dtype=float)
     outside = ~((0.0 <= times) & (times <= total_time))
     if outside.any():
         raise ValueError(f"t={times[outside].flat[0].item()} outside [0, {total_time}]")
-    if not -math.inf < omega_peak < math.inf:
-        raise ValueError(f"omega_peak must be finite, got {omega_peak}")
+    checked_scalar(omega_peak, "omega_peak")
     ramp = total_time / 4.0
     accel = omega_peak / ramp
     q, qd, qdd = np.empty_like(times), np.empty_like(times), np.empty_like(times)
@@ -138,12 +135,9 @@ def trapezoidal_profile(t, total_time: float, omega_peak: float):
 
 def sinusoidal_force_reference(t_c: float, f_max: float, period: float) -> float:
     """Rectified sinusoid of one sign; f_max carries the (negative) push sign."""
-    if not 0.0 <= t_c < math.inf:
-        raise ValueError(f"t_c must be nonnegative and finite, got {t_c}")
-    if not 0.0 < period < math.inf:
-        raise ValueError(f"period must be positive and finite, got {period}")
-    if not -math.inf < f_max < math.inf:
-        raise ValueError(f"f_max must be finite, got {f_max}")
+    checked_scalar(t_c, "t_c", "nonnegative")
+    checked_scalar(period, "period", "positive")
+    checked_scalar(f_max, "f_max")
     phase = 2.0 * math.pi * t_c / period
     if not math.isfinite(phase):
         raise ValueError(f"the phase 2π·t_c/period overflows at t_c = {t_c}, period = {period}")
@@ -185,13 +179,14 @@ def _banded_drag(q: float, qd: float, bands) -> float:
 def burr_disturbance(q: float, qd: float, rng, bands=DEFAULT_BURR_BANDS, noise_sigma: float = 2.0) -> float:
     """Disturbance torque: banded viscous drag plus Gaussian sensor noise.
 
-    A non-finite ``q``, ``qd``, band edge or gain, or ``noise_sigma`` is
-    refused with a ``ValueError`` that names it: a NaN angle or edge would
-    read as outside every band, and a NaN sigma as no noise.
+    A non-finite ``q``, ``qd``, band edge or gain, or a non-finite or
+    negative ``noise_sigma``, is refused with a ``ValueError`` that names
+    it: a NaN angle or edge would read as outside every band, and a NaN or
+    negative sigma as no noise.
     """
-    for name, value in (("q", q), ("qd", qd), ("noise_sigma", noise_sigma)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    checked_scalar(q, "q")
+    checked_scalar(qd, "qd")
+    checked_scalar(noise_sigma, "noise_sigma", "nonnegative")
     if not all(math.isfinite(x) for band in bands for x in band):
         raise ValueError(f"bands must be finite, got {bands}")
     tau = _banded_drag(q, qd, bands)
@@ -348,6 +343,9 @@ def run_fma_scenario(scenario: FmaScenario) -> SimulationTrace:
         for s in range(1, substeps):
             q, qd = _rk4_reduced(pt, drive, tau_ext, q, qd, t + s * dt, dt)
 
+    # An RK4 step, which refuses a non-finite voltage, follows every row but the last.
+    if not np.isfinite(states[-1]).all():
+        raise SimulationBlowUpError(f"{scenario.name}: non-finite voltage or torque at t={n_ticks * tick:.4f} s")
     q, qd, v1, v2, tau_ext, tau_out, tau_filtered, disturbed = states.T
     disturbed = disturbed != 0.0
     # qM1 and qM2 are the active weight's g+ times qd, elementwise.
@@ -424,8 +422,7 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
     # row's 6 nonzero cells, its 5 zero columns staying +0.0.
     jac_t, task = np.empty((6, 6)), np.zeros(6)
     store_jac, jac_bytes = struct.Struct("36d").pack_into, memoryview(jac_t).cast("B")
-    columns = TRACE_COLUMNS + ("f_ref",)
-    rows = np.zeros((n_ticks + 1, len(columns)))
+    rows = np.zeros((n_ticks + 1, len(FORCE_TRACE_COLUMNS)))
     store_row, row_bytes = struct.Struct("4d40x2d").pack_into, memoryview(rows).cast("B")
     approach = -scenario.approach_speed * dt
     threshold, settle_rate, last = scenario.contact_threshold, scenario.settle_rate, chain.dof - 1
@@ -531,7 +528,7 @@ def run_force_control_scenario(scenario: ForceControlScenario) -> SimulationTrac
         z_now = z_end
 
     aux = {"raw_force": np.array(raw_force), "phase": np.array(phase_code)}
-    return SimulationTrace(columns, rows, scenario, aux)
+    return SimulationTrace(FORCE_TRACE_COLUMNS, rows, scenario, aux)
 
 
 @dataclass(frozen=True)

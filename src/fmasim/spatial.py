@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .errors import frozen_array
+from .errors import checked_scalar, frozen_array
 
 # Row j is the cross-product matrix [e_j]x, flattened; [v]x = sum_j v_j [e_j]x.
 _SKEW_BASIS = np.array([np.cross(e, np.eye(3)).T.ravel() for e in np.eye(3)])
@@ -107,8 +107,7 @@ def _wrap_angle(a: float) -> float:
 def rotation_from_fixed_euler(ex: float, ey: float, ez: float) -> Rotation:
     """Rotation about fixed axes X then Y then Z: Rz(ez) @ Ry(ey) @ Rx(ex)."""
     for name, val in (("ex", ex), ("ey", ey), ("ez", ez)):
-        if not np.isfinite(val):
-            raise ValueError(f"{name} must be finite")
+        checked_scalar(val, name)
     cx, sx = np.cos(ex), np.sin(ex)
     cy, sy = np.cos(ey), np.sin(ey)
     cz, sz = np.cos(ez), np.sin(ez)

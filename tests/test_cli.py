@@ -602,6 +602,41 @@ def test_trapezoid_run_ending_past_its_duration_exits_0(tmp_path, capsys):
     assert tuple(rows[-1, 2:5:2]) == trapezoidal_profile(0.3, 0.3, 2.0 * np.pi / 0.3)[:2]
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[plant\nkind = fma\n", "line 1: '[plant' is not a key = value line under a [section] header"),
+        ("[plant]\nkind\n", "line 2: 'kind' is not a key = value line under a [section] header"),
+        ("[plant]\nkind = fma\n\n[plant]\n", "While reading from '<string>' [line  4]: section 'plant' already exists"),
+    ],
+)
+def test_malformed_file_exits_2_in_one_line(text, message, tmp_path, capsys):
+    # configparser's own message for the first two runs over several lines.
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: malformed scenario file: {message}\n"
+
+
+def test_seed_past_the_floats_runs(tmp_path, capsys):
+    # The seed's rule compares it with 0, which holds for an int of any size,
+    # where math.isfinite would raise OverflowError.
+    cfg = _builtin_variant(tmp_path, "fma-paper-deburr", "seed = 20040815", "seed = 1" + "0" * 400)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "metrics.txt").exists()
+
+
+def test_voltage_past_the_floats_in_the_last_row_exits_3(tmp_path, capsys):
+    # A run shorter than half a tick has one row, which no RK4 step checks:
+    # kv times the initial speed error overflows there. Unchecked, the run
+    # exits 0 with infinite voltages in its trace and metrics.
+    edits = ("kv = 60", "kv = 1e308", "duration = 10 s", "duration = 1e-4 s\nqd0 = 10 rad/s")
+    cfg = _builtin_variant(tmp_path, "fma-paper-deburr", *edits)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "error: fma-paper-deburr: non-finite voltage or torque at t=0.0000 s\n"
+    assert not (tmp_path / "o" / "metrics.txt").exists()
+
+
 def test_wrist_singularity_exits_3(tmp_path, capsys):
     text = resources.files("fmasim").joinpath("scenarios", "force-regulation.ini").read_text()
     text = text.replace("[plant]\n", "[plant]\nhome = 0 0 0 0 0 0 rad\n", 1)

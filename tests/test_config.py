@@ -111,7 +111,8 @@ def test_unknown_section_is_named():
 
 
 def test_malformed_file_and_missing_kind_are_config_errors():
-    with pytest.raises(ConfigError, match=r"^malformed scenario file: File contains no section headers\."):
+    unreadable = r"^malformed scenario file: line 1: '\[plant' is not a key = value line under a \[section\] header$"
+    with pytest.raises(ConfigError, match=unreadable):
         parse_config("[plant\nkind = fma\n")
     with pytest.raises(ConfigError, match=r"^\[plant\] must declare kind = fma or kind = chain$"):
         parse_config("[plant]\nactuator = fma-paper\n\n[reference]\nprofile = trapezoid\nduration = 10 s\n")

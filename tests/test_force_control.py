@@ -376,12 +376,18 @@ def test_natural_frequency_formula():
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: ContactSurface(1000.0, damping=math.nan), "damping must be nonnegative and finite, got nan"),
-        (lambda: SignalConditioner(deadband=math.nan), "deadband must be nonnegative and finite, got nan"),
-        (lambda: SignalConditioner(window=math.nan), "window must be at least 1 sample and finite, got nan"),
-        (lambda: natural_frequency(math.nan, 1.2), "k_eff must be positive and finite, got nan"),
-        (lambda: natural_frequency(math.inf, 1.2), "k_eff must be positive and finite, got inf"),
-        (lambda: natural_frequency(1.0, math.nan), "mass must be positive and finite, got nan"),
+        (lambda: ContactSurface(1000.0, damping=math.nan), "damping must be finite, got nan"),
+        (lambda: SignalConditioner(deadband=math.nan), "deadband must be finite, got nan"),
+        (lambda: SignalConditioner(window=math.nan), "window must be finite, got nan"),
+        (lambda: natural_frequency(math.nan, 1.2), "k_eff must be finite, got nan"),
+        (lambda: natural_frequency(math.inf, 1.2), "k_eff must be finite, got inf"),
+        (lambda: natural_frequency(1.0, math.nan), "mass must be finite, got nan"),
+        # A rigid (infinite) member is valid, so a stiffness is refused only when not above zero.
+        (lambda: ContactSurface(math.nan), "stiffness must be positive, got nan"),
+        (lambda: ContactSurface(1000.0, tool_stiffness=-1.0), "tool_stiffness must be positive, got -1.0"),
+        (lambda: effective_stiffness(math.nan, 1.0, 1.0), "k_sensor must be positive, got nan"),
+        (lambda: effective_stiffness(1.0, 0.0, 1.0), "k_tool must be positive, got 0.0"),
+        (lambda: effective_stiffness(1.0, math.inf, -math.inf), "k_env must be positive, got -inf"),
         (
             lambda: fixture_projector([0.0, 0.0, 0.0], [1.0, math.nan, 0.0], [0.0, 1.0, 0.0]),
             "p2 must be finite, got [1.0, nan, 0.0]",

@@ -2,7 +2,7 @@ import inspect
 import re
 from pathlib import Path
 
-from fmasim import fma, scenario
+from fmasim import errors, fma, scenario
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,3 +29,15 @@ def test_readme_rule_list_names_every_ruled_field():
         "BurrDisturbance", "FmaScenario", "ForceControlScenario",
     }
     assert [pair for pair in ruled if f"`{pair[1]}`" not in rules] == []
+
+
+def test_readme_library_layout_names_every_shared_check():
+    text = README.read_text(encoding="utf-8")
+    layout = next(part for part in text.split("\n## ") if part.startswith("Library layout"))
+    public = [
+        name
+        for name, f in vars(errors).items()
+        if inspect.isfunction(f) and f.__module__ == errors.__name__ and not name.startswith("_")
+    ]
+    assert public
+    assert [name for name in public if f"`{name}`" not in layout] == []

@@ -11,8 +11,11 @@ from fmasim.fixtures import compliant_scale_surface, fma_paper_plant, powercube6
 from fmasim.fma import (
     WeightingPolicy,
     allocate_velocities,
+    computed_torque_voltage,
+    electromagnetic_torques,
     output_velocity,
     reduced_dynamics,
+    scale_ratio,
     weighted_pseudo_inverse,
 )
 from fmasim.force_control import (
@@ -251,6 +254,19 @@ def _vector_cases():
         ("v", lambda v: reduced_dynamics(fma_paper_plant(), 0.0, 0.0, v, 0.0)),
     ):
         yield pytest.param(call, nan, f"{name} must be finite, got {nan}", id=f"fma-{name}-nan")
+    # The actuator's scalars; unchecked, NaN and infinity pass through to the result.
+    plant, zero = fma_paper_plant(), [0.0, 0.0]
+    for name, value, call in (
+        ("qd_out", np.nan, lambda x: allocate_velocities(gear, x)),
+        ("q", np.nan, lambda x: reduced_dynamics(plant, x, 0.0, zero, 0.0)),
+        ("tau_ext", np.inf, lambda x: reduced_dynamics(plant, 0.0, 0.0, zero, x)),
+        ("qd", np.nan, lambda x: computed_torque_voltage(plant, 0.0, x, 0.0, 0.0, 0.0)),
+        ("g1", np.nan, lambda x: scale_ratio(x, 1.0)),
+    ):
+        yield pytest.param(call, value, f"{name} must be finite, got {value!r}", id=f"fma-{name}-{value}")
+    yield pytest.param(
+        lambda v: electromagnetic_torques(plant, v, zero), nan, f"v must be finite, got {nan}", id="fma-torques-v-nan"
+    )
 
 
 @pytest.mark.parametrize("call, value, message", _vector_cases())
